@@ -58,6 +58,9 @@ def load_functor(ref: str, N: int | None, coeff: str | None, want_sharp=False):
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {ref} at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}")
+    if not isinstance(data, dict):
+        raise InputError(f"invalid functor data in {ref}: the top level must "
+                         f"be a JSON object, got {type(data).__name__}")
     try:
         if "proj" in data:
             return FISharpModule.from_json(data)

@@ -4,9 +4,11 @@ Each entry builds a truncated functor (FI or FI#) and carries oracles:
 degree values, dimension patterns, isomorphism targets.  ``run_oracles``
 evaluates every fact and reports pass/fail with the certified windows.
 
-Free functors are linearizations of set-valued basis functors (injections
-from a fixed set, unordered pairs, partial injections), so all structure
-matrices are permutation-like and exact over any coefficient ring.
+Free functors come from one builder, ``linearize``, applied to set-valued
+basis functors (injections from a fixed set, unordered pairs, partial
+injections), so all structure matrices are permutation-like and exact over
+any coefficient ring.  The atomic functors and the ``zgeq`` subfunctors of
+the constants come from one rank-one indicator builder, ``indicator``.
 """
 from __future__ import annotations
 
@@ -47,22 +49,6 @@ def _partial_basis(d: int, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...
     return out
 
 
-def _basis_matrix(coeff: Coeff, src_basis, dst_index, image) -> Mat:
-    """Matrix of a map sending each source basis element to a basis element
-    of the target (or to zero when image returns None)."""
-    zero = coeff.zero()
-    one = coeff.one()
-    rows = []
-    width = len(dst_index)
-    for b in src_basis:
-        row = [zero] * width
-        img = image(b)
-        if img is not None:
-            row[dst_index[img]] = one
-        rows.append(tuple(row))
-    return Mat(coeff, len(rows), width, tuple(rows))
-
-
 def _transposition(i: int):
     def phi(x: int) -> int:
         if x == i:
@@ -73,88 +59,68 @@ def _transposition(i: int):
     return phi
 
 
-def build_injections_functor(coeff: Coeff, d: int, N: int) -> TruncFIModule:
-    """The free functor on injections from a d-element set (P_d)."""
-    bases = [_injection_basis(d, n) for n in range(N + 1)]
+def linearize(coeff: Coeff, bases, act, drop=None) -> TruncFIModule:
+    """The free functor on a set-valued functor on injections.
+
+    bases[n] lists the basis of level n; each basis element of level n is
+    also one of level n+1 (the inclusion); act(phi, b) is b moved by the
+    point map phi.  When drop is given, drop(b, n) is b at level n+1 with
+    the point n+1 forgotten, and the result is an FI#-module.  Every
+    structure matrix sends basis elements to basis elements, so it is built
+    directly as a 0/1 matrix.
+    """
     index = [{b: i for i, b in enumerate(bs)} for bs in bases]
     levels = [PresentedModule.free(coeff, len(bs)) for bs in bases]
-    incl = []
-    for n in range(N):
-        mat = _basis_matrix(coeff, bases[n], index[n + 1], lambda u: u)
-        incl.append(ModuleMap(levels[n], levels[n + 1], mat))
-    sym = []
-    for n in range(N + 1):
-        mats = []
-        for i in range(1, n):
-            phi = _transposition(i)
-            mats.append(_basis_matrix(
-                coeff, bases[n], index[n],
-                lambda u, phi=phi: tuple(phi(x) for x in u)))
-        sym.append(mats)
-    return TruncFIModule(coeff, levels, incl, sym)
+    zero, one = coeff.zero(), coeff.one()
 
+    def matrix(src: int, dst: int, image) -> Mat:
+        dst_index = index[dst]
+        width = len(dst_index)
+        rows = []
+        for b in bases[src]:
+            row = [zero] * width
+            row[dst_index[image(b)]] = one
+            rows.append(tuple(row))
+        return Mat(coeff, len(rows), width, tuple(rows))
 
-def build_pair_orbit_functor(coeff: Coeff, N: int) -> TruncFIModule:
-    """The free functor on unordered pairs (injections from 2 modulo swap)."""
-    bases = [_pair_basis(n) for n in range(N + 1)]
-    index = [{b: i for i, b in enumerate(bs)} for bs in bases]
-    levels = [PresentedModule.free(coeff, len(bs)) for bs in bases]
-    incl = [ModuleMap(levels[n], levels[n + 1],
-                      _basis_matrix(coeff, bases[n], index[n + 1], lambda p: p))
+    N = len(bases) - 1
+    incl = [ModuleMap(levels[n], levels[n + 1], matrix(n, n + 1, lambda b: b))
             for n in range(N)]
-    sym = []
-    for n in range(N + 1):
-        mats = []
-        for i in range(1, n):
-            phi = _transposition(i)
-            mats.append(_basis_matrix(
-                coeff, bases[n], index[n],
-                lambda p, phi=phi: tuple(sorted((phi(p[0]), phi(p[1]))))))
-        sym.append(mats)
-    return TruncFIModule(coeff, levels, incl, sym)
-
-
-def build_partial_functor(coeff: Coeff, d: int, N: int) -> FISharpModule:
-    """The free FI#-functor on partial injections from a d-element set."""
-    bases = [_partial_basis(d, n) for n in range(N + 1)]
-    index = [{b: i for i, b in enumerate(bs)} for bs in bases]
-    levels = [PresentedModule.free(coeff, len(bs)) for bs in bases]
-    incl = [ModuleMap(levels[n], levels[n + 1],
-                      _basis_matrix(coeff, bases[n], index[n + 1], lambda b: b))
+    sym = [[matrix(n, n, lambda b, phi=_transposition(i): act(phi, b))
+            for i in range(1, n)] for n in range(N + 1)]
+    if drop is None:
+        return TruncFIModule(coeff, levels, incl, sym)
+    proj = [ModuleMap(levels[n + 1], levels[n],
+                      matrix(n + 1, n, lambda b, n=n: drop(b, n)))
             for n in range(N)]
-    proj = []
-    for n in range(N):
-        def drop(b, n=n):
-            dom, vals = b
-            keep = [(x, v) for x, v in zip(dom, vals) if v != n + 1]
-            return (tuple(x for x, _ in keep), tuple(v for _, v in keep))
-        proj.append(ModuleMap(levels[n + 1], levels[n],
-                              _basis_matrix(coeff, bases[n + 1], index[n], drop)))
-    sym = []
-    for n in range(N + 1):
-        mats = []
-        for i in range(1, n):
-            phi = _transposition(i)
-            mats.append(_basis_matrix(
-                coeff, bases[n], index[n],
-                lambda b, phi=phi: (b[0], tuple(phi(v) for v in b[1]))))
-        sym.append(mats)
     return FISharpModule(coeff, levels, incl, sym, proj)
 
 
-def build_atomic(coeff: Coeff, i: int, N: int) -> TruncFIModule:
-    """The functor with one copy of the coefficients at level i, else zero."""
-    levels = [PresentedModule.free(coeff, 1 if n == i else 0)
-              for n in range(N + 1)]
-    incl = [ModuleMap.zero_map(levels[n], levels[n + 1]) for n in range(N)]
-    sym = [[Mat.identity(coeff, levels[n].gens)] * max(n - 1, 0)
-           for n in range(N + 1)]
-    return TruncFIModule(coeff, levels, incl, sym)
+def _injections(coeff: Coeff, d: int, N: int) -> TruncFIModule:
+    """P_d: the free functor on injections from a d-element set."""
+    return linearize(coeff, [_injection_basis(d, n) for n in range(N + 1)],
+                     lambda phi, u: tuple(phi(x) for x in u))
 
 
-def build_zgeq(coeff: Coeff, k: int, N: int) -> TruncFIModule:
-    """The subfunctor of the constants supported on sets of size >= k."""
-    levels = [PresentedModule.free(coeff, 1 if n >= k else 0)
+def _pairs(coeff: Coeff, N: int) -> TruncFIModule:
+    """The free functor on unordered pairs (injections from 2 modulo swap)."""
+    return linearize(coeff, [_pair_basis(n) for n in range(N + 1)],
+                     lambda phi, p: tuple(sorted((phi(p[0]), phi(p[1])))))
+
+
+def _drop_point(b, n):
+    """A partial injection (domain, values) at level n+1 with the value
+    n+1 forgotten."""
+    dom, vals = b
+    keep = [(x, v) for x, v in zip(dom, vals) if v != n + 1]
+    return (tuple(x for x, _ in keep), tuple(v for _, v in keep))
+
+
+def indicator(coeff: Coeff, support, N: int) -> TruncFIModule:
+    """One copy of the coefficients at each level in support, zero
+    elsewhere: identity inclusions between supported levels, zero maps
+    otherwise, trivial transpositions."""
+    levels = [PresentedModule.free(coeff, 1 if n in support else 0)
               for n in range(N + 1)]
     incl = []
     for n in range(N):
@@ -168,16 +134,19 @@ def build_zgeq(coeff: Coeff, k: int, N: int) -> TruncFIModule:
     return TruncFIModule(coeff, levels, incl, sym)
 
 
+def summing_map(F: TruncFIModule) -> NatMap:
+    """The map from a linearized functor to the constants sending every
+    basis element to 1."""
+    C = _injections(F.coeff, 0, F.N)
+    one = F.coeff.one()
+    maps = [ModuleMap(m, C.levels[n], Mat(F.coeff, m.gens, 1, ((one,),) * m.gens))
+            for n, m in enumerate(F.levels)]
+    return NatMap(F, C, maps)
+
+
 def augmentation_map(coeff: Coeff, N: int) -> NatMap:
     """The summing map from the free rank functor to the constants."""
-    P1 = build_injections_functor(coeff, 1, N)
-    C = build_injections_functor(coeff, 0, N)
-    one = coeff.one()
-    maps = []
-    for n in range(N + 1):
-        mat = Mat(coeff, n, 1, tuple((one,) for _ in range(n)))
-        maps.append(ModuleMap(P1.levels[n], C.levels[n], mat))
-    return NatMap(P1, C, maps)
+    return summing_map(_injections(coeff, 1, N))
 
 
 def build_augmentation_kernel(coeff: Coeff, N: int) -> TruncFIModule:
@@ -190,7 +159,7 @@ def augmentation_sequence(coeff: Coeff, N: int) -> tuple[NatMap, NatMap]:
     sets), as two natural maps."""
     aug = augmentation_map(coeff, N)
     K, incl = kernel_nat(aug)
-    Zgeq1 = build_zgeq(coeff, 1, N)
+    Zgeq1 = indicator(coeff, range(1, N + 1), N)
     maps = [ModuleMap(aug.src.levels[n], Zgeq1.levels[n], aug.maps[n].mat
                       if n >= 1 else Mat.zero(coeff, 0, 0))
             for n in range(N + 1)]
@@ -200,8 +169,8 @@ def augmentation_sequence(coeff: Coeff, N: int) -> tuple[NatMap, NatMap]:
 
 def norm_map(coeff: Coeff, N: int) -> NatMap:
     """Unordered pairs into ordered pairs: {a,b} -> (a,b) + (b,a)."""
-    A = build_pair_orbit_functor(coeff, N)
-    P2 = build_injections_functor(coeff, 2, N)
+    A = _pairs(coeff, N)
+    P2 = _injections(coeff, 2, N)
     zero, one = coeff.zero(), coeff.one()
     maps = []
     for n in range(N + 1):
@@ -219,22 +188,11 @@ def norm_map(coeff: Coeff, N: int) -> NatMap:
     return NatMap(A, P2, maps)
 
 
-def pair_augmentation(coeff: Coeff, N: int) -> NatMap:
-    A = build_pair_orbit_functor(coeff, N)
-    C = build_injections_functor(coeff, 0, N)
-    one = coeff.one()
-    maps = [ModuleMap(A.levels[n], C.levels[n],
-                      Mat(coeff, A.levels[n].gens, 1,
-                          tuple((one,) for _ in range(A.levels[n].gens))))
-            for n in range(N + 1)]
-    return NatMap(A, C, maps)
-
-
 def build_ex_upm_F(coeff: Coeff, N: int) -> TruncFIModule:
     """Pushout of the norm inclusion (pairs into ordered pairs) and the
     augmentation to the constants: the amalgamated sum functor."""
     nu = norm_map(coeff, N)
-    aug = pair_augmentation(coeff, N)
+    aug = summing_map(nu.src)
     P2, C = nu.dst, aug.dst
     target = direct_sum(P2, C)
     maps = []
@@ -250,8 +208,8 @@ def build_ex_upm_F(coeff: Coeff, N: int) -> TruncFIModule:
 def ex_upm_sequence(coeff: Coeff, N: int) -> tuple[NatMap, NatMap]:
     """Constants >-> pushout ->> pairs: the defining extension."""
     F = build_ex_upm_F(coeff, N)
-    C = build_injections_functor(coeff, 0, N)
-    A = build_pair_orbit_functor(coeff, N)
+    C = _injections(coeff, 0, N)
+    A = _pairs(coeff, N)
     zero, one = coeff.zero(), coeff.one()
     incl_maps = []
     proj_maps = []
@@ -301,27 +259,27 @@ def build(name: str, coeff, N: int) -> TruncFIModule:
     for part in parts:
         head, args = _parse_call(part)
         if head == "const":
-            F = build_injections_functor(coeff, 0, N)
+            F = _injections(coeff, 0, N)
         elif head == "atomic":
-            F = build_atomic(coeff, args[0], N)
+            F = indicator(coeff, {args[0]}, N)
         elif head == "zgeq":
-            F = build_zgeq(coeff, args[0], N)
+            F = indicator(coeff, range(args[0], N + 1), N)
         elif head == "P":
-            F = build_injections_functor(coeff, args[0], N)
+            F = _injections(coeff, args[0], N)
         elif head == "augmentation_kernel":
             F = build_augmentation_kernel(coeff, N)
         elif head == "ex_upm_A":
-            F = build_pair_orbit_functor(coeff, N)
+            F = _pairs(coeff, N)
         elif head == "ex_upm_F":
             F = build_ex_upm_F(coeff, N)
         elif head == "atomics_upto":
-            F = build_atomic(coeff, 0, N)
+            F = indicator(coeff, {0}, N)
             for i in range(1, args[0] + 1):
-                F = direct_sum(F, build_atomic(coeff, i, N))
+                F = direct_sum(F, indicator(coeff, {i}, N))
         elif head == "sum_zgeq":
-            F = build_zgeq(coeff, 0, N)
+            F = indicator(coeff, range(N + 1), N)
             for i in range(1, N + 1):
-                F = direct_sum(F, build_zgeq(coeff, i, N))
+                F = direct_sum(F, indicator(coeff, range(i, N + 1), N))
         else:
             raise FunctorError(f"unknown corpus entry {head!r}")
         out = F if out is None else direct_sum(out, F)
@@ -338,13 +296,11 @@ def build_sharp(name: str, coeff, N: int) -> FISharpModule:
         coeff = Coeff.parse(coeff)
     head, args = _parse_call(name)
     if head == "free_sharp":
-        return build_partial_functor(coeff, args[0], N)
+        d = args[0]
+        return linearize(coeff, [_partial_basis(d, n) for n in range(N + 1)],
+                         lambda phi, b: (b[0], tuple(phi(v) for v in b[1])),
+                         _drop_point)
     raise FunctorError(f"unknown FI# corpus entry {head!r}")
-
-
-FI_NAMES = ["const", "atomic(i)", "zgeq(n)", "P(d)", "augmentation_kernel",
-            "ex_upm_A", "ex_upm_F", "atomics_upto(k)", "sum_zgeq"]
-SHARP_NAMES = ["free_sharp(d)"]
 
 
 # -- oracles ----------------------------------------------------------------
@@ -361,14 +317,6 @@ class OracleReport:
     def lines(self):
         for label, ok, detail in self.results:
             yield f"{'PASS' if ok else 'FAIL'}  {self.name}: {label}  [{detail}]"
-
-
-def _deg_fact(fn, expected, label):
-    def check(ctx):
-        rep = fn(ctx)
-        ok = rep.value == expected
-        return ok, f"{label} -> {rep}"
-    return check
 
 
 def run_oracles(name: str, coeff: str | None = None, N: int | None = None) -> OracleReport:
@@ -453,7 +401,7 @@ def shift_kernel_witness(F: TruncFIModule) -> NatMap:
     K, incl = kernel_nat(aug)
     if not K.structurally_equal(F):
         raise FunctorError("witness needs the stored augmentation kernel")
-    P1 = fimod.truncate(build_injections_functor(F.coeff, 1, F.N), S.N)
+    P1 = fimod.truncate(_injections(F.coeff, 1, F.N), S.N)
     one, zero = F.coeff.one(), F.coeff.zero()
     maps = []
     for n in range(S.N + 1):

@@ -5,7 +5,7 @@ with kernels, cokernels, images, coinvariants and exactness checks.
 """
 from .coeff import Coeff, Z, Q, F2
 from .matrix import Mat, det
-from .smith import RowBasis, left_kernel, row_span_basis, snf, snf_diagonal, solve_left
+from .smith import RowBasis, left_kernel, snf, snf_diagonal
 from .presented import (
     AffineSolver,
     ExactLinError,
@@ -14,24 +14,21 @@ from .presented import (
     check_exact,
     coinvariants,
     cokernel,
-    descend_to_quotient,
     direct_sum_modules,
     factor_through,
+    freeify_module,
     image_in,
     invert_iso,
     is_isomorphism,
     kernel,
-    lift_through,
     preimage_generators,
-    solve_mod,
 )
 
 __all__ = [
     "Coeff", "Z", "Q", "F2", "Mat", "det",
-    "RowBasis", "left_kernel", "row_span_basis", "snf", "snf_diagonal", "solve_left",
+    "RowBasis", "left_kernel", "snf", "snf_diagonal",
     "AffineSolver", "ExactLinError", "ModuleMap", "PresentedModule",
-    "check_exact", "coinvariants", "cokernel", "descend_to_quotient",
-    "direct_sum_modules", "factor_through", "image_in", "invert_iso",
-    "is_isomorphism", "kernel", "lift_through", "preimage_generators",
-    "solve_mod",
+    "check_exact", "coinvariants", "cokernel", "direct_sum_modules",
+    "factor_through", "freeify_module", "image_in", "invert_iso",
+    "is_isomorphism", "kernel", "preimage_generators",
 ]

@@ -72,7 +72,7 @@ class Coeff:
             return cls.Z()
         if code == "Q":
             return cls.Q()
-        if code.startswith("F"):
+        if isinstance(code, str) and code.startswith("F"):
             return cls.GF(int(code[1:]))
         raise ValueError(f"unknown coefficient code {code!r}")
 
@@ -122,14 +122,18 @@ class Coeff:
         raise ZeroDivisionError(f"{x} is not a unit in Z")
 
     def parse_scalar(self, s):
-        """Parse a serialized scalar (decimal string, "a/b" over Q, or int)."""
+        """Parse a serialized scalar (decimal string, "a/b" over Q, or int;
+        JSON booleans are not scalars)."""
         if isinstance(s, str):
             if "/" in s:
                 if self.kind != self.RATIONALS:
                     raise ValueError(f"fractional scalar {s!r} over {self.code}")
-                return Fraction(s)
+                try:
+                    return Fraction(s)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {s!r}") from None
             return self.normalize(int(s))
-        if isinstance(s, int):
+        if isinstance(s, int) and not isinstance(s, bool):
             return self.normalize(s)
         raise ValueError(f"cannot parse scalar {s!r}")
 

@@ -58,9 +58,6 @@ class Mat:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
-
     def __eq__(self, other):
         return (
             isinstance(other, Mat)
@@ -182,19 +179,28 @@ class Mat:
         return [[s(x) for x in row] for row in self.rows]
 
     @classmethod
-    def from_json(cls, coeff: Coeff, data, ncols: int | None = None) -> "Mat":
-        rows = tuple(
-            tuple(coeff.parse_scalar(x) for x in row) for row in data
-        )
-        nrows = len(rows)
-        if nrows == 0:
-            if ncols is None:
-                ncols = 0
-            return cls(coeff, 0, ncols, ())
-        width = len(rows[0])
-        if ncols is not None and width != ncols:
-            raise ValueError(f"expected {ncols} columns, got {width}")
-        return cls(coeff, nrows, width, rows)
+    def from_json(cls, coeff: Coeff, data, shape: tuple[int | None, int]) -> "Mat":
+        """Parse a list of rows of exactly the given (rows, cols) shape;
+        rows None accepts any height.  A 0-row matrix is ``[]`` and an r x 0
+        matrix is r empty lists; anything else raises ValueError.
+
+        >>> Mat.from_json(Coeff.Z(), [["1", "2"]], (None, 2)).shape
+        (1, 2)
+        >>> Mat.from_json(Coeff.Z(), [["1", "2"]], (2, 2))
+        Traceback (most recent call last):
+        ...
+        ValueError: expected 2 rows, got 1
+        """
+        nrows, ncols = shape
+        if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
+            raise ValueError("a matrix must be a list of rows")
+        if nrows is not None and len(data) != nrows:
+            raise ValueError(f"expected {nrows} rows, got {len(data)}")
+        for i, row in enumerate(data):
+            if len(row) != ncols:
+                raise ValueError(f"row {i} has {len(row)} entries, expected {ncols}")
+        rows = tuple(tuple(coeff.parse_scalar(x) for x in row) for row in data)
+        return cls(coeff, len(rows), ncols, rows)
 
 
 def mul_row_mat(coeff: Coeff, row: Sequence, mat_rows, ncols: int) -> tuple:

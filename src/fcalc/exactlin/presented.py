@@ -108,10 +108,6 @@ class PresentedModule:
             and self.invariant_factors() == other.invariant_factors()
         )
 
-    def contains_element(self, vec) -> bool:
-        """True iff vec is zero in the quotient (lies in the relation span)."""
-        return self.rel_span().contains(vec)
-
     def __repr__(self):
         return (
             f"PresentedModule({self.coeff.code}, gens={self.gens}, "
@@ -127,9 +123,16 @@ class PresentedModule:
 
     @classmethod
     def from_json(cls, data: dict, coeff: Coeff | None = None) -> "PresentedModule":
+        """Parse ``{"gens": g, "rels": [..]}``; malformed data raises
+        ValueError naming the field."""
         c = coeff if coeff is not None else Coeff.parse(data["coeff"])
-        gens = int(data["gens"])
-        rels = Mat.from_json(c, data.get("rels", []), ncols=gens)
+        gens = data["gens"]
+        if type(gens) is not int or gens < 0:
+            raise ValueError(f"gens must be a non-negative integer, got {gens!r}")
+        try:
+            rels = Mat.from_json(c, data.get("rels", []), (None, gens))
+        except ValueError as exc:
+            raise ValueError(f"rels: {exc}") from None
         return cls(c, gens, rels)
 
 
@@ -138,8 +141,7 @@ class ModuleMap:
 
     __slots__ = ("src", "dst", "mat")
 
-    def __init__(self, src: PresentedModule, dst: PresentedModule, mat: Mat,
-                 check: bool = False):
+    def __init__(self, src: PresentedModule, dst: PresentedModule, mat: Mat):
         if mat.shape != (src.gens, dst.gens):
             raise ExactLinError(
                 f"map matrix is {mat.shape}, expected {(src.gens, dst.gens)}"
@@ -149,8 +151,6 @@ class ModuleMap:
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "mat", mat)
-        if check and not self.is_well_defined():
-            raise ExactLinError("map does not respect the source relations")
 
     def __setattr__(self, name, value):
         raise AttributeError("ModuleMap is immutable")
@@ -204,10 +204,6 @@ class ModuleMap:
             span.contains(row) for row in (self.mat - other.mat).rows
         )
 
-    def apply(self, vec) -> tuple:
-        from .matrix import mul_row_mat
-        return mul_row_mat(self.mat.coeff, vec, self.mat.rows, self.mat.ncols)
-
     def __repr__(self):
         return f"ModuleMap({self.src!r} -> {self.dst!r})"
 
@@ -243,11 +239,6 @@ class AffineSolver:
                 return None
             out.append(tuple(sol))
         return out
-
-
-def solve_mod(mat: Mat, rels: Mat, vec) -> list | None:
-    """One x with x @ mat = vec modulo the row span of rels, else None."""
-    return AffineSolver(mat, rels).solve(vec)
 
 
 def preimage_generators(mat: Mat, rels: Mat) -> Mat:
@@ -324,35 +315,40 @@ def coinvariants(m: PresentedModule, actions) -> tuple[PresentedModule, ModuleMa
     return q, ModuleMap(m, q, ident)
 
 
-def factor_through(f: ModuleMap, incl: ModuleMap) -> ModuleMap:
-    """The map g with g.then(incl) == f, for incl a monomorphism.
+def factor_through(f: ModuleMap, through: ModuleMap) -> ModuleMap:
+    """A map g with g.then(through) == f: the factorization through a
+    monomorphism (then unique) or a lift through an epimorphism.
 
     Raises if some generator image does not factor.
     """
-    if f.dst is not incl.dst and not f.dst.same_presentation(incl.dst):
+    if f.dst is not through.dst and not f.dst.same_presentation(through.dst):
         raise ExactLinError("factor_through: targets differ")
-    rows = AffineSolver(incl.mat, incl.dst.rels).solve_rows(f.mat.rows)
+    rows = AffineSolver(through.mat, through.dst.rels).solve_rows(f.mat.rows)
     if rows is None:
-        raise ExactLinError("map does not factor through the inclusion")
-    mat = Mat(f.mat.coeff, f.src.gens, incl.src.gens, tuple(rows))
-    return ModuleMap(f.src, incl.src, mat)
+        raise ExactLinError("map does not factor through the given map")
+    mat = Mat(f.mat.coeff, f.src.gens, through.src.gens, tuple(rows))
+    return ModuleMap(f.src, through.src, mat)
 
 
-def descend_to_quotient(f: ModuleMap, proj: ModuleMap) -> ModuleMap:
-    """The map g with proj.then(g) == f-descended, for proj a cokernel
-    projection whose target has the same generators as its source."""
-    if proj.src.gens != proj.dst.gens:
-        raise ExactLinError("descend expects a generator-preserving projection")
-    return ModuleMap(proj.dst, f.dst, f.mat)
-
-
-def lift_through(f: ModuleMap, onto: ModuleMap) -> ModuleMap:
-    """Some map g with g.then(onto) == f, for onto an epimorphism."""
-    rows = AffineSolver(onto.mat, onto.dst.rels).solve_rows(f.mat.rows)
-    if rows is None:
-        raise ExactLinError("cannot lift through the given epimorphism")
-    mat = Mat(f.mat.coeff, f.src.gens, onto.src.gens, tuple(rows))
-    return ModuleMap(f.src, onto.src, mat)
+def freeify_module(m: PresentedModule):
+    """Over a field: (free, to_free, from_free), a free module isomorphic
+    to m with the isomorphism both ways.  The free basis is the generators
+    off the pivots of the relation span; to_free reduces each generator
+    against the relations.
+    """
+    coeff = m.coeff
+    span = m.rel_span()
+    pivots = set(span.pivots)
+    free_cols = [j for j in range(m.gens) if j not in pivots]
+    free = PresentedModule.free(coeff, len(free_cols))
+    ident = Mat.identity(coeff, m.gens).rows
+    rows = []
+    for unit in ident:
+        red = span.reduce(unit)
+        rows.append(tuple(red[j] for j in free_cols))
+    to_free = ModuleMap(m, free, Mat(coeff, m.gens, len(free_cols), tuple(rows)))
+    back = Mat(coeff, len(free_cols), m.gens, tuple(ident[j] for j in free_cols))
+    return free, to_free, ModuleMap(free, m, back)
 
 
 def is_isomorphism(f: ModuleMap) -> bool:

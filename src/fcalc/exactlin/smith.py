@@ -1,9 +1,11 @@
 """Smith normal form and row-echelon workhorses.
 
-Two elimination engines live here:
+Two engines live here:
 
-* ``snf`` computes U @ m @ V = D with U, V unimodular and D diagonal with
-  the divisibility chain d1 | d2 | ...  Pivots are chosen by minimal
+* ``_smith`` is the one Smith elimination.  ``snf`` asks it for the
+  unimodular U and V with U @ m @ V = D, D diagonal with the divisibility
+  chain d1 | d2 | ...; ``snf_diagonal`` asks for the invariant factors
+  only and skips the transform work.  Pivots are chosen by minimal
   absolute value, which keeps intermediate entries small in practice.
 
 * ``RowBasis`` is an incremental row-echelon accumulator (Hermite-style
@@ -29,54 +31,26 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-def snf(m: Mat) -> tuple[Mat, Mat, Mat]:
-    """Smith normal form over Z: returns (U, D, V) with U @ m @ V = D.
+def _smith(m: Mat, track: bool):
+    """The min-pivot elimination behind ``snf`` and ``snf_diagonal``.
 
-    D is diagonal, its nonzero entries are positive and satisfy
-    d1 | d2 | ...; U and V have determinant +-1.  Empty matrices return
-    empty factors.
-
-    >>> from .coeff import Z
-    >>> U, D, V = snf(Mat.from_rows(Z, [[2, 4], [6, 8]]))
-    >>> D.diagonal()
-    [2, 4]
-    >>> (U @ Mat.from_rows(Z, [[2, 4], [6, 8]]) @ V) == D
-    True
+    Returns (a, v, rank).  a holds the rows of the diagonal form, each
+    followed, when track is set, by the matching row of U (row moves act on
+    [m | I]); v is V as a list of rows, empty unless track; rank counts the
+    nonzero diagonal entries.  Once pivot t is placed, the rows above it
+    are zero from column t on, so every move on a starts there.
     """
     if m.coeff.kind != Coeff.INTEGERS:
-        raise ValueError("snf is defined over the integer coefficients only")
+        raise ValueError("Smith normal form is defined over the integer "
+                         "coefficients only")
     nr, nc = m.nrows, m.ncols
     a = [list(row) for row in m.rows]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def row_combine(k, i, x, y, bg, ag):
-        # (row k, row i) <- (x row k + y row i, -bg row k + ag row i),
-        # an SL2(Z) move since x*a*g^-1... det = x*ag + y*bg = 1
-        for mat, width in ((a, nc), (u, nr)):
-            rk, ri = mat[k], mat[i]
-            for j in range(width):
-                rkj, rij = rk[j], ri[j]
-                rk[j] = x * rkj + y * rij
-                ri[j] = -bg * rkj + ag * rij
-
-    def col_combine(k, j, x, y, bg, ag):
-        for mat in (a, v):
-            for row in mat:
-                rk, rj = row[k], row[j]
-                row[k] = x * rk + y * rj
-                row[j] = -bg * rk + ag * rj
-
-    def swap_rows(i, k):
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j, k):
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
-
+    v = []
+    if track:
+        for i, row in enumerate(a):
+            row.extend(1 if i == k else 0 for k in range(nr))
+        v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    width = nc + nr if track else nc
     t = 0
     while t < min(nr, nc):
         # minimal |entry| pivot in the trailing block
@@ -97,111 +71,10 @@ def snf(m: Mat) -> tuple[Mat, Mat, Mat]:
             break
         _, bi, bj = best
         if bi != t:
-            swap_rows(t, bi)
-        if bj != t:
-            swap_cols(t, bj)
-
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, nr):
-                x = a[i][t]
-                if x:
-                    piv = a[t][t]
-                    if x % piv == 0:
-                        q = x // piv
-                        ai, at = a[i], a[t]
-                        for j in range(nc):
-                            ai[j] -= q * at[j]
-                        ui, ut = u[i], u[t]
-                        for j in range(nr):
-                            ui[j] -= q * ut[j]
-                    else:
-                        s, y, g = _xgcd(piv, x)
-                        row_combine(t, i, s, y, x // g, piv // g)
-            for j in range(t + 1, nc):
-                x = a[t][j]
-                if x:
-                    piv = a[t][t]
-                    if x % piv == 0:
-                        q = x // piv
-                        for row in a:
-                            row[j] -= q * row[t]
-                        for row in v:
-                            row[j] -= q * row[t]
-                    else:
-                        s, y, g = _xgcd(piv, x)
-                        col_combine(t, j, s, y, x // g, piv // g)
-                    if any(a[i][t] for i in range(t + 1, nr)):
-                        dirty = True
-        # enforce the divisibility chain: fold any non-divisible entry in
-        piv = a[t][t]
-        if piv:
-            offender = None
-            for i in range(t + 1, nr):
-                ai = a[i]
-                for j in range(t + 1, nc):
-                    if ai[j] % piv:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is not None:
-                ai, at = a[t], a[offender]
-                for j in range(nc):
-                    ai[j] += at[j]
-                ui, ut = u[t], u[offender]
-                for j in range(nr):
-                    ui[j] += ut[j]
-                continue
-        if piv < 0:
-            for j in range(nc):
-                a[t][j] = -a[t][j]
-            for j in range(nr):
-                u[t][j] = -u[t][j]
-        t += 1
-
-    Z = m.coeff
-    return (
-        Mat.from_rows(Z, u) if nr else Mat(Z, 0, 0, ()),
-        Mat(Z, nr, nc, tuple(tuple(row) for row in a)),
-        Mat.from_rows(Z, v) if nc else Mat(Z, 0, 0, ()),
-    )
-
-
-def snf_diagonal(m: Mat) -> list[int]:
-    """Just the invariant factors of m (nonzero diagonal of its SNF).
-
-    Same elimination as ``snf`` without carrying U and V; used by profile
-    queries where the transforms are not needed.
-    """
-    if m.coeff.kind != Coeff.INTEGERS:
-        raise ValueError("snf_diagonal is for integer matrices")
-    nr, nc = m.nrows, m.ncols
-    a = [list(row) for row in m.rows]
-    out = []
-    t = 0
-    while t < min(nr, nc):
-        best = None
-        for i in range(t, nr):
-            ai = a[i]
-            for j in range(t, nc):
-                x = ai[j]
-                if x:
-                    ax = -x if x < 0 else x
-                    if best is None or ax < best[0]:
-                        best = (ax, i, j)
-                        if ax == 1:
-                            break
-            if best is not None and best[0] == 1:
-                break
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != t:
             a[t], a[bi] = a[bi], a[t]
+        cols = a[t:] + v  # the rows a column move touches
         if bj != t:
-            for row in a:
+            for row in cols:
                 row[t], row[bj] = row[bj], row[t]
         dirty = True
         while dirty:
@@ -213,13 +86,13 @@ def snf_diagonal(m: Mat) -> list[int]:
                     if x % piv == 0:
                         q = x // piv
                         ai, at = a[i], a[t]
-                        for j in range(t, nc):
+                        for j in range(t, width):
                             ai[j] -= q * at[j]
                     else:
                         s, y, g = _xgcd(piv, x)
                         ag, bg = piv // g, x // g
                         at, ai = a[t], a[i]
-                        for j in range(t, nc):
+                        for j in range(t, width):
                             tj, ij = at[j], ai[j]
                             at[j] = s * tj + y * ij
                             ai[j] = -bg * tj + ag * ij
@@ -229,39 +102,72 @@ def snf_diagonal(m: Mat) -> list[int]:
                     piv = a[t][t]
                     if x % piv == 0:
                         q = x // piv
-                        for row in a[t:]:
+                        for row in cols:
                             row[j] -= q * row[t]
                     else:
                         s, y, g = _xgcd(piv, x)
                         ag, bg = piv // g, x // g
-                        for row in a[t:]:
+                        for row in cols:
                             rt, rj = row[t], row[j]
                             row[t] = s * rt + y * rj
                             row[j] = -bg * rt + ag * rj
                     if any(a[i][t] for i in range(t + 1, nr)):
                         dirty = True
+        # enforce the divisibility chain: fold any non-divisible entry in
         piv = a[t][t]
-        if piv:
-            offender = None
-            for i in range(t + 1, nr):
-                ai = a[i]
-                for j in range(t + 1, nc):
-                    if ai[j] % piv:
-                        offender = i
-                        break
-                if offender is not None:
+        offender = None
+        for i in range(t + 1, nr):
+            ai = a[i]
+            for j in range(t + 1, nc):
+                if ai[j] % piv:
+                    offender = i
                     break
             if offender is not None:
-                ai, at = a[t], a[offender]
-                for j in range(t, nc):
-                    ai[j] += at[j]
-                continue
-        if piv:
-            out.append(piv if piv > 0 else -piv)
-            t += 1
-        else:
-            break
-    return out
+                break
+        if offender is not None:
+            at, ao = a[t], a[offender]
+            for j in range(t, width):
+                at[j] += ao[j]
+            continue
+        if piv < 0 and track:
+            a[t] = [-x for x in a[t]]
+        t += 1
+    return a, v, t
+
+
+def snf(m: Mat) -> tuple[Mat, Mat, Mat]:
+    """Smith normal form over Z: returns (U, D, V) with U @ m @ V = D.
+
+    D is diagonal, its nonzero entries are positive and satisfy
+    d1 | d2 | ...; U and V have determinant +-1.  Empty matrices return
+    empty factors.
+
+    >>> from .coeff import Z
+    >>> U, D, V = snf(Mat.from_rows(Z, [[2, 4], [6, 8]]))
+    >>> D.diagonal()
+    [2, 4]
+    >>> (U @ Mat.from_rows(Z, [[2, 4], [6, 8]]) @ V) == D
+    True
+    """
+    a, v, _ = _smith(m, track=True)
+    Z, nr, nc = m.coeff, m.nrows, m.ncols
+    return (
+        Mat(Z, nr, nr, tuple(tuple(row[nc:]) for row in a)),
+        Mat(Z, nr, nc, tuple(tuple(row[:nc]) for row in a)),
+        Mat(Z, nc, nc, tuple(map(tuple, v))),
+    )
+
+
+def snf_diagonal(m: Mat) -> list[int]:
+    """Just the invariant factors of m (nonzero diagonal of its SNF),
+    without the work of carrying U and V.
+
+    >>> from .coeff import Z
+    >>> snf_diagonal(Mat.from_rows(Z, [[2, 4], [6, 8]]))
+    [2, 4]
+    """
+    a, _, rank = _smith(m, track=False)
+    return [abs(a[i][i]) for i in range(rank)]
 
 
 class RowBasis:
@@ -288,9 +194,6 @@ class RowBasis:
         self.pivots: list[int] = []  # pivot column of each basis row
         self.combos: list[list] = []  # expression of basis rows in the inputs
         self._n_added = 0
-
-    def _zero_combo(self):
-        return []
 
     def _widen_combos(self):
         # combos are kept as dense lists over all inputs seen so far
@@ -591,12 +494,6 @@ class RowBasis:
         return tuple(tuple(r) for r in rows)
 
 
-def row_span_basis(m: Mat) -> RowBasis:
-    b = RowBasis(m.coeff, m.ncols)
-    b.add_mat(m)
-    return b
-
-
 def left_kernel(m: Mat) -> Mat:
     """Basis (as rows) of {x : x @ m = 0}; over Z a lattice basis.
 
@@ -623,13 +520,3 @@ def left_kernel(m: Mat) -> Mat:
     )
     return Mat(m.coeff, len(rows), n, rows)
 
-
-def solve_left(m: Mat, vec) -> list | None:
-    """One solution x of x @ m = vec, or None if there is none."""
-    b = RowBasis(m.coeff, m.ncols, track=True)
-    for row in m.rows:
-        b.add(row)
-    sol = b.solve(vec)
-    if sol is None:
-        return None
-    return sol

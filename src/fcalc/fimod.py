@@ -19,11 +19,14 @@ shifted functor inserts the new point just before the translation block
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 from .exactlin import (
     Coeff, Mat, ModuleMap, PresentedModule,
-    check_exact, cokernel, direct_sum_modules, factor_through, kernel,
-    lift_through,
+    check_exact, cokernel, direct_sum_modules, factor_through, freeify_module,
+    kernel,
 )
+from .exactlin.matrix import mul_row_mat
 from .exactlin.smith import RowBasis
 
 
@@ -33,6 +36,25 @@ class FunctorError(Exception):
 
 class WindowError(FunctorError):
     """An operation needed more truncation window than is available."""
+
+
+@contextmanager
+def json_field(name: str):
+    """Re-raise a malformed-input error as a FunctorError naming the JSON
+    field it was found in; nested fields read outside in."""
+    try:
+        yield
+    except (FunctorError, TypeError, ValueError, KeyError) as exc:
+        raise FunctorError(f"{name}: {exc}") from None
+
+
+def json_list(value, name: str, length: int | None = None) -> list:
+    """value, checked to be a JSON list (of the given length)."""
+    if not isinstance(value, list):
+        raise FunctorError(f"{name} must be a list, got {type(value).__name__}")
+    if length is not None and len(value) != length:
+        raise FunctorError(f"{name} has {len(value)} entries, expected {length}")
+    return value
 
 
 NEG_INF = "-inf"
@@ -118,9 +140,6 @@ class TruncFIModule:
 
     # -- basic access ----------------------------------------------------
 
-    def level(self, n: int) -> PresentedModule:
-        return self.levels[n]
-
     def sym_map(self, n: int, i: int) -> ModuleMap:
         """The action of s_{i+1} on level n (i is 0-indexed)."""
         return ModuleMap(self.levels[n], self.levels[n], self.sym[n][i])
@@ -139,13 +158,7 @@ class TruncFIModule:
 
         perm is a sequence with perm[i] = image of point i+1 (1-indexed).
         """
-        word = perm_word(perm)
-        mat = Mat.identity(self.coeff, self.levels[n].gens)
-        # sigma = s_{w1} o s_{w2} o ... applied right-to-left, so the
-        # row-convention matrix multiplies left-to-right in reversed order
-        for i in reversed(word):
-            mat = mat @ self.sym[n][i]
-        return mat
+        return perm_action(self.coeff, self.levels[n].gens, self.sym[n], perm)
 
     def is_zero_functor(self) -> bool:
         return all(m.is_zero() for m in self.levels)
@@ -215,11 +228,6 @@ class TruncFIModule:
                     "moves the image")
         return bad
 
-    def verify_or_raise(self):
-        bad = self.verify()
-        if bad:
-            raise FunctorError("; ".join(bad))
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -234,31 +242,30 @@ class TruncFIModule:
 
     @classmethod
     def from_json(cls, data: dict) -> "TruncFIModule":
-        coeff = Coeff.parse(data["coeff"])
+        """Parse the JSON form; every matrix must have exactly its declared
+        shape, and a malformed field raises FunctorError naming it."""
+        with json_field("coeff"):
+            coeff = Coeff.parse(data["coeff"])
         levels = []
-        for entry in data["levels"]:
-            gens = int(entry["gens"])
-            levels.append(PresentedModule(
-                coeff, gens, Mat.from_json(coeff, entry.get("rels", []), ncols=gens)))
-        n_levels = len(levels)
-        if int(data["N"]) != n_levels - 1:
-            raise FunctorError("N does not match the number of levels")
+        for n, entry in enumerate(json_list(data["levels"], "levels")):
+            with json_field(f"levels[{n}]"):
+                levels.append(PresentedModule.from_json(entry, coeff))
+        N = len(levels) - 1
+        with json_field("N"):
+            if int(data["N"]) != N:
+                raise ValueError("does not match the number of levels")
         incl = []
-        for n, mat in enumerate(data["incl"]):
-            m = Mat.from_json(coeff, mat, ncols=levels[n + 1].gens)
-            if m.nrows != levels[n].gens:
-                # empty matrices lose their height in JSON
-                m = Mat(coeff, levels[n].gens, levels[n + 1].gens, m.rows) \
-                    if m.nrows else Mat.zero(coeff, levels[n].gens, levels[n + 1].gens)
+        for n, mat in enumerate(json_list(data["incl"], "incl", N)):
+            with json_field(f"incl[{n}]"):
+                m = Mat.from_json(coeff, mat, (levels[n].gens, levels[n + 1].gens))
             incl.append(ModuleMap(levels[n], levels[n + 1], m))
         sym = []
-        for n, mats in enumerate(data["sym"]):
+        for n, mats in enumerate(json_list(data["sym"], "sym", N + 1)):
+            g = levels[n].gens
             lvl_sym = []
-            for s in mats:
-                m = Mat.from_json(coeff, s, ncols=levels[n].gens)
-                if m.nrows != levels[n].gens:
-                    m = Mat.zero(coeff, levels[n].gens, levels[n].gens)
-                lvl_sym.append(m)
+            for i, s in enumerate(json_list(mats, f"sym[{n}]")):
+                with json_field(f"sym[{n}][{i}]"):
+                    lvl_sym.append(Mat.from_json(coeff, s, (g, g)))
             sym.append(lvl_sym)
         return cls(coeff, levels, incl, sym)
 
@@ -285,6 +292,20 @@ def perm_word(perm) -> list[int]:
     return word[::-1]
 
 
+def perm_action(coeff: Coeff, gens: int, sym, perm) -> Mat:
+    """Matrix of a permutation acting on a module with the given number of
+    generators, where sym[i] is the action of s_{i+1}.
+
+    perm is a sequence with perm[i] = image of point i+1 (1-indexed).
+    """
+    mat = Mat.identity(coeff, gens)
+    # sigma = s_{w1} o s_{w2} o ... applied right-to-left, so the
+    # row-convention matrix multiplies left-to-right in reversed order
+    for i in reversed(perm_word(perm)):
+        mat = mat @ sym[i]
+    return mat
+
+
 class NatMap:
     """A levelwise family of module maps between truncated functors."""
 
@@ -296,9 +317,6 @@ class NatMap:
         self.maps = tuple(maps)
         if len(self.maps) != src.N + 1:
             raise FunctorError("one component per level expected")
-
-    def component(self, n: int) -> ModuleMap:
-        return self.maps[n]
 
     def is_natural(self) -> bool:
         for n in range(self.src.N):
@@ -372,27 +390,29 @@ def unit_map(F: TruncFIModule, x: int) -> NatMap:
     return NatMap(src, dst, maps)
 
 
+def induced_sym(F: TruncFIModule, inc: ModuleMap, n: int) -> list[Mat]:
+    """The transpositions of level n restricted to a submodule, given by
+    its inclusion inc into F(n) (a monomorphism that they preserve)."""
+    return [factor_through(inc.then(F.sym_map(n, i)), inc).mat
+            for i in range(max(n - 1, 0))]
+
+
+def induced_structure(F: TruncFIModule, incls) -> TruncFIModule:
+    """The subfunctor of F on the levels 0..len(incls)-1 carried by the
+    levelwise inclusions incls[n]: K(n) -> F(n), with the inclusion maps
+    and transpositions of F factored through them."""
+    top = len(incls) - 1
+    new_incl = [factor_through(incls[n].then(F.incl[n]), incls[n + 1])
+                for n in range(top)]
+    new_sym = [induced_sym(F, incls[n], n) for n in range(top + 1)]
+    return TruncFIModule(F.coeff, [inc.src for inc in incls], new_incl, new_sym)
+
+
 def kernel_nat(u: NatMap) -> tuple[TruncFIModule, NatMap]:
     """Levelwise kernel with the induced functor structure."""
-    F = u.src
-    levels, incls = [], []
-    for n in range(F.N + 1):
-        k, inc = kernel(u.maps[n])
-        levels.append(k)
-        incls.append(inc)
-    new_incl = []
-    for n in range(F.N):
-        h = incls[n].then(F.incl[n])
-        new_incl.append(factor_through(h, incls[n + 1]))
-    new_sym = []
-    for n in range(F.N + 1):
-        mats = []
-        for i in range(max(n - 1, 0)):
-            h = incls[n].then(F.sym_map(n, i))
-            mats.append(factor_through(h, incls[n]).mat)
-        new_sym.append(mats)
-    K = TruncFIModule(F.coeff, levels, new_incl, new_sym)
-    return K, NatMap(K, F, incls)
+    incls = [kernel(f)[1] for f in u.maps]
+    K = induced_structure(u.src, incls)
+    return K, NatMap(K, u.src, incls)
 
 
 def cokernel_nat(u: NatMap) -> tuple[TruncFIModule, NatMap]:
@@ -449,23 +469,8 @@ def stable_kernel(F: TruncFIModule, margin: int = 2) -> TruncFIModule:
     top = F.N - margin
     if margin < 1 or top < 0:
         raise WindowError(f"margin {margin} empties the window [0, {F.N}]")
-    levels, incls = [], []
-    for n in range(top + 1):
-        k, inc = kernel(F.unit_to(n, F.N))
-        levels.append(k)
-        incls.append(inc)
-    new_incl = []
-    for n in range(top):
-        h = incls[n].then(F.incl[n])
-        new_incl.append(factor_through(h, incls[n + 1]))
-    new_sym = []
-    for n in range(top + 1):
-        mats = []
-        for i in range(max(n - 1, 0)):
-            h = incls[n].then(F.sym_map(n, i))
-            mats.append(factor_through(h, incls[n]).mat)
-        new_sym.append(mats)
-    return TruncFIModule(F.coeff, levels, new_incl, new_sym)
+    return induced_structure(
+        F, [kernel(F.unit_to(n, F.N))[1] for n in range(top + 1)])
 
 
 def strong_degree(F: TruncFIModule) -> DegreeReport:
@@ -533,7 +538,7 @@ def generation_degree(F: TruncFIModule) -> DegreeReport:
                 while queue:
                     v = queue.pop()
                     for s in gen_mats:
-                        w = mul_vec(F.coeff, v, s)
+                        w = mul_row_mat(F.coeff, v, s.rows, s.ncols)
                         if span.add(w):
                             queue.append(list(w))
                 if span.is_full():
@@ -543,11 +548,6 @@ def generation_degree(F: TruncFIModule) -> DegreeReport:
                 r_min = n
         needed = max(needed, r_min)
     return DegreeReport(needed, (0, F.N))
-
-
-def mul_vec(coeff: Coeff, v, mat: Mat):
-    from .exactlin.matrix import mul_row_mat
-    return mul_row_mat(coeff, v, mat.rows, mat.ncols)
 
 
 def dim_profile(F: TruncFIModule) -> DimProfile:
@@ -672,35 +672,11 @@ def freeify(F: TruncFIModule) -> tuple[TruncFIModule, NatMap]:
     witness isomorphism from F to the result."""
     if not F.coeff.is_field:
         raise FunctorError("freeify needs field coefficients")
-    coeff = F.coeff
-    to_free = []
-    from_free = []
-    levels = []
-    for m in F.levels:
-        span = m.rel_span()
-        pivots = set(span.pivots)
-        free_cols = [j for j in range(m.gens) if j not in pivots]
-        dim = len(free_cols)
-        free = PresentedModule.free(coeff, dim)
-        levels.append(free)
-        # to_free: coordinates of each old generator in the free basis
-        rows = []
-        for g in range(m.gens):
-            unit = [coeff.zero()] * m.gens
-            unit[g] = coeff.one()
-            red = span.reduce(unit)
-            rows.append(tuple(red[j] for j in free_cols))
-        to_free.append(ModuleMap(m, free, Mat(coeff, m.gens, dim, tuple(rows))))
-        back = []
-        for j in free_cols:
-            unit = [coeff.zero()] * m.gens
-            unit[j] = coeff.one()
-            back.append(tuple(unit))
-        from_free.append(ModuleMap(free, m, Mat(coeff, dim, m.gens, tuple(back))))
+    levels, to_free, from_free = zip(*map(freeify_module, F.levels))
     incl = [from_free[n].then(F.incl[n]).then(to_free[n + 1]) for n in range(F.N)]
     sym = [[from_free[n].then(F.sym_map(n, i)).then(to_free[n]).mat
             for i in range(max(n - 1, 0))] for n in range(F.N + 1)]
-    G = TruncFIModule(coeff, levels, incl, sym)
+    G = TruncFIModule(F.coeff, levels, incl, sym)
     return G, NatMap(F, G, to_free)
 
 
@@ -790,7 +766,7 @@ def exactness_transfer(i: NatMap, p: NatMap, x: int = 1) -> bool:
         m2 = factor_through(ikg.then(p.maps[n]), ikh)
         # connecting map: lift a kernel class of H to G, push up, pull back
         # along the inclusion at the top, project to the cokernel of F
-        lifted = lift_through(ikh, p.maps[n])
+        lifted = factor_through(ikh, p.maps[n])
         pushed = lifted.then(ug)
         back = factor_through(pushed, i.maps[n + x])
         m3 = back.then(pf)

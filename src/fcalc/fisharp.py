@@ -18,11 +18,12 @@ from itertools import combinations
 
 from .exactlin import (
     Coeff, Mat, ModuleMap, PresentedModule,
-    direct_sum_modules, factor_through, image_in, invert_iso, is_isomorphism,
+    coinvariants, direct_sum_modules, freeify_module, image_in, invert_iso,
+    is_isomorphism,
 )
 from .fimod import (
-    FunctorError, NatMap, TruncFIModule, WindowError, insertion_map,
-    perm_word, truncate,
+    FunctorError, NatMap, TruncFIModule, WindowError, induced_sym,
+    insertion_map, json_field, json_list, perm_action, truncate,
 )
 
 
@@ -65,13 +66,13 @@ class FISharpModule(TruncFIModule):
     @classmethod
     def from_json(cls, data: dict) -> "FISharpModule":
         base = TruncFIModule.from_json(data)
+        coeff, levels = base.coeff, base.levels
         proj = []
-        for n, mat in enumerate(data["proj"]):
-            m = Mat.from_json(base.coeff, mat, ncols=base.levels[n].gens)
-            if m.nrows != base.levels[n + 1].gens:
-                m = Mat.zero(base.coeff, base.levels[n + 1].gens, base.levels[n].gens)
-            proj.append(ModuleMap(base.levels[n + 1], base.levels[n], m))
-        return cls(base.coeff, base.levels, base.incl, base.sym, proj)
+        for n, mat in enumerate(json_list(data["proj"], "proj", base.N)):
+            with json_field(f"proj[{n}]"):
+                m = Mat.from_json(coeff, mat, (levels[n + 1].gens, levels[n].gens))
+            proj.append(ModuleMap(levels[n + 1], levels[n], m))
+        return cls(coeff, levels, base.incl, base.sym, proj)
 
 
 def eta_restrict(F: FISharpModule) -> TruncFIModule:
@@ -160,17 +161,14 @@ class SymRep:
                 f"degree {degree} needs {max(degree - 1, 0)} transpositions")
 
     def perm_matrix(self, perm) -> Mat:
-        mat = Mat.identity(self.module.coeff, self.module.gens)
-        for i in reversed(perm_word(perm)):
-            mat = mat @ self.sym[i]
-        return mat
+        return perm_action(self.module.coeff, self.module.gens, self.sym, perm)
 
     def character(self) -> dict:
         """Trace of one permutation per cycle type, on a freeified copy
         (fields only)."""
         if not self.module.coeff.is_field:
             raise FunctorError("characters are computed over fields only")
-        free, to_free, from_free = _freeify_module(self.module)
+        free, to_free, from_free = freeify_module(self.module)
         out = {}
         for lam in _partitions(self.degree):
             perm = _cycle_type_rep(lam)
@@ -198,15 +196,12 @@ class SymRep:
 
     @classmethod
     def from_json(cls, degree: int, data: dict, coeff: Coeff) -> "SymRep":
-        gens = int(data["gens"])
-        module = PresentedModule(
-            coeff, gens, Mat.from_json(coeff, data.get("rels", []), ncols=gens))
+        module = PresentedModule.from_json(data, coeff)
+        g = module.gens
         sym = []
-        for s in data.get("sym", []):
-            m = Mat.from_json(coeff, s, ncols=gens)
-            if m.nrows != gens:
-                m = Mat.zero(coeff, gens, gens)
-            sym.append(m)
+        for i, s in enumerate(json_list(data.get("sym", []), "sym")):
+            with json_field(f"sym[{i}]"):
+                sym.append(Mat.from_json(coeff, s, (g, g)))
         return cls(degree, module, sym)
 
 
@@ -234,32 +229,13 @@ class SymRepList:
 
     @classmethod
     def from_json(cls, data: dict) -> "SymRepList":
-        coeff = Coeff.parse(data["coeff"])
-        reps = [SymRep.from_json(k, entry, coeff)
-                for k, entry in enumerate(data["reps"])]
+        with json_field("coeff"):
+            coeff = Coeff.parse(data["coeff"])
+        reps = []
+        for k, entry in enumerate(json_list(data["reps"], "reps")):
+            with json_field(f"reps[{k}]"):
+                reps.append(SymRep.from_json(k, entry, coeff))
         return cls(coeff, reps)
-
-
-def _freeify_module(m: PresentedModule):
-    coeff = m.coeff
-    span = m.rel_span()
-    pivots = set(span.pivots)
-    free_cols = [j for j in range(m.gens) if j not in pivots]
-    free = PresentedModule.free(coeff, len(free_cols))
-    rows = []
-    for g in range(m.gens):
-        unit = [coeff.zero()] * m.gens
-        unit[g] = coeff.one()
-        red = span.reduce(unit)
-        rows.append(tuple(red[j] for j in free_cols))
-    to_free = ModuleMap(m, free, Mat(coeff, m.gens, len(free_cols), tuple(rows)))
-    back = []
-    for j in free_cols:
-        unit = [coeff.zero()] * m.gens
-        unit[j] = coeff.one()
-        back.append(tuple(unit))
-    from_free = ModuleMap(free, m, Mat(coeff, len(free_cols), m.gens, tuple(back)))
-    return free, to_free, from_free
 
 
 def _partitions(n: int):
@@ -302,13 +278,8 @@ def cross_effect(F: FISharpModule, k: int) -> SymRep:
     """
     if k > F.N:
         raise WindowError(f"cross-effect {k} beyond the truncation {F.N}")
-    e = moebius_idem(F, k, range(1, k + 1))
-    sub, incl = image_in(F.levels[k], e.mat)
-    sym = []
-    for i in range(max(k - 1, 0)):
-        h = incl.then(F.sym_map(k, i))
-        sym.append(factor_through(h, incl).mat)
-    return SymRep(k, sub, sym)
+    incl = cross_effect_inclusion(F, k)
+    return SymRep(k, incl.src, induced_sym(F, incl, k))
 
 
 def cross_effect_inclusion(F: FISharpModule, k: int) -> ModuleMap:
@@ -328,10 +299,7 @@ def cross_effect_cokernel_profile(F: FISharpModule, k: int) -> list[int]:
     for i in range(1, k + 1):
         # injection [k-1] -> [k] missing i: standard inclusion then the
         # cycle moving the new last point down to position i
-        mat = F.incl[k - 1].mat
-        for j in range(k - 1, i - 1, -1):
-            mat = mat @ F.sym[k][j - 1]
-        rels = rels.stack(mat)
+        rels = rels.stack(insertion_map(F, i - 1, k - i).mat)
     return PresentedModule(F.coeff, lvl.gens, rels).invariant_factors()
 
 
@@ -466,7 +434,7 @@ def sharp_natmap_ok(R: FISharpModule, F: FISharpModule, nm: NatMap) -> bool:
 class AlphaResult:
     """Stabilized-translation colimit of an FI-module.
 
-    module         -- FISharpModule on the certified window [0, certified_N]
+    module         -- FISharpModule on the certified window [0, module.N]
     certified      -- per input level, whether the last `margin` transitions
                       were isomorphisms
     stage_profiles -- per level, the chain of stage profiles inspected
@@ -482,19 +450,10 @@ class AlphaResult:
         self.first_stable = first_stable
         self.unit = unit
 
-    @property
-    def certified_N(self) -> int:
-        return self.module.N
-
 
 def _coinvariant_stage(F: TruncFIModule, n: int, m: int) -> PresentedModule:
     """F(n+m) with the first m points coequalized (transposition spans)."""
-    lvl = F.levels[n + m]
-    rels = lvl.rels
-    ident = Mat.identity(F.coeff, lvl.gens)
-    for i in range(m - 1):
-        rels = rels.stack(F.sym[n + m][i] - ident)
-    return PresentedModule(F.coeff, lvl.gens, rels)
+    return coinvariants(F.levels[n + m], F.sym[n + m][:max(m - 1, 0)])[0]
 
 
 def alpha(F: TruncFIModule, margin: int = 2) -> AlphaResult:

@@ -1,6 +1,8 @@
 """Command-line dispatch: exit codes, output shapes, round trips."""
 import json
 
+import pytest
+
 from fcalc.cli import main
 from fcalc.fimod import TruncFIModule
 
@@ -194,3 +196,71 @@ class TestSixTerm:
         code, out, _ = run(capsys, "six-term", "corpus:zgeq(2)", "--N", "5")
         assert code == 0
         assert "pass" in out
+
+
+def _cut_rows(data):
+    data["incl"][2] = data["incl"][2][:1]
+
+
+def _truncate_row(data):
+    data["incl"][2][1] = data["incl"][2][1][:-1]
+
+
+def _ragged_rels(data):
+    data["levels"][2]["rels"] = [["1", "0"], ["1"]]
+
+
+def _short_proj(data):
+    data["proj"][1] = data["proj"][1][:-1]
+
+
+def _set(path, value):
+    def mutate(data):
+        *head, last = path
+        for key in head:
+            data = data[key]
+        data[last] = value
+    return mutate
+
+
+SHORT_SYM_REPS = {"coeff": "F2", "reps": [
+    {"gens": 1, "rels": [], "sym": []},
+    {"gens": 0, "rels": [], "sym": []},
+    {"gens": 2, "rels": [], "sym": [[["0", "1"]]]},
+]}
+
+
+class TestMalformedInput:
+    """Every malformed file exits 2 and names the field at fault; none of
+    them may yield an answer."""
+
+    @pytest.mark.parametrize("verb, source, mutate, field", [
+        ("degree", "P(1)", _cut_rows, "incl[2]"),
+        ("degree", "P(1)", _truncate_row, "incl[2]"),
+        ("degree", "P(1)", _ragged_rels, "levels[2]"),
+        ("degree", "free_sharp(1)", _short_proj, "proj[1]"),
+        ("degree", "P(1)", _set(["levels", 0, "gens"], None), "levels[0]"),
+        ("degree", "P(1)", _set(["levels"], 5), "levels"),
+        ("degree", "P(1)", _set(["incl", 1, 0, 0], True), "incl[1]"),
+        ("degree", "P(1)", _set(["sym", 3, 0], [["1"]]), "sym[3][0]"),
+        ("degree", "P(1)", _set(["coeff"], 5), "coeff"),
+        ("degree", "P(1)", lambda data: data["incl"].append([]), "incl"),
+        ("dk-reconstruct", None, None, "reps[2]: sym[0]"),
+        ("degree", None, None, "top level"),
+    ])
+    def test_exits_2_naming_the_field(self, capsys, tmp_path, verb, source,
+                                      mutate, field):
+        if source is None:
+            data = SHORT_SYM_REPS if verb == "dk-reconstruct" else [1, 2]
+        else:
+            code, _, _ = run(capsys, "corpus", "emit", source, "--N", "4",
+                             "--coeff", "F2", "--out", str(tmp_path / "ok.json"))
+            assert code == 0
+            data = json.loads((tmp_path / "ok.json").read_text())
+            mutate(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, verb, str(path))
+        assert code == 2
+        assert out == ""
+        assert field in err

@@ -8,7 +8,7 @@ import pytest
 from fcalc.exactlin import (
     Coeff, Mat, ModuleMap, PresentedModule, RowBasis,
     check_exact, coinvariants, cokernel, det, invert_iso, is_isomorphism,
-    kernel, left_kernel, snf,
+    kernel, left_kernel, snf, snf_diagonal,
 )
 
 Z = Coeff.Z()
@@ -108,6 +108,27 @@ class TestSmith:
             expected = invariant_factors_by_minors(m)
             got = [x for x in d.diagonal() if x]
             assert got == expected
+
+
+    def test_diagonal_matches_full_form(self):
+        # snf and snf_diagonal share one elimination; the diagonal-only run
+        # must give the nonzero |diag| of the full form, whose transforms
+        # must still satisfy U @ m @ V == D
+        rng = random.Random(3141)
+        cases = [Mat.zero(Z, 3, 2), Mat.zero(Z, 0, 4), Mat.zero(Z, 2, 0)]
+        for _ in range(150):
+            nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+            m = rand_mat(rng, Z, nr, nc, -20, 20)
+            if nr > 2 and rng.random() < 0.5:
+                # rank-deficient: the last row is a combination of two others
+                rows = [list(r) for r in m.rows]
+                rows[-1] = [3 * a - 2 * b for a, b in zip(rows[0], rows[1])]
+                m = Mat.from_rows(Z, rows)
+            cases.append(m)
+        for m in cases:
+            u, d, v = snf(m)
+            assert (u @ m @ v) == d
+            assert snf_diagonal(m) == [abs(x) for x in d.diagonal() if x]
 
 
 class TestRowBasis:

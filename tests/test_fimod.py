@@ -10,7 +10,7 @@ from fcalc.exactlin import Coeff, Mat, ModuleMap
 from fcalc.fimod import (
     NEG_INF, NOT_CERTIFIED, NatMap, TruncFIModule, WindowError,
     diff, dim_profile, direct_sum, exactness_transfer, generation_degree,
-    is_stably_null, kappa, perm_word, postcompose,
+    freeify, is_stably_null, kappa, perm_word, postcompose,
     shift, stable_kernel, strong_degree, tensor, truncate, unit_map,
     verify_six_term, weak_degree,
 )
@@ -390,6 +390,23 @@ class TestPostcompose:
         T = postcompose(F, "T2")
         dims = dim_profile(F).dims
         assert dim_profile(T).dims == [d * d for d in dims]
+
+
+    @pytest.mark.parametrize("coeff", ["Q", "F2", "F3"])
+    def test_freeify_witness(self, coeff):
+        P2 = build("P(2)", coeff, 5)
+        for F in (P2, diff(P2), build("ex_upm_F", coeff, 5)):
+            G, w = freeify(F)
+            assert all(m.rels.nrows == 0 for m in G.levels)
+            assert w.is_natural() and w.is_levelwise_iso()
+
+    @pytest.mark.parametrize("coeff", ["Q", "F2", "F3"])
+    def test_exterior_square_of_presented_input(self, coeff):
+        # diff(P(2)) has dimension 2n and carries relations, so this goes
+        # through freeify
+        D = diff(build("P(2)", coeff, 5))
+        assert any(m.rels.nrows for m in D.levels)
+        assert dim_profile(postcompose(D, "L2")).dims == [0, 1, 6, 15, 28]
 
 
 class TestSixTerm:
