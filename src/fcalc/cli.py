@@ -14,6 +14,7 @@ import sys
 
 from .cattilde import CatError, category, tilde_hom, verify_axioms
 from .corpus import ORACLES, build, build_sharp, list_entries, run_oracles
+from .exactlin import ExactLinError
 from .fimod import (
     FunctorError, TruncFIModule, WindowError, diff, dim_profile, kappa,
     generation_degree, shift, strong_degree, verify_six_term, weak_degree,
@@ -38,18 +39,23 @@ def default_margin() -> int:
         raise InputError(f"FCALC_MARGIN must be an integer, got {raw!r}")
 
 
+def build_entry(name: str, N: int | None, coeff: str | None, want_sharp=False):
+    """The corpus entry NAME at truncation N (default 10) over coeff
+    (default Z), as an FI#-module when asked or when NAME is free_sharp."""
+    n = N if N is not None else 10
+    c = coeff or "Z"
+    try:
+        if want_sharp or name.startswith("free_sharp"):
+            return build_sharp(name, c, n)
+        return build(name, c, n)
+    except (FunctorError, ValueError, IndexError) as exc:
+        raise InputError(f"cannot build corpus:{name}: {exc}")
+
+
 def load_functor(ref: str, N: int | None, coeff: str | None, want_sharp=False):
     """A file path, or corpus:NAME built at the requested size."""
     if ref.startswith("corpus:"):
-        name = ref[len("corpus:"):]
-        n = N if N is not None else 10
-        c = coeff or "Z"
-        try:
-            if want_sharp or name.startswith("free_sharp"):
-                return build_sharp(name, c, n)
-            return build(name, c, n)
-        except (FunctorError, ValueError, IndexError) as exc:
-            raise InputError(f"cannot build {ref}: {exc}")
+        return build_entry(ref[len("corpus:"):], N, coeff, want_sharp)
     try:
         with open(ref) as fh:
             data = json.load(fh)
@@ -236,16 +242,7 @@ def cmd_corpus(args) -> int:
     if args.action == "emit":
         if not args.name:
             raise InputError("corpus emit needs a name")
-        n = args.N if args.N is not None else 10
-        c = args.coeff or "Z"
-        try:
-            if args.name.startswith("free_sharp"):
-                module = build_sharp(args.name, c, n)
-            else:
-                module = build(args.name, c, n)
-        except FunctorError as exc:
-            raise InputError(str(exc))
-        emit(module.to_json(), args.out)
+        emit(build_entry(args.name, args.N, args.coeff).to_json(), args.out)
         return 0
     if args.action == "check":
         names = list_entries() if args.name in (None, "all") else [args.name]
@@ -353,7 +350,8 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (WindowError, FunctorError, CatError, ValueError) as exc:
+    except (WindowError, FunctorError, CatError, ExactLinError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

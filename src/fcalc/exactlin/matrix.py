@@ -5,7 +5,6 @@ All module elements in this package are ROW vectors; a map is applied as
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .coeff import Coeff
@@ -13,6 +12,12 @@ from .coeff import Coeff
 
 class Mat:
     """A rows x cols matrix with entries in a fixed coefficient ring.
+
+    Entries are canonical for the ring: ``int`` over Z, ``Fraction`` over Q
+    and ``int`` in ``range(p)`` over F_p.  ``from_rows``, ``from_json`` and
+    the arithmetic establish this through ``Coeff.normalize``; the raw
+    constructor trusts its caller.  ``RowBasis`` relies on it and does not
+    normalize again.
 
     >>> m = Mat.from_rows(Coeff.Z(), [[1, 2], [3, 4]])
     >>> (m @ Mat.identity(Coeff.Z(), 2)) == m
@@ -221,55 +226,36 @@ def mul_row_mat(coeff: Coeff, row: Sequence, mat_rows, ncols: int) -> tuple:
 def det(m: Mat):
     """Exact determinant by fraction-free (Bareiss) elimination.
 
+    Each Bareiss step divides exactly in any integral domain, so one loop
+    serves every ring: the division is ``//`` over Z and multiplication by
+    the inverse over a field.
+
     >>> det(Mat.from_rows(Coeff.Z(), [[2, 4], [6, 8]]))
     -8
     """
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.nrows
+    coeff, n = m.coeff, m.nrows
     if n == 0:
-        return m.coeff.one()
-    if m.coeff.kind == Coeff.INTEGERS:
-        a = [list(row) for row in m.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
+        return coeff.one()
+    norm = coeff.normalize
+    a = [list(row) for row in m.rows]
+    sign = 1
+    prev = coeff.one()
+    for k in range(n - 1):
+        if not a[k][k]:
             for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-    a = [[Fraction(x) if m.coeff.kind == Coeff.RATIONALS else x for x in row]
-         for row in m.rows]
-    coeff = m.coeff
-    result = coeff.one()
-    for k in range(n):
-        pivot_row = None
-        for i in range(k, n):
-            if a[i][k] % coeff.p if coeff.kind == Coeff.PRIME_FIELD else a[i][k]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return coeff.zero()
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            result = coeff.normalize(-result)
-        pivot = a[k][k]
-        result = coeff.normalize(result * pivot)
-        inv = coeff.invert(pivot)
-        for i in range(k + 1, n):
-            factor = coeff.normalize(a[i][k] * inv)
-            if factor == coeff.zero():
-                continue
-            for j in range(k, n):
-                a[i][j] = coeff.normalize(a[i][j] - factor * a[k][j])
-    return result
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return coeff.zero()
+        ak = a[k]
+        inv = coeff.invert(prev) if coeff.is_field else None
+        for ai in a[k + 1:]:
+            for j in range(k + 1, n):
+                x = ai[j] * ak[k] - ai[k] * ak[j]
+                ai[j] = x // prev if inv is None else norm(x * inv)
+        prev = ak[k]
+    return norm(sign * a[n - 1][n - 1])

@@ -8,12 +8,20 @@ Two engines live here:
   only and skips the transform work.  Pivots are chosen by minimal
   absolute value, which keeps intermediate entries small in practice.
 
-* ``RowBasis`` is an incremental row-echelon accumulator (Hermite-style
-  over Z, reduced echelon over fields) used for span membership, left
-  kernels, solving ``x @ A = v`` and lattice saturation.  It is by far the
-  hottest code path in the package.
+* ``RowBasis`` is the one incremental echelon engine for Z, Q and F_p
+  (Hermite-style over Z, reduced echelon over fields) used for span
+  membership, left kernels, solving ``x @ A = v`` and lattice saturation.
+  It is by far the hottest code path in the package.  Every row move is
+  one primitive, ``v[j:] -= x * row[j:]`` reduced mod p over F_p, and
+  every reduction divides by one pivot quotient: floor division over Z,
+  the entry itself over a field, whose pivots are 1.  Only the gcd merge
+  of a leading entry that its pivot does not divide, the pivot quotient
+  and the sign of a new pivot are particular to Z.  Entries are taken as
+  given: they must be canonical for the ring, as ``Mat`` keeps them.
 """
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from .coeff import Coeff
 from .matrix import Mat
@@ -175,8 +183,10 @@ class RowBasis:
 
     Over Z this maintains a Hermite-style basis of the *lattice* generated
     by the rows (pivots positive, gcd-combining on conflicts); over a field
-    it maintains a reduced echelon basis.  Optionally tracks, for each basis
-    row, its expression in terms of the vectors fed in (for solving).
+    it maintains a reduced echelon basis with pivots 1.  Optionally tracks,
+    for each basis row, its expression in terms of the vectors fed in (for
+    solving).  Vectors must hold canonical entries for the ring, as ``Mat``
+    rows do; they are taken as given.
 
     >>> from .coeff import Z
     >>> b = RowBasis(Z, 2)
@@ -194,181 +204,124 @@ class RowBasis:
         self.pivots: list[int] = []  # pivot column of each basis row
         self.combos: list[list] = []  # expression of basis rows in the inputs
         self._n_added = 0
+        self._field = coeff.is_field
 
-    def _widen_combos(self):
-        # combos are kept as dense lists over all inputs seen so far
-        for c in self.combos:
-            c.append(0 if self.coeff.kind != Coeff.RATIONALS else self.coeff.zero())
+    def _sub(self, dst: list, x, src, start: int = 0):
+        """The row primitive: dst[start:] -= x * src[start:], reduced mod p
+        over F_p."""
+        p = self.coeff.p
+        if p is None:
+            dst[start:] = [a - x * b for a, b in zip(dst[start:], src[start:])]
+        else:
+            dst[start:] = [(a - x * b) % p
+                           for a, b in zip(dst[start:], src[start:])]
 
-    def add(self, vec, combo=None) -> bool:
+    def add(self, vec) -> bool:
         """Insert a vector; returns True iff the span/lattice grew."""
-        coeff = self.coeff
-        zero = coeff.zero()
-        v = [coeff.normalize(x) for x in vec]
+        v = list(vec)
+        c = None
         if self.track:
-            self._widen_combos()
-            c = [zero] * self._n_added + [coeff.one()]
+            # combos are kept as dense lists over all inputs seen so far
+            zero = self.coeff.zero()
+            for rc in self.combos:
+                rc.append(zero)
+            c = [zero] * self._n_added + [self.coeff.one()]
             self._n_added += 1
+        if self._field:
+            self._reduce(v, c)  # at every pivot: the basis stays reduced
+            grew = False
         else:
-            c = None
-        changed = False
-        if coeff.kind == Coeff.INTEGERS:
-            changed = self._add_int(v, c)
-        else:
-            changed = self._add_field(v, c)
-        return changed
+            grew = self._clear_leading(v, c)
+        for j, x in enumerate(v):
+            if x:
+                self._insert(j, v, c)
+                return True
+        return grew
 
-    def _add_int(self, v, c) -> bool:
+    def _clear_leading(self, v: list, c) -> bool:
+        """Over Z: cancel the leading entry of v against the pivot row in
+        its column until it lands in a column with no pivot, merging v into
+        that row by gcd where the pivot does not divide it.  The later
+        entries of v stay unreduced, and so does the row it becomes: the
+        basis ``left_kernel`` returns is built this way.  True iff a merge
+        grew the lattice."""
         rows, pivots, combos = self.rows, self.pivots, self.combos
-        width = self.width
-        changed = False
+        grew = False
         j = 0
         while True:
-            # advance to the leading nonzero of v
-            while j < width and v[j] == 0:
+            while j < self.width and not v[j]:
                 j += 1
-            if j == width:
-                return changed
-            # find where v's pivot sits relative to the basis
-            pos = 0
-            while pos < len(pivots) and pivots[pos] < j:
-                pos += 1
-            if pos == len(pivots) or pivots[pos] > j:
-                if v[j] < 0:
-                    v = [-x for x in v]
-                    if c is not None:
-                        c = [-x for x in c]
-                rows.insert(pos, v)
-                pivots.insert(pos, j)
-                if self.track:
-                    combos.insert(pos, c)
-                self._reduce_above(pos)
-                return True
+            pos = bisect_left(pivots, j)
+            if pos == len(pivots) or pivots[pos] != j:
+                return grew
             row = rows[pos]
             a, b = row[j], v[j]
             if b % a == 0:
-                q = b // a
-                for k in range(j, width):
-                    v[k] -= q * row[k]
+                self._sub(v, b // a, row, j)
                 if c is not None:
-                    rc = combos[pos]
-                    for k in range(len(c)):
-                        c[k] -= q * (rc[k] if k < len(rc) else 0)
-            else:
-                x, y, g = _xgcd(a, b)
-                ag, bg = a // g, b // g
-                for k in range(j, width):
-                    rk, vk = row[k], v[k]
-                    row[k] = x * rk + y * vk
-                    v[k] = -bg * rk + ag * vk
-                if c is not None:
-                    rc = combos[pos]
-                    while len(rc) < len(c):
-                        rc.append(0)
-                    for k in range(len(c)):
-                        rck, ck = rc[k], c[k]
-                        rc[k] = x * rck + y * ck
-                        c[k] = -bg * rck + ag * ck
-                if row[j] < 0:
-                    for k in range(j, width):
-                        row[k] = -row[k]
-                    if c is not None:
-                        rc = combos[pos]
-                        for k in range(len(rc)):
-                            rc[k] = -rc[k]
-                self._reduce_above(pos)
-                changed = True
+                    self._sub(c, b // a, combos[pos])
+                continue
+            # (row, v) <- (x row + y v, (a v - b row) / g), row[j] = |g|
+            x, y, g = _xgcd(a, b)
+            ag, bg = a // g, b // g
+            if g < 0:
+                x, y = -x, -y
+            pairs = [(row, v, j)]
+            if c is not None:
+                pairs.append((combos[pos], c, 0))
+            for r, w, start in pairs:
+                for k in range(start, len(r)):
+                    rk, wk = r[k], w[k]
+                    r[k] = x * rk + y * wk
+                    w[k] = ag * wk - bg * rk
+            self._reduce_above(pos, rows, combos)
+            grew = True
 
-    def _add_field(self, v, c) -> bool:
-        coeff = self.coeff
-        p = coeff.p if coeff.kind == Coeff.PRIME_FIELD else None
-        zero = coeff.zero()
-        rows, pivots, combos = self.rows, self.pivots, self.combos
-        width = self.width
-        for pos, j in enumerate(pivots):
+    def _insert(self, j: int, v: list, c):
+        """Make v, whose leading entry is v[j], a basis row: scale it so its
+        pivot is canonical (positive over Z, 1 over a field), insert it in
+        pivot order and reduce the rows above it at column j."""
+        x = v[j]
+        u = self.coeff.invert(x) if self._field else (1 if x > 0 else -1)
+        if u != 1:
+            # v *= u, as v -= (1 - u) * v
+            self._sub(v, 1 - u, v, j)
+            if c is not None:
+                self._sub(c, 1 - u, c)
+        pos = bisect_left(self.pivots, j)
+        self.rows.insert(pos, v)
+        self.pivots.insert(pos, j)
+        if c is not None:
+            self.combos.insert(pos, c)
+        self._reduce_above(pos, self.rows, self.combos)
+
+    def _reduce_above(self, pos: int, rows: list, combos):
+        """Reduce rows[:pos] at the pivot column of rows[pos] by the pivot
+        quotient: into [0, pivot) over Z, to zero over a field.  combos,
+        when not empty, take the same moves."""
+        j = self.pivots[pos]
+        row = rows[pos]
+        for i in range(pos):
+            x = rows[i][j]
+            q = x if self._field else x // row[j]
+            if q:
+                self._sub(rows[i], q, row, j)
+                if combos:
+                    self._sub(combos[i], q, combos[pos])
+
+    def _reduce(self, v: list, c=None):
+        """Reduce v at every pivot in turn by the pivot quotient: floor
+        division over Z, the entry itself over a field (whose pivots are
+        1).  c, when given, takes the same moves against the combos."""
+        for pos, j in enumerate(self.pivots):
             x = v[j]
             if x:
-                row = rows[pos]
-                if p is None:
-                    for k in range(j, width):
-                        v[k] = v[k] - x * row[k]
-                else:
-                    for k in range(j, width):
-                        v[k] = (v[k] - x * row[k]) % p
-                if c is not None:
-                    rc = combos[pos]
-                    nrc = len(rc)
-                    if p is None:
-                        for k in range(min(len(c), nrc)):
-                            c[k] = c[k] - x * rc[k]
-                    else:
-                        for k in range(min(len(c), nrc)):
-                            c[k] = (c[k] - x * rc[k]) % p
-        j = 0
-        while j < width and not v[j]:
-            j += 1
-        if j == width:
-            return False
-        inv = coeff.invert(v[j])
-        if p is None:
-            v = [inv * x for x in v]
-            if c is not None:
-                c = [inv * x for x in c]
-        else:
-            v = [(inv * x) % p for x in v]
-            if c is not None:
-                c = [(inv * x) % p for x in c]
-        pos = 0
-        while pos < len(pivots) and pivots[pos] < j:
-            pos += 1
-        rows.insert(pos, v)
-        pivots.insert(pos, j)
-        if self.track:
-            combos.insert(pos, c)
-        # re-reduce earlier rows against the new pivot
-        for q in range(pos):
-            row = rows[q]
-            x = row[j]
-            if x:
-                if p is None:
-                    for k in range(j, width):
-                        row[k] = row[k] - x * v[k]
-                else:
-                    for k in range(j, width):
-                        row[k] = (row[k] - x * v[k]) % p
-                if self.track:
-                    rc, nc = self.combos[q], c
-                    while len(rc) < len(nc):
-                        rc.append(zero)
-                    if p is None:
-                        for k in range(len(nc)):
-                            rc[k] = rc[k] - x * nc[k]
-                    else:
-                        for k in range(len(nc)):
-                            rc[k] = (rc[k] - x * nc[k]) % p
-        return True
-
-    def _reduce_above(self, pos: int):
-        # keep entries above each integer pivot in [0, pivot)
-        if self.coeff.kind != Coeff.INTEGERS:
-            return
-        rows, pivots = self.rows, self.pivots
-        j = pivots[pos]
-        piv = rows[pos][j]
-        width = self.width
-        for q in range(pos):
-            x = rows[q][j]
-            qq = x // piv
-            if qq:
-                rq, rp = rows[q], rows[pos]
-                for k in range(j, width):
-                    rq[k] -= qq * rp[k]
-                if self.track:
-                    rc, pc = self.combos[q], self.combos[pos]
-                    while len(rc) < len(pc):
-                        rc.append(0)
-                    for k in range(len(pc)):
-                        rc[k] -= qq * pc[k]
+                row = self.rows[pos]
+                q = x if self._field else x // row[j]
+                if q:
+                    self._sub(v, q, row, j)
+                    if c is not None:
+                        self._sub(c, q, self.combos[pos])
 
     def add_mat(self, m: Mat) -> bool:
         changed = False
@@ -379,79 +332,26 @@ class RowBasis:
 
     def reduce(self, vec):
         """Residue of vec modulo the span; zero iff vec lies in the span."""
-        coeff = self.coeff
-        v = [coeff.normalize(x) for x in vec]
-        if coeff.kind == Coeff.INTEGERS:
-            for pos, j in enumerate(self.pivots):
-                if v[j]:
-                    row = self.rows[pos]
-                    q = v[j] // row[j]
-                    if q:
-                        for k in range(j, self.width):
-                            v[k] -= q * row[k]
-            return v
-        p = coeff.p if coeff.kind == Coeff.PRIME_FIELD else None
-        for pos, j in enumerate(self.pivots):
-            x = v[j]
-            if x:
-                row = self.rows[pos]
-                if p is None:
-                    for k in range(j, self.width):
-                        v[k] = v[k] - x * row[k]
-                else:
-                    for k in range(j, self.width):
-                        v[k] = (v[k] - x * row[k]) % p
+        v = list(vec)
+        self._reduce(v)
         return v
 
     def contains(self, vec) -> bool:
-        zero = self.coeff.zero()
         return not any(self.reduce(vec))
 
     def solve(self, vec):
         """Coefficients expressing vec over the *input* vectors, or None.
 
-        Requires track=True.
+        Requires track=True.  Reducing -vec leaves the coefficients in the
+        tracked combination.  Over Z a pivot that does not divide the entry
+        leaves a nonzero residue there, so the residue test covers it.
         """
         if not self.track:
             raise ValueError("RowBasis built without tracking")
-        coeff = self.coeff
-        zero = coeff.zero()
-        v = [coeff.normalize(x) for x in vec]
-        out = [zero] * self._n_added
-        if coeff.kind == Coeff.INTEGERS:
-            for pos, j in enumerate(self.pivots):
-                if v[j]:
-                    row = self.rows[pos]
-                    if v[j] % row[j]:
-                        return None
-                    q = v[j] // row[j]
-                    for k in range(j, self.width):
-                        v[k] -= q * row[k]
-                    rc = self.combos[pos]
-                    for k in range(len(rc)):
-                        out[k] += q * rc[k]
-            if any(v):
-                return None
-            return out
-        p = coeff.p if coeff.kind == Coeff.PRIME_FIELD else None
-        for pos, j in enumerate(self.pivots):
-            x = v[j]
-            if x:
-                row = self.rows[pos]
-                rc = self.combos[pos]
-                if p is None:
-                    for k in range(j, self.width):
-                        v[k] = v[k] - x * row[k]
-                    for k in range(len(rc)):
-                        out[k] = out[k] + x * rc[k]
-                else:
-                    for k in range(j, self.width):
-                        v[k] = (v[k] - x * row[k]) % p
-                    for k in range(len(rc)):
-                        out[k] = (out[k] + x * rc[k]) % p
-        if any(v):
-            return None
-        return out
+        v = [-x for x in vec]
+        c = [self.coeff.zero()] * self._n_added
+        self._reduce(v, c)
+        return None if any(v) else c
 
     @property
     def rank(self) -> int:
@@ -459,12 +359,8 @@ class RowBasis:
 
     def is_full(self) -> bool:
         """True iff the span is the whole ambient module (Z^w or k^w)."""
-        if len(self.rows) != self.width:
-            return False
-        if self.coeff.kind == Coeff.INTEGERS:
-            one = 1
-            return all(self.rows[i][self.pivots[i]] == one for i in range(self.width))
-        return True
+        return len(self.rows) == self.width and all(
+            row[j] == 1 for row, j in zip(self.rows, self.pivots))
 
     def basis_mat(self) -> Mat:
         return Mat(
@@ -473,24 +369,12 @@ class RowBasis:
         )
 
     def snapshot(self) -> tuple:
-        """Canonical form of the current span (for equality tests).
-
-        Over a field the basis is kept reduced eagerly; over Z one
-        normalization pass (left-to-right over pivots) makes it the HNF.
-        """
-        if self.coeff.kind != Coeff.INTEGERS:
-            return tuple(tuple(r) for r in self.rows)
+        """Canonical form of the current span (for equality tests): the
+        basis with every row reduced at every later pivot, which over Z is
+        the HNF and over a field the basis as kept."""
         rows = [list(r) for r in self.rows]
-        width = self.width
-        for pos, j in enumerate(self.pivots):
-            piv = rows[pos][j]
-            for q in range(pos):
-                x = rows[q][j]
-                qq = x // piv
-                if qq:
-                    rq, rp = rows[q], rows[pos]
-                    for k in range(j, width):
-                        rq[k] -= qq * rp[k]
+        for pos in range(len(rows)):
+            self._reduce_above(pos, rows, None)
         return tuple(tuple(r) for r in rows)
 
 

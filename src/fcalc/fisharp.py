@@ -173,8 +173,8 @@ class SymRep:
         for lam in _partitions(self.degree):
             perm = _cycle_type_rep(lam)
             mat = from_free.mat @ self.perm_matrix(perm) @ to_free.mat
-            out[lam] = sum(mat.rows[i][i] for i in range(mat.nrows)) \
-                if mat.nrows else self.module.coeff.zero()
+            out[lam] = self.module.coeff.normalize(
+                sum(mat.rows[i][i] for i in range(mat.nrows)))
         return out
 
     def equivalent(self, other: "SymRep") -> bool:

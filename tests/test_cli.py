@@ -77,6 +77,19 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "/nonexistent/f.json")
         assert code == 2
 
+    def test_non_functor_fails_cleanly(self, capsys, tmp_path):
+        # well shaped, but the inclusion at level 2 is not equivariant, so
+        # kappa's factorization has no solution
+        from fcalc.corpus import build
+        data = build("P(1)", "Z", 4).to_json()
+        data["incl"][2] = [["1", "0", "0"], ["0", "0", "0"]]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "kappa", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestTransforms:
     def test_diff_round_trip(self, capsys, tmp_path):
@@ -189,6 +202,16 @@ class TestCorpusCommands:
     def test_unknown_entry(self, capsys):
         code, _, err = run(capsys, "corpus", "emit", "mystery(1)")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("corpus", "emit", "P()", "--N", "3"),
+        ("degree", "corpus:P()", "--N", "3"),
+    ])
+    def test_malformed_entry_name(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "cannot build corpus:P()" in err
 
 
 class TestSixTerm:

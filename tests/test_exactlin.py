@@ -1,4 +1,5 @@
 """Tests for exact linear algebra: SNF, presented modules, exactness."""
+import hashlib
 import itertools
 import math
 import random
@@ -14,6 +15,7 @@ from fcalc.exactlin import (
 Z = Coeff.Z()
 Q = Coeff.Q()
 F2 = Coeff.GF(2)
+F3 = Coeff.GF(3)
 F5 = Coeff.GF(5)
 
 
@@ -156,7 +158,8 @@ class TestRowBasis:
 
     def test_solve_tracks_inputs(self):
         rng = random.Random(13)
-        for coeff in (Z, Q, F5):
+        outside = 0
+        for coeff in (Z, Q, F2, F3, F5):
             for _ in range(30):
                 nr, nc = rng.randint(1, 5), rng.randint(1, 5)
                 m = rand_mat(rng, coeff, nr, nc, -4, 4)
@@ -165,10 +168,39 @@ class TestRowBasis:
                 b = RowBasis(coeff, nc, track=True)
                 for row in m.rows:
                     b.add(row)
-                sol = b.solve(vec.rows[0])
-                assert sol is not None
-                re = Mat.from_rows(coeff, [sol]) @ m
-                assert re == vec
+                assert b.solve(vec.rows[0]) is not None
+                for v in (vec, rand_mat(rng, coeff, 1, nc, -4, 4)):
+                    sol = b.solve(v.rows[0])
+                    assert b.contains(v.rows[0]) == (sol is not None)
+                    if sol is None:
+                        outside += 1
+                    else:
+                        assert Mat.from_rows(coeff, [sol]) @ m == v
+        assert outside > 0
+
+    def test_outputs_match_recorded_digest(self):
+        # Every output of the echelon engine on seeded random matrices, down
+        # to the scalar types, hashed and compared with the digest recorded
+        # from the per-ring implementation the single engine replaced.  The
+        # Hermite basis over Z is not fully reduced, and left_kernel exposes
+        # it, so the rows themselves are part of the contract.
+        rng = random.Random(20261018)
+        h = hashlib.sha256()
+        for coeff in (Z, Q, F2, F3, F5):
+            for _ in range(120):
+                nr, nc = rng.randint(0, 7), rng.randint(1, 6)
+                m = rand_mat(rng, coeff, nr, nc, -6, 6)
+                b = RowBasis(coeff, nc, track=True)
+                grew = [b.add(row) for row in m.rows]
+                inside = rand_mat(rng, coeff, 1, nr, -3, 3) @ m
+                probes = inside.rows + rand_mat(rng, coeff, 2, nc, -6, 6).rows
+                h.update(repr((
+                    grew, b.rows, b.pivots, b.combos, b.is_full(),
+                    [b.reduce(v) for v in probes], [b.solve(v) for v in probes],
+                    b.snapshot(), left_kernel(m).rows,
+                )).encode())
+        assert h.hexdigest() == ("e118b653d590f496d31fabeac60593c2"
+                                 "8165c2bae757ad773657e1ffd77c70df")
 
     def test_left_kernel_contract(self):
         rng = random.Random(4242)

@@ -1,10 +1,13 @@
 """Tests for the FI-module calculus: translation, difference, degrees."""
+import contextlib
 import random
+from fractions import Fraction
 
 import pytest
 
 from fcalc.corpus import (
-    augmentation_sequence, build, ex_upm_sequence, shift_kernel_witness,
+    augmentation_sequence, build, build_sharp, ex_upm_sequence,
+    shift_kernel_witness,
 )
 from fcalc.exactlin import Coeff, Mat, ModuleMap
 from fcalc.fimod import (
@@ -14,6 +17,7 @@ from fcalc.fimod import (
     shift, stable_kernel, strong_degree, tensor, truncate, unit_map,
     verify_six_term, weak_degree,
 )
+from fcalc.fisharp import alpha
 
 Z, Q, F2 = Coeff.Z(), Coeff.Q(), Coeff.GF(2)
 
@@ -455,3 +459,43 @@ class TestSerialization:
         F = build("P(1)", "Z", 3)
         data = F.to_json()
         assert data["incl"][1][0][0] == "1"
+
+
+def _matrices(F):
+    """Every matrix an FI- or FI#-module holds."""
+    for lvl in F.levels:
+        yield lvl.rels
+    for f in F.incl + getattr(F, "proj", ()):
+        yield f.mat
+    for s in F.sym:
+        yield from s
+
+
+class TestCanonicalEntries:
+    """Mat's contract, on which RowBasis relies: entries are int over Z,
+    Fraction over Q and int in range(p) over F_p, for the corpus and for
+    what the calculus derives from it."""
+
+    @pytest.mark.parametrize("code", ["Z", "Q", "F2", "F3"])
+    def test_corpus_and_derived(self, code):
+        coeff = Coeff.parse(code)
+        if coeff.kind == Coeff.RATIONALS:
+            def canonical(x):
+                return type(x) is Fraction
+        else:
+            def canonical(x):
+                return type(x) is int and (coeff.p is None or 0 <= x < coeff.p)
+        for name in ("const", "atomic(2)", "zgeq(3)", "atomics_upto(3)",
+                     "sum_zgeq", "P(1)", "P(2)", "augmentation_kernel",
+                     "ex_upm_A", "ex_upm_F", "free_sharp(2)"):
+            F = (build_sharp if name.startswith("free_sharp") else build)(
+                name, coeff, 5)
+            derived = [F, diff(F), kappa(F), shift(F, 1), stable_kernel(F)]
+            with contextlib.suppress(WindowError):  # stably null: no alpha
+                derived.append(alpha(F).module)
+            mats = [m for G in derived for m in _matrices(G)]
+            if coeff.is_field:
+                G, witness = freeify(F)
+                mats += list(_matrices(G)) + [f.mat for f in witness.maps]
+            for m in mats:
+                assert all(canonical(x) for row in m.rows for x in row), name

@@ -322,6 +322,17 @@ class TestCharacters:
         assert not triv2.equivalent(swap)
         assert triv2.module.invariant_factors() == swap.module.invariant_factors()
 
+    def test_characters_reduced_mod_p(self):
+        # the regular representation of S_2 over F2 in the bases {e, s}
+        # and {e, e + s}: isomorphic, so the traces agree mod 2
+        regular = SymRep(2, PresentedModule.free(F2, 2),
+                         [Mat.from_rows(F2, [[0, 1], [1, 0]])])
+        rebased = SymRep(2, PresentedModule.free(F2, 2),
+                         [Mat.from_rows(F2, [[1, 1], [0, 1]])])
+        assert regular.character() == rebased.character() == \
+            {(2,): 0, (1, 1): 0}
+        assert regular.equivalent(rebased)
+
 
 class TestAlpha:
     def test_alpha_constant(self):
