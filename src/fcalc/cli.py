@@ -48,7 +48,7 @@ def build_entry(name: str, N: int | None, coeff: str | None, want_sharp=False):
         if want_sharp or name.startswith("free_sharp"):
             return build_sharp(name, c, n)
         return build(name, c, n)
-    except (FunctorError, ValueError, IndexError) as exc:
+    except (FunctorError, ValueError) as exc:
         raise InputError(f"cannot build corpus:{name}: {exc}")
 
 
@@ -61,6 +61,8 @@ def load_functor(ref: str, N: int | None, coeff: str | None, want_sharp=False):
             data = json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {ref}")
+    except OSError as exc:
+        raise InputError(f"cannot read {ref}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {ref} at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}")
@@ -130,23 +132,10 @@ def cmd_degree(args) -> int:
     return 0
 
 
-def _transform(args, op) -> int:
+def cmd_transform(args) -> int:
     F = as_fi(load_functor(args.input, args.N, args.coeff))
-    G = op(F)
-    emit(G.to_json(), args.out)
+    emit(args.op(F, args.x).to_json(), args.out)
     return 0
-
-
-def cmd_diff(args) -> int:
-    return _transform(args, lambda F: diff(F, args.x))
-
-
-def cmd_shift(args) -> int:
-    return _transform(args, lambda F: shift(F, args.x))
-
-
-def cmd_kappa(args) -> int:
-    return _transform(args, lambda F: kappa(F, args.x))
 
 
 def cmd_dims(args) -> int:
@@ -286,11 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin", type=int, default=None)
     p.set_defaults(fn=cmd_degree)
 
-    for verb, fn in (("diff", cmd_diff), ("shift", cmd_shift), ("kappa", cmd_kappa)):
+    for verb, op in (("diff", diff), ("shift", shift), ("kappa", kappa)):
         p = sub.add_parser(verb, help=f"apply {verb} and emit the result")
         common(p)
         p.add_argument("--x", type=int, default=1)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_transform, op=op)
 
     p = sub.add_parser("dims", help="dimension profile and difference table")
     common(p)

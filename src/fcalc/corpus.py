@@ -59,6 +59,20 @@ def _transposition(i: int):
     return phi
 
 
+def basis_matrix(coeff: Coeff, src, dst, image) -> Mat:
+    """The 0/1 matrix of the map sending each element b of the basis src
+    to the sum of the distinct elements image(b) of the basis dst."""
+    index = {b: i for i, b in enumerate(dst)}
+    zero, one = coeff.zero(), coeff.one()
+    rows = []
+    for b in src:
+        row = [zero] * len(dst)
+        for c in image(b):
+            row[index[c]] = one
+        rows.append(tuple(row))
+    return Mat(coeff, len(rows), len(dst), tuple(rows))
+
+
 def linearize(coeff: Coeff, bases, act, drop=None) -> TruncFIModule:
     """The free functor on a set-valued functor on injections.
 
@@ -69,29 +83,18 @@ def linearize(coeff: Coeff, bases, act, drop=None) -> TruncFIModule:
     structure matrix sends basis elements to basis elements, so it is built
     directly as a 0/1 matrix.
     """
-    index = [{b: i for i, b in enumerate(bs)} for bs in bases]
     levels = [PresentedModule.free(coeff, len(bs)) for bs in bases]
-    zero, one = coeff.zero(), coeff.one()
-
-    def matrix(src: int, dst: int, image) -> Mat:
-        dst_index = index[dst]
-        width = len(dst_index)
-        rows = []
-        for b in bases[src]:
-            row = [zero] * width
-            row[dst_index[image(b)]] = one
-            rows.append(tuple(row))
-        return Mat(coeff, len(rows), width, tuple(rows))
-
     N = len(bases) - 1
-    incl = [ModuleMap(levels[n], levels[n + 1], matrix(n, n + 1, lambda b: b))
+    incl = [ModuleMap(levels[n], levels[n + 1], basis_matrix(
+                coeff, bases[n], bases[n + 1], lambda b: (b,)))
             for n in range(N)]
-    sym = [[matrix(n, n, lambda b, phi=_transposition(i): act(phi, b))
+    sym = [[basis_matrix(coeff, bases[n], bases[n],
+                         lambda b, phi=_transposition(i): (act(phi, b),))
             for i in range(1, n)] for n in range(N + 1)]
     if drop is None:
         return TruncFIModule(coeff, levels, incl, sym)
-    proj = [ModuleMap(levels[n + 1], levels[n],
-                      matrix(n + 1, n, lambda b, n=n: drop(b, n)))
+    proj = [ModuleMap(levels[n + 1], levels[n], basis_matrix(
+                coeff, bases[n + 1], bases[n], lambda b, n=n: (drop(b, n),)))
             for n in range(N)]
     return FISharpModule(coeff, levels, incl, sym, proj)
 
@@ -171,20 +174,10 @@ def norm_map(coeff: Coeff, N: int) -> NatMap:
     """Unordered pairs into ordered pairs: {a,b} -> (a,b) + (b,a)."""
     A = _pairs(coeff, N)
     P2 = _injections(coeff, 2, N)
-    zero, one = coeff.zero(), coeff.one()
-    maps = []
-    for n in range(N + 1):
-        pairs = _pair_basis(n)
-        inj = _injection_basis(2, n)
-        idx = {u: i for i, u in enumerate(inj)}
-        rows = []
-        for (a, b) in pairs:
-            row = [zero] * len(inj)
-            row[idx[(a, b)]] = one
-            row[idx[(b, a)]] = one
-            rows.append(tuple(row))
-        mat = Mat(coeff, len(pairs), len(inj), tuple(rows))
-        maps.append(ModuleMap(A.levels[n], P2.levels[n], mat))
+    maps = [ModuleMap(A.levels[n], P2.levels[n], basis_matrix(
+                coeff, _pair_basis(n), _injection_basis(2, n),
+                lambda p: (p, p[::-1])))
+            for n in range(N + 1)]
     return NatMap(A, P2, maps)
 
 
@@ -210,26 +203,16 @@ def ex_upm_sequence(coeff: Coeff, N: int) -> tuple[NatMap, NatMap]:
     F = build_ex_upm_F(coeff, N)
     C = _injections(coeff, 0, N)
     A = _pairs(coeff, N)
-    zero, one = coeff.zero(), coeff.one()
     incl_maps = []
     proj_maps = []
     for n in range(N + 1):
-        g = F.levels[n].gens           # = |pairs ordered| + 1
-        row = [zero] * g
-        row[g - 1] = one
-        incl_maps.append(ModuleMap(C.levels[n], F.levels[n],
-                                   Mat(coeff, 1, g, (tuple(row),))))
-        pairs = _pair_basis(n)
-        idx = {p: i for i, p in enumerate(pairs)}
-        inj = _injection_basis(2, n)
-        rows = []
-        for u in inj:
-            row = [zero] * len(pairs)
-            row[idx[tuple(sorted(u))]] = one
-            rows.append(tuple(row))
-        rows.append(tuple([zero] * len(pairs)))  # the constant generator dies
-        proj_maps.append(ModuleMap(F.levels[n], A.levels[n],
-                                   Mat(coeff, g, len(pairs), tuple(rows))))
+        # the generators of F(n): the ordered pairs, then the constant
+        gens = _injection_basis(2, n) + [None]
+        incl_maps.append(ModuleMap(C.levels[n], F.levels[n], basis_matrix(
+            coeff, _injection_basis(0, n), gens, lambda b: (None,))))
+        proj_maps.append(ModuleMap(F.levels[n], A.levels[n], basis_matrix(
+            coeff, gens, _pair_basis(n),
+            lambda u: () if u is None else (tuple(sorted(u)),))))
     return NatMap(C, F, incl_maps), NatMap(F, A, proj_maps)
 
 
@@ -246,42 +229,64 @@ def _parse_call(token: str) -> tuple[str, list[int]]:
     return token, []
 
 
+def _atomics_upto(coeff: Coeff, N: int, k: int) -> TruncFIModule:
+    F = indicator(coeff, {0}, N)
+    for i in range(1, k + 1):
+        F = direct_sum(F, indicator(coeff, {i}, N))
+    return F
+
+
+def _sum_zgeq(coeff: Coeff, N: int) -> TruncFIModule:
+    F = indicator(coeff, range(N + 1), N)
+    for i in range(1, N + 1):
+        F = direct_sum(F, indicator(coeff, range(i, N + 1), N))
+    return F
+
+
+def _free_sharp(coeff: Coeff, N: int, d: int) -> FISharpModule:
+    return linearize(coeff, [_partial_basis(d, n) for n in range(N + 1)],
+                     lambda phi, b: (b[0], tuple(phi(v) for v in b[1])),
+                     _drop_point)
+
+
+# entry name -> (number of arguments, builder(coeff, N, *arguments))
+ENTRIES = {
+    "const": (0, lambda coeff, N: _injections(coeff, 0, N)),
+    "atomic": (1, lambda coeff, N, k: indicator(coeff, {k}, N)),
+    "zgeq": (1, lambda coeff, N, k: indicator(coeff, range(k, N + 1), N)),
+    "P": (1, lambda coeff, N, d: _injections(coeff, d, N)),
+    "augmentation_kernel": (0, build_augmentation_kernel),
+    "ex_upm_A": (0, _pairs),
+    "ex_upm_F": (0, build_ex_upm_F),
+    "atomics_upto": (1, _atomics_upto),
+    "sum_zgeq": (0, _sum_zgeq),
+}
+SHARP_ENTRIES = {"free_sharp": (1, _free_sharp)}
+
+
+def _build_entry(table, token: str, coeff, N: int, kind: str = ""):
+    """The entry of table that token names, built on its arguments."""
+    if isinstance(coeff, str):
+        coeff = Coeff.parse(coeff)
+    head, args = _parse_call(token)
+    if head not in table:
+        raise FunctorError(f"unknown {kind}corpus entry {head!r}")
+    arity, builder = table[head]
+    if len(args) != arity:
+        raise FunctorError(f"corpus entry {head!r} takes {arity} "
+                           f"argument(s), got {len(args)}")
+    return builder(coeff, N, *args)
+
+
 def build(name: str, coeff, N: int) -> TruncFIModule:
     """Build a corpus FI-module by name; '+' forms direct sums.
 
     >>> dim_profile(build("P(1)", "Q", 4)).dims
     [0, 1, 2, 3, 4]
     """
-    if isinstance(coeff, str):
-        coeff = Coeff.parse(coeff)
-    parts = [p for p in name.split("+")]
     out = None
-    for part in parts:
-        head, args = _parse_call(part)
-        if head == "const":
-            F = _injections(coeff, 0, N)
-        elif head == "atomic":
-            F = indicator(coeff, {args[0]}, N)
-        elif head == "zgeq":
-            F = indicator(coeff, range(args[0], N + 1), N)
-        elif head == "P":
-            F = _injections(coeff, args[0], N)
-        elif head == "augmentation_kernel":
-            F = build_augmentation_kernel(coeff, N)
-        elif head == "ex_upm_A":
-            F = _pairs(coeff, N)
-        elif head == "ex_upm_F":
-            F = build_ex_upm_F(coeff, N)
-        elif head == "atomics_upto":
-            F = indicator(coeff, {0}, N)
-            for i in range(1, args[0] + 1):
-                F = direct_sum(F, indicator(coeff, {i}, N))
-        elif head == "sum_zgeq":
-            F = indicator(coeff, range(N + 1), N)
-            for i in range(1, N + 1):
-                F = direct_sum(F, indicator(coeff, range(i, N + 1), N))
-        else:
-            raise FunctorError(f"unknown corpus entry {head!r}")
+    for part in name.split("+"):
+        F = _build_entry(ENTRIES, part, coeff, N)
         out = F if out is None else direct_sum(out, F)
     return out
 
@@ -292,15 +297,7 @@ def build_sharp(name: str, coeff, N: int) -> FISharpModule:
     >>> build_sharp("free_sharp(1)", "F2", 3).levels[3].dimension()
     4
     """
-    if isinstance(coeff, str):
-        coeff = Coeff.parse(coeff)
-    head, args = _parse_call(name)
-    if head == "free_sharp":
-        d = args[0]
-        return linearize(coeff, [_partial_basis(d, n) for n in range(N + 1)],
-                         lambda phi, b: (b[0], tuple(phi(v) for v in b[1])),
-                         _drop_point)
-    raise FunctorError(f"unknown FI# corpus entry {head!r}")
+    return _build_entry(SHARP_ENTRIES, name, coeff, N, "FI# ")
 
 
 # -- oracles ----------------------------------------------------------------

@@ -7,7 +7,6 @@ from .coeff import Coeff, Z, Q, F2
 from .matrix import Mat, det
 from .smith import RowBasis, left_kernel, snf, snf_diagonal
 from .presented import (
-    AffineSolver,
     ExactLinError,
     ModuleMap,
     PresentedModule,
@@ -27,7 +26,7 @@ from .presented import (
 __all__ = [
     "Coeff", "Z", "Q", "F2", "Mat", "det",
     "RowBasis", "left_kernel", "snf", "snf_diagonal",
-    "AffineSolver", "ExactLinError", "ModuleMap", "PresentedModule",
+    "ExactLinError", "ModuleMap", "PresentedModule",
     "check_exact", "coinvariants", "cokernel", "direct_sum_modules",
     "factor_through", "freeify_module", "image_in", "invert_iso",
     "is_isomorphism", "kernel", "preimage_generators",

@@ -195,50 +195,13 @@ class ModuleMap:
         """Equality as maps into the presented quotient."""
         if self.mat.shape != other.mat.shape:
             return False
-        if self.mat == other.mat:
-            return True
-        span = self.dst.rel_span()
-        if span.rank == 0:
-            return False
-        return all(
-            span.contains(row) for row in (self.mat - other.mat).rows
-        )
+        return self.mat == other.mat or (self - other).is_zero_map()
 
     def __repr__(self):
         return f"ModuleMap({self.src!r} -> {self.dst!r})"
 
     def to_json(self) -> dict:
         return {"mat": self.mat.to_json()}
-
-
-class AffineSolver:
-    """Reusable solver for x @ mat = v modulo the row span of rels.
-
-    Builds the tracked echelon once; each query is then a single reduction.
-    """
-
-    def __init__(self, mat: Mat, rels: Mat):
-        self.mat = mat
-        self.basis = RowBasis(mat.coeff, mat.ncols, track=True)
-        for row in mat.rows:
-            self.basis.add(row)
-        for row in rels.rows:
-            self.basis.add(row)
-
-    def solve(self, vec) -> list | None:
-        sol = self.basis.solve(vec)
-        if sol is None:
-            return None
-        return sol[: self.mat.nrows]
-
-    def solve_rows(self, rows) -> list | None:
-        out = []
-        for row in rows:
-            sol = self.solve(row)
-            if sol is None:
-                return None
-            out.append(tuple(sol))
-        return out
 
 
 def preimage_generators(mat: Mat, rels: Mat) -> Mat:
@@ -323,9 +286,17 @@ def factor_through(f: ModuleMap, through: ModuleMap) -> ModuleMap:
     """
     if f.dst is not through.dst and not f.dst.same_presentation(through.dst):
         raise ExactLinError("factor_through: targets differ")
-    rows = AffineSolver(through.mat, through.dst.rels).solve_rows(f.mat.rows)
-    if rows is None:
-        raise ExactLinError("map does not factor through the given map")
+    # the map's rows first, so that a solution's leading coefficients are
+    # the factorization and the relation coefficients come after
+    basis = RowBasis(f.mat.coeff, through.dst.gens, track=True)
+    basis.add_mat(through.mat)
+    basis.add_mat(through.dst.rels)
+    rows = []
+    for row in f.mat.rows:
+        sol = basis.solve(row)
+        if sol is None:
+            raise ExactLinError("map does not factor through the given map")
+        rows.append(tuple(sol[: through.src.gens]))
     mat = Mat(f.mat.coeff, f.src.gens, through.src.gens, tuple(rows))
     return ModuleMap(f.src, through.src, mat)
 
@@ -371,21 +342,14 @@ def is_isomorphism(f: ModuleMap) -> bool:
 
 
 def invert_iso(f: ModuleMap) -> ModuleMap:
-    """Inverse of an isomorphism of presented modules."""
-    solver = AffineSolver(f.mat, f.dst.rels)
-    rows = []
-    for i in range(f.dst.gens):
-        unit = [f.src.coeff.zero()] * f.dst.gens
-        unit[i] = f.src.coeff.one()
-        sol = solver.solve(unit)
-        if sol is None:
-            raise ExactLinError("map is not surjective, cannot invert")
-        rows.append(tuple(sol))
-    mat = Mat(f.mat.coeff, f.dst.gens, f.src.gens, tuple(rows))
-    inv = ModuleMap(f.dst, f.src, mat)
+    """Inverse of an isomorphism of presented modules: the lift of the
+    identity of f.dst through f.  When f is not injective the lift need
+    not respect the relations of f.dst, so that is checked too."""
+    inv = factor_through(ModuleMap.identity(f.dst), f)
     if not inv.then(f).equals(ModuleMap.identity(f.dst)):
         raise ExactLinError("inverse candidate fails on the target side")
-    if not f.then(inv).equals(ModuleMap.identity(f.src)):
+    if not (inv.is_well_defined()
+            and f.then(inv).equals(ModuleMap.identity(f.src))):
         raise ExactLinError("map is not injective, cannot invert")
     return inv
 

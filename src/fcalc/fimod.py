@@ -473,6 +473,25 @@ def stable_kernel(F: TruncFIModule, margin: int = 2) -> TruncFIModule:
         F, [kernel(F.unit_to(n, F.N))[1] for n in range(top + 1)])
 
 
+def _degree(F: TruncFIModule, null_window, margin=None) -> DegreeReport:
+    """Smallest d with the (d+1)-st difference of F null, where
+    null_window(G) is the window on which G is certified null, or None,
+    and raises WindowError once the window cannot certify anything."""
+    G = F
+    applied = 0
+    while True:
+        try:
+            window = null_window(G)
+        except WindowError:
+            return DegreeReport(NOT_CERTIFIED, None, margin)
+        if window is not None:
+            return DegreeReport(applied - 1 if applied else NEG_INF, window, margin)
+        if G.N < 1:
+            return DegreeReport(NOT_CERTIFIED, None, margin)
+        G = diff(G)
+        applied += 1
+
+
 def strong_degree(F: TruncFIModule) -> DegreeReport:
     """Smallest d with the (d+1)-st difference zero on its window.
 
@@ -480,37 +499,15 @@ def strong_degree(F: TruncFIModule) -> DegreeReport:
     >>> strong_degree(build("zgeq(2)", "Z", 6)).value
     2
     """
-    G = F
-    applied = 0
-    while True:
-        if G.is_zero_functor():
-            if applied == 0:
-                return DegreeReport(NEG_INF, (0, G.N))
-            return DegreeReport(applied - 1, (0, G.N))
-        if G.N < 1:
-            return DegreeReport(NOT_CERTIFIED, None)
-        G = diff(G)
-        applied += 1
+    return _degree(F, lambda G: (0, G.N) if G.is_zero_functor() else None)
 
 
 def weak_degree(F: TruncFIModule, margin: int = 2) -> DegreeReport:
     """Smallest d with the (d+1)-st difference stably null at the margin."""
     if margin < 1:
         raise FunctorError("margin must be at least 1")
-    G = F
-    applied = 0
-    while True:
-        top = G.N - margin
-        if top < 0:
-            return DegreeReport(NOT_CERTIFIED, None, margin)
-        if is_stably_null(G, margin):
-            if applied == 0:
-                return DegreeReport(NEG_INF, (0, top), margin)
-            return DegreeReport(applied - 1, (0, top), margin)
-        if G.N < 1:
-            return DegreeReport(NOT_CERTIFIED, None, margin)
-        G = diff(G)
-        applied += 1
+    return _degree(F, lambda G: (0, G.N - margin)
+                   if is_stably_null(G, margin) else None, margin)
 
 
 def generation_degree(F: TruncFIModule) -> DegreeReport:
@@ -705,6 +702,27 @@ def postcompose(F: TruncFIModule, schur: str) -> TruncFIModule:
 
 # -- six-term sequence and exactness transfer ------------------------------
 
+def _six_term_exact(units, src_maps, dst_mats, connect) -> bool:
+    """Exactness of
+    0 -> ker u1 -> ker u2 -> ker u3 -> coker u1 -> coker u2 -> coker u3 -> 0
+    for the maps units = (u1, u2, u3), joined by src_maps = (a, b) between
+    their sources and dst_mats = (A, B) between their targets.
+    connect(i3, p1) is the connecting map ker u3 -> coker u1, given the
+    inclusion of ker u3 and the projection onto coker u1."""
+    (k1, i1), (_, i2), (_, i3) = map(kernel, units)
+    (c1, p1), (c2, _), (c3, _) = map(cokernel, units)
+    zero = PresentedModule.zero(k1.coeff)
+    return check_exact([
+        ModuleMap.zero_map(zero, k1),
+        factor_through(i1.then(src_maps[0]), i2),
+        factor_through(i2.then(src_maps[1]), i3),
+        connect(i3, p1),
+        ModuleMap(c1, c2, dst_mats[0]),
+        ModuleMap(c2, c3, dst_mats[1]),
+        ModuleMap.zero_map(c3, zero),
+    ])
+
+
 def verify_six_term(F: TruncFIModule) -> bool:
     """Levelwise exactness of
     0 -> ker(u) -> ker(vu) -> ker(v) -> coker(u) -> coker(vu) -> coker(v) -> 0
@@ -716,29 +734,12 @@ def verify_six_term(F: TruncFIModule) -> bool:
     """
     if F.N < 2:
         raise WindowError("six-term check needs window at least [0, 2]")
-    M = F.N - 2
-    zero = PresentedModule.zero(F.coeff)
-    for n in range(M + 1):
-        u = F.incl[n]
-        v = F.incl[n + 1]
-        vu = u.then(v)
-        ku, iku = kernel(u)
-        kvu, ikvu = kernel(vu)
-        kv, ikv = kernel(v)
-        cu, pu = cokernel(u)
-        cvu, pvu = cokernel(vu)
-        cv, pv = cokernel(v)
-        m1 = factor_through(iku, ikvu)              # ker u -> ker vu
-        m2 = factor_through(ikvu.then(u), ikv)      # ker vu -> ker v
-        m3 = ikv.then(pu)                           # ker v -> coker u
-        m4 = ModuleMap(cu, cvu, v.mat)              # coker u -> coker vu
-        m5 = ModuleMap(cvu, cv, Mat.identity(F.coeff, cvu.gens))
-        seq = [
-            ModuleMap.zero_map(zero, ku),
-            m1, m2, m3, m4, m5,
-            ModuleMap.zero_map(cv, zero),
-        ]
-        if not check_exact(seq):
+    for n in range(F.N - 1):
+        u, v = F.incl[n], F.incl[n + 1]
+        if not _six_term_exact(
+                (u, u.then(v), v), (ModuleMap.identity(u.src), u),
+                (v.mat, Mat.identity(F.coeff, v.dst.gens)),
+                lambda i3, p1: i3.then(p1)):
             return False
     return True
 
@@ -751,32 +752,18 @@ def exactness_transfer(i: NatMap, p: NatMap, x: int = 1) -> bool:
     M = F.N - x
     if M < 0:
         raise WindowError("window too small for the exactness transfer")
-    zero = PresentedModule.zero(F.coeff)
     for n in range(M + 1):
-        uf = F.unit_to(n, n + x)
         ug = G.unit_to(n, n + x)
-        uh = H.unit_to(n, n + x)
-        kf, ikf = kernel(uf)
-        kg, ikg = kernel(ug)
-        kh, ikh = kernel(uh)
-        cf, pf = cokernel(uf)
-        cg, pg = cokernel(ug)
-        ch, ph = cokernel(uh)
-        m1 = factor_through(ikf.then(i.maps[n]), ikg)
-        m2 = factor_through(ikg.then(p.maps[n]), ikh)
-        # connecting map: lift a kernel class of H to G, push up, pull back
-        # along the inclusion at the top, project to the cokernel of F
-        lifted = factor_through(ikh, p.maps[n])
-        pushed = lifted.then(ug)
-        back = factor_through(pushed, i.maps[n + x])
-        m3 = back.then(pf)
-        m4 = ModuleMap(cf, cg, i.maps[n + x].mat)
-        m5 = ModuleMap(cg, ch, p.maps[n + x].mat)
-        seq = [
-            ModuleMap.zero_map(zero, kf),
-            m1, m2, m3, m4, m5,
-            ModuleMap.zero_map(ch, zero),
-        ]
-        if not check_exact(seq):
+
+        def connect(i3, p1):
+            # lift a kernel class of H to G, push up, pull back along the
+            # inclusion at the top, project to the cokernel of F
+            lifted = factor_through(i3, p.maps[n])
+            return factor_through(lifted.then(ug), i.maps[n + x]).then(p1)
+
+        if not _six_term_exact(
+                (F.unit_to(n, n + x), ug, H.unit_to(n, n + x)),
+                (i.maps[n], p.maps[n]),
+                (i.maps[n + x].mat, p.maps[n + x].mat), connect):
             return False
     return True

@@ -77,6 +77,12 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "/nonexistent/f.json")
         assert code == 2
 
+    def test_directory_input(self, capsys, tmp_path):
+        code, out, err = run(capsys, "degree", str(tmp_path), "--N", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"input error: cannot read {tmp_path}")
+
     def test_non_functor_fails_cleanly(self, capsys, tmp_path):
         # well shaped, but the inclusion at level 2 is not equivariant, so
         # kappa's factorization has no solution
@@ -212,6 +218,22 @@ class TestCorpusCommands:
         assert code == 2
         assert out == ""
         assert "cannot build corpus:P()" in err
+
+
+    @pytest.mark.parametrize("argv", [
+        ("degree", "corpus:P(1,2)", "--N", "5"),
+        ("degree", "corpus:const(7)", "--N", "5"),
+        ("degree", "corpus:atomic(1,5)", "--N", "5"),
+        ("degree", "corpus:augmentation_kernel(3)", "--N", "5"),
+        ("degree", "corpus:zgeq(2)+P(1,1)", "--N", "5"),
+        ("corpus", "emit", "free_sharp(1,2)", "--N", "2"),
+        ("corpus", "emit", "free_sharp", "--N", "2"),
+    ])
+    def test_wrong_argument_count(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "argument(s), got" in err
 
 
 class TestSixTerm:

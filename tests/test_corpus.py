@@ -36,3 +36,52 @@ def test_unknown_name_rejected():
 def test_run_oracles_unknown():
     with pytest.raises(Exception):
         run_oracles("nonexistent")
+
+
+def test_wrong_argument_count_rejected():
+    from fcalc.fimod import FunctorError
+    for name in ("P()", "P(1,2)", "const(7)", "atomics_upto()", "sum_zgeq(1)"):
+        with pytest.raises(FunctorError, match="argument"):
+            build(name, "Z", 3)
+    with pytest.raises(FunctorError, match="argument"):
+        build_sharp("free_sharp(1,2)", "F2", 2)
+
+
+def test_outputs_match_recorded_digest():
+    # The matrices the basis-matrix builder and the calculus above it emit,
+    # down to the scalar types, hashed and compared with a recorded digest:
+    # the rows themselves, not only the modules they present, are outputs.
+    import hashlib
+
+    from fcalc.corpus import augmentation_sequence, ex_upm_sequence, norm_map
+    from fcalc.exactlin import Coeff
+    from fcalc.fimod import WindowError, kappa, stable_kernel
+    from fcalc.fisharp import alpha
+
+    def rows(natmaps):
+        return [[f.mat.rows for f in u.maps] for u in natmaps]
+
+    h = hashlib.sha256()
+    for code in ("Z", "Q", "F2", "F3"):
+        coeff = Coeff.parse(code)
+        for N in (4, 5):
+            h.update(repr((
+                rows([norm_map(coeff, N)]), rows(ex_upm_sequence(coeff, N)),
+                rows(augmentation_sequence(coeff, N)),
+                build_sharp("free_sharp(1)", coeff, N).to_json(),
+                build_sharp("free_sharp(2)", coeff, N - 1).to_json(),
+            )).encode())
+            for name in ("P(1)", "P(2)", "ex_upm_A", "ex_upm_F",
+                         "augmentation_kernel", "zgeq(2)"):
+                F = build(name, coeff, N)
+                h.update(repr((F.to_json(), kappa(F).to_json(),
+                               stable_kernel(F).to_json())).encode())
+                try:
+                    res = alpha(F, 1)
+                except WindowError as exc:  # alpha of a stably null functor
+                    h.update(str(exc).encode())
+                    continue
+                h.update(repr((res.module.to_json(), rows([res.unit]),
+                               res.certified)).encode())
+    assert h.hexdigest() == ("bdf66cfe791242829ab3d533dc4d1eda"
+                             "96e86a0dd636ae43407f3cb22b0945eb")

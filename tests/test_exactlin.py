@@ -7,9 +7,9 @@ import random
 import pytest
 
 from fcalc.exactlin import (
-    Coeff, Mat, ModuleMap, PresentedModule, RowBasis,
+    Coeff, ExactLinError, Mat, ModuleMap, PresentedModule, RowBasis,
     check_exact, coinvariants, cokernel, det, invert_iso, is_isomorphism,
-    kernel, left_kernel, snf, snf_diagonal,
+    kernel, left_kernel, preimage_generators, snf, snf_diagonal,
 )
 
 Z = Coeff.Z()
@@ -420,7 +420,56 @@ class TestCoinvariants:
         assert q.dimension() == 0
 
 
+def random_map(rng, coeff) -> ModuleMap:
+    """A well-defined map of small presented modules.  Two in five
+    are isomorphisms by construction: a unimodular matrix U from R to R U.
+    The rest have a random matrix into a random target, and a source that
+    keeps a random part of the relations the matrix allows, so they may
+    fail to be injective, surjective or both."""
+    g = rng.randint(1, 3)
+    if rng.random() < 0.4:
+        u = [[int(i == j) for j in range(g)] for i in range(g)]
+        for _ in range(4):
+            i, j = rng.sample(range(g), 2) if g > 1 else (0, 0)
+            if i == j:
+                u[i] = [-x for x in u[i]]
+            else:
+                u[i] = [a + rng.randint(-2, 2) * b for a, b in zip(u[i], u[j])]
+        u = Mat.from_rows(coeff, u)
+        rels = rand_mat(rng, coeff, rng.randint(0, 2), g, -4, 4)
+        return ModuleMap(PresentedModule(coeff, g, rels),
+                         PresentedModule(coeff, g, rels @ u), u)
+    h = rng.randint(1, 3)
+    dst = PresentedModule(coeff, h, rand_mat(rng, coeff, rng.randint(0, h - 1), h, -4, 4))
+    mat = rand_mat(rng, coeff, g, h, -3, 3)
+    allowed = preimage_generators(mat, dst.rels).rows
+    kept = [row for row in allowed if rng.random() < 0.6]
+    src = PresentedModule(coeff, g, Mat(coeff, len(kept), g, tuple(kept)))
+    return ModuleMap(src, dst, mat)
+
+
 class TestIso:
+    def test_invert_iso_agrees_with_is_isomorphism(self):
+        # the field rank test and the lift behind invert_iso are separate
+        # paths to the same verdict; over Z is_isomorphism takes a third
+        rng = random.Random(20261018)
+        for coeff in (Z, Q, F2, F3):
+            verdicts = []
+            for _ in range(80):
+                f = random_map(rng, coeff)
+                assert f.is_well_defined()
+                iso = is_isomorphism(f)
+                verdicts.append(iso)
+                try:
+                    g = invert_iso(f)
+                except ExactLinError:
+                    assert not iso
+                    continue
+                assert iso
+                assert g.then(f).equals(ModuleMap.identity(f.dst))
+                assert f.then(g).equals(ModuleMap.identity(f.src))
+            assert 20 <= verdicts.count(False) <= 60, coeff
+
     def test_invert_iso(self):
         rng = random.Random(5)
         m = PresentedModule.from_rel_rows(Z, 2, [[4, 0]])

@@ -11,7 +11,8 @@ from fcalc.corpus import (
 )
 from fcalc.exactlin import Coeff, Mat, ModuleMap
 from fcalc.fimod import (
-    NEG_INF, NOT_CERTIFIED, NatMap, TruncFIModule, WindowError,
+    NEG_INF, NOT_CERTIFIED, DegreeReport, FunctorError, NatMap,
+    TruncFIModule, WindowError,
     diff, dim_profile, direct_sum, exactness_transfer, generation_degree,
     freeify, is_stably_null, kappa, perm_word, postcompose,
     shift, stable_kernel, strong_degree, tensor, truncate, unit_map,
@@ -300,6 +301,50 @@ class TestDegrees:
         assert str(rep) == "degree = 4, window [0,5]"
 
 
+NC = (NOT_CERTIFIED, None)
+
+# entry -> (strong degree, weak degree at margins 1..N+1), each as
+# (value, window); recorded outputs, so any change to one is a change of
+# behaviour
+DEGREE_PINS = {
+    ("const", "Z", 4): ((0, (0, 3)), [
+        (0, (0, 2)), (0, (0, 1)), (0, (0, 0)), NC, NC]),
+    ("atomic(2)", "Z", 4): ((2, (0, 1)), [
+        (NEG_INF, (0, 3)), (NEG_INF, (0, 2)), (NEG_INF, (0, 1)),
+        (NEG_INF, (0, 0)), NC]),
+    ("zgeq(2)", "Z", 5): ((2, (0, 2)), [
+        (0, (0, 3)), (0, (0, 2)), (0, (0, 1)), (NEG_INF, (0, 1)),
+        (NEG_INF, (0, 0)), NC]),
+    ("P(1)", "Q", 4): ((1, (0, 2)), [
+        (1, (0, 1)), (1, (0, 0)), NC, (NEG_INF, (0, 0)), NC]),
+    ("augmentation_kernel", "Z", 5): ((2, (0, 2)), [
+        (1, (0, 2)), (1, (0, 1)), (1, (0, 0)), (NEG_INF, (0, 1)),
+        (NEG_INF, (0, 0)), NC]),
+    ("sum_zgeq", "Z", 4): (NC, [
+        (0, (0, 2)), (0, (0, 1)), (0, (0, 0)), NC, NC]),
+    ("ex_upm_A", "F3", 4): ((2, (0, 1)), [
+        (2, (0, 0)), NC, (NEG_INF, (0, 1)), (NEG_INF, (0, 0)), NC]),
+    ("zgeq(4)", "F2", 4): (NC, [
+        (NEG_INF, (0, 3)), (NEG_INF, (0, 2)), (NEG_INF, (0, 1)),
+        (NEG_INF, (0, 0)), NC]),
+}
+
+
+class TestDegreePins:
+    @pytest.mark.parametrize("key", list(DEGREE_PINS), ids=str)
+    def test_every_margin(self, key):
+        F = build(*key)
+        strong, weak = DEGREE_PINS[key]
+        assert strong_degree(F) == DegreeReport(*strong)
+        assert len(weak) == F.N + 1
+        for margin, pin in enumerate(weak, start=1):
+            assert weak_degree(F, margin) == DegreeReport(*pin, margin), margin
+
+    def test_margin_below_one(self):
+        with pytest.raises(FunctorError):
+            weak_degree(build("const", "Z", 3), 0)
+
+
 class TestDimProfile:
     def test_P1_over_Q(self):
         prof = dim_profile(build("P(1)", "Q", 7))
@@ -420,6 +465,14 @@ class TestSixTerm:
                                ("P(2)", "F2", 6)]:
             assert verify_six_term(build(name, coeff, N)), name
 
+    @pytest.mark.parametrize("coeff", ["Q", "F3"])
+    def test_six_term_over_fields(self, coeff):
+        # the atomic entries have non-injective units, so every map of
+        # the sequence is exercised
+        for name in ("zgeq(2)", "P(2)", "augmentation_kernel", "ex_upm_F",
+                     "atomic(2)", "atomics_upto(3)"):
+            assert verify_six_term(build(name, coeff, 5)), name
+
     def test_six_term_window_error(self):
         with pytest.raises(WindowError):
             verify_six_term(build("const", "Z", 1))
@@ -435,6 +488,19 @@ class TestExactnessTransfer:
         incl, proj = ex_upm_sequence(F2, 6)
         assert incl.is_natural() and proj.is_natural()
         assert exactness_transfer(incl, proj, 1)
+
+    @pytest.mark.parametrize("coeff", [Q, Coeff.GF(3)], ids=["Q", "F3"])
+    def test_over_fields(self, coeff):
+        # ex_upm_sequence is an extension in characteristic 2 only
+        incl, proj = augmentation_sequence(coeff, 5)
+        for x in (1, 2, 3):
+            assert exactness_transfer(incl, proj, x), x
+        F, C = build("zgeq(2)", coeff, 5), build("const", coeff, 5)
+        incl = NatMap(F, C, [ModuleMap(F.levels[n], C.levels[n], Mat.identity(
+            coeff, 1) if n >= 2 else Mat.zero(coeff, 0, 1)) for n in range(6)])
+        from fcalc.fimod import cokernel_nat
+        for x in (1, 2):
+            assert exactness_transfer(incl, cokernel_nat(incl)[1], x), x
 
     def test_zgeq_in_constant(self):
         F = build("zgeq(2)", "Z", 6)
