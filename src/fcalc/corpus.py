@@ -199,7 +199,11 @@ def build_ex_upm_F(coeff: Coeff, N: int) -> TruncFIModule:
 
 
 def ex_upm_sequence(coeff: Coeff, N: int) -> tuple[NatMap, NatMap]:
-    """Constants >-> pushout ->> pairs: the defining extension."""
+    """Constants >-> pushout ->> pairs: the defining extension.  The
+    projection sends (a,b) + (b,a) - c to 2·{a,b}: a map over F2 only."""
+    if coeff.code != "F2":
+        raise FunctorError("ex_upm_sequence is an extension over F2 only, "
+                           f"not over {coeff.code}")
     F = build_ex_upm_F(coeff, N)
     C = _injections(coeff, 0, N)
     A = _pairs(coeff, N)

@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from .exactlin import (
     Coeff, Mat, ModuleMap, PresentedModule,
     check_exact, cokernel, direct_sum_modules, factor_through, freeify_module,
-    kernel,
+    is_isomorphism, kernel,
 )
 from .exactlin.matrix import mul_row_mat
 from .exactlin.smith import RowBasis
@@ -319,6 +319,8 @@ class NatMap:
             raise FunctorError("one component per level expected")
 
     def is_natural(self) -> bool:
+        if not all(f.is_well_defined() for f in self.maps):
+            return False
         for n in range(self.src.N):
             left = self.maps[n].then(self.dst.incl[n])
             right = self.src.incl[n].then(self.maps[n + 1])
@@ -333,7 +335,6 @@ class NatMap:
         return True
 
     def is_levelwise_iso(self) -> bool:
-        from .exactlin import is_isomorphism
         return all(is_isomorphism(f) for f in self.maps)
 
     def is_zero(self) -> bool:

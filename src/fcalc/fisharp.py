@@ -537,11 +537,6 @@ def alpha(F: TruncFIModule, margin: int = 2) -> AlphaResult:
     return AlphaResult(module, certified, stage_profiles, first_stable, unit)
 
 
-def unit_alpha(F: TruncFIModule, margin: int = 2) -> NatMap:
-    """The unit F -> eta_restrict(alpha(F)) on the certified window."""
-    return alpha(F, margin).unit
-
-
 def colimit_over_injections(F: TruncFIModule) -> PresentedModule:
     """Brute-force colimit of F over its whole window: one generator block
     per level, coequalizing every injection between any two levels.

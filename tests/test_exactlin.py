@@ -450,8 +450,9 @@ def random_map(rng, coeff) -> ModuleMap:
 
 class TestIso:
     def test_invert_iso_agrees_with_is_isomorphism(self):
-        # the field rank test and the lift behind invert_iso are separate
-        # paths to the same verdict; over Z is_isomorphism takes a third
+        # is_isomorphism (same invariants, onto) against the kernel plus
+        # cokernel reference, and invert_iso against both: it raises exactly
+        # on the non-isomorphisms and otherwise returns a two-sided inverse
         rng = random.Random(20261018)
         for coeff in (Z, Q, F2, F3):
             verdicts = []
@@ -459,6 +460,8 @@ class TestIso:
                 f = random_map(rng, coeff)
                 assert f.is_well_defined()
                 iso = is_isomorphism(f)
+                assert iso == (kernel(f)[0].is_zero()
+                               and cokernel(f)[0].is_zero())
                 verdicts.append(iso)
                 try:
                     g = invert_iso(f)

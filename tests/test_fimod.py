@@ -13,8 +13,8 @@ from fcalc.exactlin import Coeff, Mat, ModuleMap
 from fcalc.fimod import (
     NEG_INF, NOT_CERTIFIED, DegreeReport, FunctorError, NatMap,
     TruncFIModule, WindowError,
-    diff, dim_profile, direct_sum, exactness_transfer, generation_degree,
-    freeify, is_stably_null, kappa, perm_word, postcompose,
+    cokernel_nat, diff, dim_profile, direct_sum, exactness_transfer,
+    generation_degree, freeify, is_stably_null, kappa, perm_word, postcompose,
     shift, stable_kernel, strong_degree, tensor, truncate, unit_map,
     verify_six_term, weak_degree,
 )
@@ -120,6 +120,19 @@ class TestShift:
         w = shift_kernel_witness(K)
         assert w.is_natural()
         assert w.is_levelwise_iso()
+
+
+class TestNatMap:
+    def test_identity_on_a_quotient_is_not_a_map(self):
+        # the identity matrices from Z/2 = coker(2·id) to the constant Z
+        # commute with the structure maps but are not well defined
+        C = build("const", "Z", 4)
+        Q2, _ = cokernel_nat(NatMap(C, C, [ModuleMap(
+            m, m, Mat.from_rows(Z, [[2]])) for m in C.levels]))
+        w = NatMap(Q2, C, [ModuleMap(a, b, Mat.identity(Z, 1))
+                           for a, b in zip(Q2.levels, C.levels)])
+        assert not w.is_natural()
+        assert not w.is_levelwise_iso()
 
 
 class TestUnitMap:
@@ -486,8 +499,16 @@ class TestExactnessTransfer:
 
     def test_ex_upm_sequence(self):
         incl, proj = ex_upm_sequence(F2, 6)
+        assert all(f.is_well_defined() for f in incl.maps + proj.maps)
         assert incl.is_natural() and proj.is_natural()
         assert exactness_transfer(incl, proj, 1)
+
+    @pytest.mark.parametrize("coeff", [Z, Q, Coeff.GF(3)],
+                             ids=["Z", "Q", "F3"])
+    def test_ex_upm_sequence_only_over_f2(self, coeff):
+        # the projection sends (a,b) + (b,a) - c to 2·{a,b}
+        with pytest.raises(FunctorError, match=coeff.code):
+            ex_upm_sequence(coeff, 4)
 
     @pytest.mark.parametrize("coeff", [Q, Coeff.GF(3)], ids=["Q", "F3"])
     def test_over_fields(self, coeff):
@@ -498,7 +519,6 @@ class TestExactnessTransfer:
         F, C = build("zgeq(2)", coeff, 5), build("const", coeff, 5)
         incl = NatMap(F, C, [ModuleMap(F.levels[n], C.levels[n], Mat.identity(
             coeff, 1) if n >= 2 else Mat.zero(coeff, 0, 1)) for n in range(6)])
-        from fcalc.fimod import cokernel_nat
         for x in (1, 2):
             assert exactness_transfer(incl, cokernel_nat(incl)[1], x), x
 
@@ -509,7 +529,6 @@ class TestExactnessTransfer:
                           Mat.identity(Z, 1) if n >= 2 else Mat.zero(Z, 0, 1))
                 for n in range(7)]
         incl = NatMap(F, C, maps)
-        from fcalc.fimod import cokernel_nat
         Q_, proj = cokernel_nat(incl)
         assert exactness_transfer(incl, proj, 1)
 

@@ -12,7 +12,7 @@ from fcalc.fisharp import (
     FISharpModule, SymRep, SymRepList, alpha,
     colimit_over_injections, cross_effect, cross_effect_cokernel_profile,
     dold_kan_decompose, dold_kan_reconstruct, dold_kan_witness, epsilon_idem,
-    eta_restrict, moebius_idem, sharp_natmap_ok, unit_alpha,
+    eta_restrict, moebius_idem, sharp_natmap_ok,
 )
 
 Z, Q, F2 = Coeff.Z(), Coeff.Q(), Coeff.GF(2)
@@ -410,6 +410,6 @@ class TestAlpha:
                 assert res.first_stable[n] <= bound, (name, n, res.first_stable)
 
     def test_unit_alpha_shortcut(self):
-        u = unit_alpha(build("const", "Z", 5), 2)
+        u = alpha(build("const", "Z", 5), 2).unit
         for f in u.maps:
             assert f.mat == Mat.identity(Z, 1)
