@@ -246,19 +246,6 @@ def tilde_compose(g: TildeHom, f: TildeHom) -> TildeHom:
     return TildeHom(cat, a, c, extra, comp, _normal_form(cat, a, c, comp))
 
 
-def compose_partial(a, b, c, pf, pg):
-    """Composition of partial injections (domain, values) the naive way."""
-    dom_f, val_f = pf
-    dom_g, val_g = pg
-    gmap = dict(zip(dom_g, val_g))
-    dom, val = [], []
-    for i, v in zip(dom_f, val_f):
-        if v in gmap:
-            dom.append(i)
-            val.append(gmap[v])
-    return tuple(dom), tuple(val)
-
-
 def theta_tilde_count(a: int, b: int) -> int:
     """Closed-form count of partial injections a -> b.
 

@@ -1,8 +1,12 @@
 """Coefficient rings: the integers, the rationals, and prime fields.
 
-Every computation in the package is exact.  Integer work uses Python's
-arbitrary-precision ints, rational work uses ``fractions.Fraction``, and
-prime-field work uses ints reduced into ``range(p)``.
+Every computation in the package is exact.  A scalar is held in the
+cheapest exact form: an arbitrary-precision ``int`` over Z, an ``int``
+reduced into ``range(p)`` over F_p, and over Q an ``int`` when it is
+integral and a ``fractions.Fraction`` with denominator greater than 1
+otherwise.  So a rational computation on integral data runs at the cost
+of the same computation over Z.  ``Fraction(2) == 2`` with equal hashes
+and ``str(Fraction(2)) == "2"``, so the choice shows in no output.
 """
 from __future__ import annotations
 
@@ -22,6 +26,17 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def demote_integral(values) -> list:
+    """Rationals in canonical form: each integral ``Fraction`` becomes its
+    ``int``, everything else stays (one pass, no ring check per entry).
+
+    >>> demote_integral([Fraction(4, 2), Fraction(1, 2), 3])
+    [2, Fraction(1, 2), 3]
+    """
+    return [y if type(y) is int or y.denominator != 1 else y.numerator
+            for y in values]
 
 
 class Coeff:
@@ -89,15 +104,24 @@ class Coeff:
         return self.kind != self.INTEGERS
 
     def zero(self):
-        return Fraction(0) if self.kind == self.RATIONALS else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.kind == self.RATIONALS else 1
+        return 1
 
     def normalize(self, x):
-        """Bring a raw scalar into canonical form for this ring."""
+        """Bring a raw scalar into canonical form for this ring.
+
+        >>> Q = Coeff.Q()
+        >>> Q.normalize(Fraction(4, 2)), Q.normalize(Fraction(1, 2))
+        (2, Fraction(1, 2))
+        """
         if self.kind == self.RATIONALS:
-            return x if isinstance(x, Fraction) else Fraction(x)
+            if type(x) is int:
+                return x
+            if not isinstance(x, Fraction):
+                x = Fraction(x)
+            return x.numerator if x.denominator == 1 else x
         if self.kind == self.PRIME_FIELD:
             return x % self.p
         if isinstance(x, Fraction):
@@ -111,7 +135,7 @@ class Coeff:
         if self.kind == self.RATIONALS:
             if x == 0:
                 raise ZeroDivisionError("inverting 0")
-            return 1 / Fraction(x)
+            return self.normalize(1 / Fraction(x))
         if self.kind == self.PRIME_FIELD:
             x %= self.p
             if x == 0:
@@ -123,13 +147,18 @@ class Coeff:
 
     def parse_scalar(self, s):
         """Parse a serialized scalar (decimal string, "a/b" over Q, or int;
-        JSON booleans are not scalars)."""
+        JSON booleans are not scalars) into canonical form.
+
+        >>> Q = Coeff.Q()
+        >>> Q.parse_scalar("4/2"), Q.parse_scalar("3/6")
+        (2, Fraction(1, 2))
+        """
         if isinstance(s, str):
             if "/" in s:
                 if self.kind != self.RATIONALS:
                     raise ValueError(f"fractional scalar {s!r} over {self.code}")
                 try:
-                    return Fraction(s)
+                    return self.normalize(Fraction(s))
                 except ZeroDivisionError:
                     raise ValueError(f"zero denominator in {s!r}") from None
             return self.normalize(int(s))

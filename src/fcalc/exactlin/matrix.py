@@ -5,19 +5,22 @@ All module elements in this package are ROW vectors; a map is applied as
 """
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Sequence
 
-from .coeff import Coeff
+from .coeff import Coeff, demote_integral
 
 
 class Mat:
     """A rows x cols matrix with entries in a fixed coefficient ring.
 
-    Entries are canonical for the ring: ``int`` over Z, ``Fraction`` over Q
-    and ``int`` in ``range(p)`` over F_p.  ``from_rows``, ``from_json`` and
-    the arithmetic establish this through ``Coeff.normalize``; the raw
-    constructor trusts its caller.  ``RowBasis`` relies on it and does not
-    normalize again.
+    Entries are canonical for the ring: ``int`` over Z, ``int`` in
+    ``range(p)`` over F_p, and over Q an ``int`` when integral and a
+    ``Fraction`` with denominator greater than 1 otherwise.  ``from_rows``,
+    ``from_json`` and the arithmetic establish this through
+    ``Coeff.normalize``, or, in the product, by reducing mod p or demoting
+    an integral ``Fraction`` to ``int``; the raw constructor trusts its
+    caller.  ``RowBasis`` relies on it and does not normalize again.
 
     >>> m = Mat.from_rows(Coeff.Z(), [[1, 2], [3, 4]])
     >>> (m @ Mat.identity(Coeff.Z(), 2)) == m
@@ -53,10 +56,8 @@ class Mat:
 
     @classmethod
     def identity(cls, coeff: Coeff, n: int) -> "Mat":
-        z, o = coeff.zero(), coeff.one()
-        rows = tuple(
-            tuple(o if i == j else z for j in range(n)) for i in range(n)
-        )
+        z, o = (coeff.zero(),), (coeff.one(),)
+        rows = tuple(z * i + o + z * (n - 1 - i) for i in range(n))
         return cls(coeff, n, n, rows)
 
     @property
@@ -109,15 +110,21 @@ class Mat:
             raise ValueError("coefficient mismatch")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+        sparse = other.sparse_rows()
         return Mat(
             self.coeff,
             self.nrows,
             other.ncols,
             tuple(
-                mul_row_mat(self.coeff, row, other.rows, other.ncols)
+                mul_row_mat(self.coeff, row, sparse, other.ncols)
                 for row in self.rows
             ),
         )
+
+    def sparse_rows(self) -> list:
+        """Each row's nonzero (column, value) pairs, as ``mul_row_mat``
+        takes them."""
+        return [list(compress(enumerate(row), row)) for row in self.rows]
 
     def transpose(self) -> "Mat":
         rows = tuple(zip(*self.rows)) if self.nrows else ()
@@ -208,18 +215,18 @@ class Mat:
         return cls(coeff, len(rows), ncols, rows)
 
 
-def mul_row_mat(coeff: Coeff, row: Sequence, mat_rows, ncols: int) -> tuple:
-    """row-vector times matrix, skipping zero entries of the row."""
-    acc = [coeff.zero()] * ncols
-    for a, mrow in zip(row, mat_rows):
-        if not a:
-            continue
-        for j, b in enumerate(mrow):
-            if b:
-                acc[j] += a * b
-    if coeff.kind == Coeff.PRIME_FIELD:
+def mul_row_mat(coeff: Coeff, row: Sequence, sparse, ncols: int) -> tuple:
+    """Row vector times a matrix given by its ``sparse_rows``, skipping
+    zero entries on both sides; the result is canonical."""
+    acc = [0] * ncols
+    for a, srow in compress(zip(row, sparse), row):
+        for j, b in srow:
+            acc[j] += a * b
+    if coeff.p is not None:
         p = coeff.p
         return tuple(x % p for x in acc)
+    if coeff.kind == Coeff.RATIONALS:
+        return tuple(demote_integral(acc))
     return tuple(acc)
 
 

@@ -265,17 +265,22 @@ def coinvariants(m: PresentedModule, actions) -> tuple[PresentedModule, ModuleMa
     >>> q, _ = coinvariants(reg, [swap])
     >>> q.dimension()
     1
+    >>> q.rels.rows
+    ((-1, 1), (1, -1))
     """
-    rels = m.rels
-    ident = Mat.identity(m.coeff, m.gens)
+    norm = m.coeff.normalize
+    rows = list(m.rels.rows)
     for g in actions:
         if isinstance(g, ModuleMap):
             g = g.mat
         if g.shape != (m.gens, m.gens):
             raise ExactLinError("action matrix is not an endomorphism")
-        rels = rels.stack(g - ident)
-    q = PresentedModule(m.coeff, m.gens, rels)
-    return q, ModuleMap(m, q, ident)
+        # g - id: only the diagonal entry of each row moves
+        rows += [row[:i] + (norm(row[i] - 1),) + row[i + 1:]
+                 for i, row in enumerate(g.rows)]
+    q = PresentedModule(m.coeff, m.gens,
+                        Mat(m.coeff, len(rows), m.gens, tuple(rows)))
+    return q, ModuleMap(m, q, Mat.identity(m.coeff, m.gens))
 
 
 def factor_through(f: ModuleMap, through: ModuleMap) -> ModuleMap:

@@ -17,13 +17,16 @@ Two engines live here:
   the entry itself over a field, whose pivots are 1.  Only the gcd merge
   of a leading entry that its pivot does not divide, the pivot quotient
   and the sign of a new pivot are particular to Z.  Entries are taken as
-  given: they must be canonical for the ring, as ``Mat`` keeps them.
+  given: they must be canonical for the ring, as ``Mat`` keeps them, and
+  the row primitive keeps them so: over Q an integral entry is an
+  ``int``, so integral data is eliminated at the cost of Z, and only a
+  result with denominator 1 is demoted from ``Fraction``.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 
-from .coeff import Coeff
+from .coeff import Coeff, demote_integral
 from .matrix import Mat
 
 
@@ -205,16 +208,20 @@ class RowBasis:
         self.combos: list[list] = []  # expression of basis rows in the inputs
         self._n_added = 0
         self._field = coeff.is_field
+        self._rational = coeff.kind == Coeff.RATIONALS
 
     def _sub(self, dst: list, x, src, start: int = 0):
         """The row primitive: dst[start:] -= x * src[start:], reduced mod p
-        over F_p."""
+        over F_p, an integral ``Fraction`` demoted to ``int`` over Q."""
         p = self.coeff.p
-        if p is None:
-            dst[start:] = [a - x * b for a, b in zip(dst[start:], src[start:])]
-        else:
+        if p is not None:
             dst[start:] = [(a - x * b) % p
                            for a, b in zip(dst[start:], src[start:])]
+        elif self._rational:
+            dst[start:] = demote_integral(
+                [a - x * b for a, b in zip(dst[start:], src[start:])])
+        else:
+            dst[start:] = [a - x * b for a, b in zip(dst[start:], src[start:])]
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True iff the span/lattice grew."""

@@ -522,7 +522,7 @@ def generation_degree(F: TruncFIModule) -> DegreeReport:
         lvl = F.levels[n]
         span = RowBasis(F.coeff, lvl.gens)
         span.add_mat(lvl.rels)
-        gen_mats = [s for s in F.sym[n]]
+        gen_mats = [s.sparse_rows() for s in F.sym[n]]
         r_min = None
         if span.is_full() or lvl.gens == 0:
             r_min = 0
@@ -536,7 +536,7 @@ def generation_degree(F: TruncFIModule) -> DegreeReport:
                 while queue:
                     v = queue.pop()
                     for s in gen_mats:
-                        w = mul_row_mat(F.coeff, v, s.rows, s.ncols)
+                        w = mul_row_mat(F.coeff, v, s, lvl.gens)
                         if span.add(w):
                             queue.append(list(w))
                 if span.is_full():

@@ -289,20 +289,6 @@ def cross_effect_inclusion(F: FISharpModule, k: int) -> ModuleMap:
     return incl
 
 
-def cross_effect_cokernel_profile(F: FISharpModule, k: int) -> list[int]:
-    """The cross-effect computed by its cokernel description: level k
-    modulo the images of all the one-point-omitting injections."""
-    if k == 0:
-        return F.levels[0].invariant_factors()
-    lvl = F.levels[k]
-    rels = lvl.rels
-    for i in range(1, k + 1):
-        # injection [k-1] -> [k] missing i: standard inclusion then the
-        # cycle moving the new last point down to position i
-        rels = rels.stack(insertion_map(F, i - 1, k - i).mat)
-    return PresentedModule(F.coeff, lvl.gens, rels).invariant_factors()
-
-
 def dold_kan_decompose(F: FISharpModule) -> SymRepList:
     """All cross-effects: the equivalence with per-degree representations."""
     return SymRepList(F.coeff, [cross_effect(F, k) for k in range(F.N + 1)])
@@ -535,46 +521,3 @@ def alpha(F: TruncFIModule, margin: int = 2) -> AlphaResult:
         for n in range(N + 1)
     }
     return AlphaResult(module, certified, stage_profiles, first_stable, unit)
-
-
-def colimit_over_injections(F: TruncFIModule) -> PresentedModule:
-    """Brute-force colimit of F over its whole window: one generator block
-    per level, coequalizing every injection between any two levels.
-
-    Reference oracle for the chain-of-coinvariants strategy in alpha; only
-    usable for small windows (it enumerates all injections).
-    """
-    from itertools import permutations
-    coeff = F.coeff
-    offsets = []
-    total = 0
-    for m in F.levels:
-        offsets.append(total)
-        total += m.gens
-    rel_rows = []
-    zero = coeff.zero()
-    for n, m in enumerate(F.levels):
-        for row in m.rels.rows:
-            out = [zero] * total
-            out[offsets[n]:offsets[n] + m.gens] = row
-            rel_rows.append(out)
-    # enough to coequalize all injections n -> n+1: they generate
-    for n in range(F.N):
-        src, dst = F.levels[n], F.levels[n + 1]
-        for image in permutations(range(1, n + 2), n):
-            # the injection k -> image[k-1]: standard inclusion followed by
-            # the permutation with that one-line image
-            missing = next(x for x in range(1, n + 2) if x not in image)
-            perm = tuple(image) + (missing,)
-            mat = F.incl[n].mat @ F.perm_matrix(n + 1, perm)
-            for g in range(src.gens):
-                out = [zero] * total
-                out[offsets[n] + g] = coeff.one()
-                row = mat.rows[g]
-                for j, x in enumerate(row):
-                    out[offsets[n + 1] + j] = coeff.normalize(
-                        out[offsets[n + 1] + j] - x)
-                rel_rows.append(out)
-    rels = Mat(coeff, len(rel_rows), total, tuple(tuple(r) for r in rel_rows)) \
-        if rel_rows else Mat(coeff, 0, total, ())
-    return PresentedModule(coeff, total, rels)

@@ -9,7 +9,7 @@ from itertools import combinations
 from math import comb, factorial
 
 from fcalc.cattilde import (
-    SIGMA, THETA, compose_partial, theta_tilde_count, tilde_compose, tilde_hom,
+    SIGMA, THETA, theta_tilde_count, tilde_compose, tilde_hom,
 )
 from fcalc.corpus import build, build_sharp, shift_kernel_witness
 from fcalc.exactlin import Coeff, Mat, ModuleMap, PresentedModule, det, kernel, snf
@@ -21,6 +21,7 @@ from fcalc.fisharp import (
     SymRepList, alpha, cross_effect, dold_kan_decompose, dold_kan_reconstruct,
     dold_kan_witness, moebius_idem, sharp_natmap_ok,
 )
+from oracles import compose_partial
 
 Z, Q, F2 = Coeff.Z(), Coeff.Q(), Coeff.GF(2)
 

@@ -5,9 +5,10 @@ from math import factorial
 import pytest
 
 from fcalc.cattilde import (
-    CatError, SIGMA, THETA, category, compose_partial, theta_tilde_count,
+    CatError, SIGMA, THETA, category, theta_tilde_count,
     tilde_compose, tilde_from_partial, tilde_hom, verify_axioms,
 )
+from oracles import compose_partial
 
 
 def brute_force_partial_injections(a: int, b: int):

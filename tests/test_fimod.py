@@ -558,15 +558,17 @@ def _matrices(F):
 
 class TestCanonicalEntries:
     """Mat's contract, on which RowBasis relies: entries are int over Z,
-    Fraction over Q and int in range(p) over F_p, for the corpus and for
-    what the calculus derives from it."""
+    int in range(p) over F_p, and over Q an int or a Fraction whose
+    denominator is not 1, for the corpus and for what the calculus derives
+    from it."""
 
     @pytest.mark.parametrize("code", ["Z", "Q", "F2", "F3"])
     def test_corpus_and_derived(self, code):
         coeff = Coeff.parse(code)
         if coeff.kind == Coeff.RATIONALS:
             def canonical(x):
-                return type(x) is Fraction
+                return type(x) is int or (
+                    type(x) is Fraction and x.denominator != 1)
         else:
             def canonical(x):
                 return type(x) is int and (coeff.p is None or 0 <= x < coeff.p)

@@ -9,11 +9,11 @@ from fcalc.corpus import build, build_sharp
 from fcalc.exactlin import Coeff, Mat, ModuleMap, PresentedModule
 from fcalc.fimod import NEG_INF, diff, shift, strong_degree
 from fcalc.fisharp import (
-    FISharpModule, SymRep, SymRepList, alpha,
-    colimit_over_injections, cross_effect, cross_effect_cokernel_profile,
+    FISharpModule, SymRep, SymRepList, alpha, cross_effect,
     dold_kan_decompose, dold_kan_reconstruct, dold_kan_witness, epsilon_idem,
     eta_restrict, moebius_idem, sharp_natmap_ok,
 )
+from oracles import colimit_over_injections, cross_effect_cokernel_profile
 
 Z, Q, F2 = Coeff.Z(), Coeff.Q(), Coeff.GF(2)
 
