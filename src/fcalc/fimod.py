@@ -297,13 +297,38 @@ def perm_action(coeff: Coeff, gens: int, sym, perm) -> Mat:
     generators, where sym[i] is the action of s_{i+1}.
 
     perm is a sequence with perm[i] = image of point i+1 (1-indexed).
+
+    The running product is one {column: value} map per row, made dense
+    once at the end, so a letter of the word costs the nonzero entries it
+    touches: O(gens) for a permutation matrix.
+
+    >>> swap = Mat.from_rows(Coeff.Z(), [[0, 1], [1, 0]])
+    >>> perm_action(Coeff.Z(), 2, [swap], (2, 1)) == swap
+    True
     """
-    mat = Mat.identity(coeff, gens)
+    norm = coeff.normalize
+    word = perm_word(perm)
+    letters = {i: sym[i].sparse_rows() for i in set(word)}
+    rows = [{j: coeff.one()} for j in range(gens)]
     # sigma = s_{w1} o s_{w2} o ... applied right-to-left, so the
     # row-convention matrix multiplies left-to-right in reversed order
-    for i in reversed(perm_word(perm)):
-        mat = mat @ sym[i]
-    return mat
+    for i in reversed(word):
+        letter = letters[i]
+        product = []
+        for row in rows:
+            acc = {}
+            for j, a in row.items():
+                for col, b in letter[j]:
+                    acc[col] = acc.get(col, 0) + a * b
+            product.append({col: x for col, v in acc.items() if (x := norm(v))})
+        rows = product
+    dense = []
+    for row in rows:
+        out = [coeff.zero()] * gens
+        for col, x in row.items():
+            out[col] = x
+        dense.append(tuple(out))
+    return Mat(coeff, gens, gens, tuple(dense))
 
 
 class NatMap:

@@ -11,6 +11,15 @@ their Moebius inversion ``e_I`` (a complete orthogonal family), the
 cross-effects, the decomposition into symmetric-group representations and
 its inverse, and the stabilized-translation left Kan extension ``alpha``
 from FI-modules with its adjunction unit.
+
+The Moebius inversion is computed as a product, not as its alternating
+sum: e_I = epsilon_I * prod_{i in I} (epsilon_I - epsilon_{I - {i}}).
+Expanding the product and using epsilon_J epsilon_K = epsilon_{J cap K}
+gives back the sum over J in I of (-1)^{|I - J|} epsilon_J, so |I| + 1
+idempotents and |I| products stand in for 2^|I| idempotents.  Each
+cross-effect inclusion, the image of e_{1..k} at level k, is computed
+once per module and k, and the decomposition and the Dold-Kan witness
+share it.
 """
 from __future__ import annotations
 
@@ -36,6 +45,7 @@ class FISharpModule(TruncFIModule):
         self.proj = tuple(proj)
         if len(self.proj) != self.N:
             raise FunctorError(f"expected {self.N} projection maps")
+        self._cross_inclusions = {}  # k -> cross_effect_inclusion(self, k)
 
     def verify(self) -> list[str]:
         bad = super().verify()
@@ -82,8 +92,10 @@ def eta_restrict(F: FISharpModule) -> TruncFIModule:
 
 def _down_up(F: FISharpModule, n: int, k: int) -> Mat:
     """Matrix of the idempotent keeping the first k points of level n."""
-    mat = Mat.identity(F.coeff, F.levels[n].gens)
-    for m in range(n - 1, k - 1, -1):
+    if n == k:
+        return Mat.identity(F.coeff, F.levels[n].gens)
+    mat = F.proj[n - 1].mat
+    for m in range(n - 2, k - 1, -1):
         mat = mat @ F.proj[m].mat
     for m in range(k, n):
         mat = mat @ F.incl[m].mat
@@ -133,19 +145,22 @@ def epsilon_idem(F: FISharpModule, n: int, subset) -> ModuleMap:
 
 
 def moebius_idem(F: FISharpModule, n: int, subset) -> ModuleMap:
-    """Moebius inversion of the epsilon family: alternating sum over the
-    subsets of the given one.  The e_I form a complete orthogonal family."""
+    """Moebius inversion of the epsilon family, e_I = sum over J in I of
+    (-1)^{|I - J|} epsilon_J.  The e_I form a complete orthogonal family.
+
+    It is computed as epsilon_I * prod_{i in I} (epsilon_I - epsilon_{I - {i}}),
+    which expands to that sum because epsilon_J epsilon_K = epsilon_{J cap K};
+    for I empty it is epsilon_empty.  On a free level the matrix is the
+    sum's; where the level has relations the two may differ by relation
+    rows and are equal as maps.
+    """
     I = tuple(sorted(set(subset)))
     lvl = F.levels[n]
-    total = Mat.zero(F.coeff, lvl.gens, lvl.gens)
-    for r in range(len(I) + 1):
-        for J in combinations(I, r):
-            term = epsilon_idem(F, n, J).mat
-            if (len(I) - r) % 2:
-                total = total - term
-            else:
-                total = total + term
-    return ModuleMap(lvl, lvl, total)
+    eps = epsilon_idem(F, n, I).mat
+    mat = eps
+    for i in I:
+        mat = mat @ (eps - epsilon_idem(F, n, [x for x in I if x != i]).mat)
+    return ModuleMap(lvl, lvl, mat)
 
 
 class SymRep:
@@ -283,10 +298,12 @@ def cross_effect(F: FISharpModule, k: int) -> SymRep:
 
 
 def cross_effect_inclusion(F: FISharpModule, k: int) -> ModuleMap:
-    """The inclusion of the k-th cross-effect into level k."""
-    e = moebius_idem(F, k, range(1, k + 1))
-    _, incl = image_in(F.levels[k], e.mat)
-    return incl
+    """The inclusion of the k-th cross-effect into level k, computed once
+    per module and k."""
+    if k not in F._cross_inclusions:
+        e = moebius_idem(F, k, range(1, k + 1))
+        F._cross_inclusions[k] = image_in(F.levels[k], e.mat)[1]
+    return F._cross_inclusions[k]
 
 
 def dold_kan_decompose(F: FISharpModule) -> SymRepList:

@@ -1,11 +1,11 @@
 """Reference computations that only the tests use: brute-force oracles
-for the library's strategies, and a type-free text form of outputs for
-digests."""
-from itertools import permutations
+for the library's strategies, random representation lists, and a
+type-free text form of outputs for digests."""
+from itertools import combinations, permutations
 
 from fcalc.exactlin import Mat, PresentedModule
-from fcalc.fimod import TruncFIModule, insertion_map
-from fcalc.fisharp import FISharpModule
+from fcalc.fimod import TruncFIModule, insertion_map, perm_word
+from fcalc.fisharp import FISharpModule, SymRep, epsilon_idem
 
 
 def as_text(x):
@@ -89,3 +89,57 @@ def compose_partial(a, b, c, pf, pg):
             dom.append(i)
             val.append(gmap[v])
     return tuple(dom), tuple(val)
+
+
+def moebius_sum(F: FISharpModule, n: int, subset) -> Mat:
+    """e_I at level n by its definition, the alternating sum over the
+    subsets J of I of (-1)^{|I - J|} epsilon_J: 2^|I| idempotents, where
+    ``moebius_idem`` multiplies |I| + 1 of them."""
+    I = tuple(sorted(set(subset)))
+    lvl = F.levels[n]
+    total = Mat.zero(F.coeff, lvl.gens, lvl.gens)
+    for r in range(len(I) + 1):
+        for J in combinations(I, r):
+            term = epsilon_idem(F, n, J).mat
+            total = total - term if (len(I) - r) % 2 else total + term
+    return total
+
+
+def word_product(coeff, gens: int, sym, perm) -> Mat:
+    """The action of a permutation as the dense product of its
+    adjacent-transposition word, identity @ sym[w_r] @ ... @ sym[w_1]:
+    one full matrix product per letter, where ``perm_action`` keeps a
+    sparse running product."""
+    mat = Mat.identity(coeff, gens)
+    for i in reversed(perm_word(perm)):
+        mat = mat @ sym[i]
+    return mat
+
+
+def random_symrep(rng, coeff, k, max_blocks=2) -> SymRep:
+    """A representation of the symmetric group on k letters: a direct sum
+    of up to max_blocks trivial and permutation (on max(k, 1) points)
+    blocks, drawn from rng."""
+    blocks = [rng.choice(("triv", "nat"))
+              for _ in range(rng.randint(0, max_blocks))]
+    nat_dim = max(k, 1)
+    dim = sum(1 if b == "triv" else nat_dim for b in blocks)
+    module = PresentedModule.free(coeff, dim)
+    sym = []
+    for i in range(1, k):
+        mat = Mat.identity(coeff, 0)
+        for b in blocks:
+            if b == "triv":
+                blk = Mat.identity(coeff, 1)
+            else:
+                rows = [[coeff.zero()] * nat_dim for _ in range(nat_dim)]
+                for j in range(nat_dim):
+                    rows[j][j] = coeff.one()
+                rows[i - 1][i - 1] = coeff.zero()
+                rows[i][i] = coeff.zero()
+                rows[i - 1][i] = coeff.one()
+                rows[i][i - 1] = coeff.one()
+                blk = Mat(coeff, nat_dim, nat_dim, tuple(tuple(r) for r in rows))
+            mat = mat.block_diag(blk)
+        sym.append(mat)
+    return SymRep(k, module, sym)

@@ -21,7 +21,7 @@ from fcalc.fisharp import (
     SymRepList, alpha, cross_effect, dold_kan_decompose, dold_kan_reconstruct,
     dold_kan_witness, moebius_idem, sharp_natmap_ok,
 )
-from oracles import compose_partial
+from oracles import compose_partial, random_symrep
 
 Z, Q, F2 = Coeff.Z(), Coeff.Q(), Coeff.GF(2)
 
@@ -115,40 +115,13 @@ def test_criterion_05_idempotent_calculus():
            time.time() - t0)
 
 
-def _random_symrep(rng, coeff, k, max_blocks=2):
-    from fcalc.fisharp import SymRep
-    blocks = [rng.choice(("triv", "nat"))
-              for _ in range(rng.randint(0, max_blocks))]
-    nat_dim = max(k, 1)
-    dim = sum(1 if b == "triv" else nat_dim for b in blocks)
-    module = PresentedModule.free(coeff, dim)
-    sym = []
-    for i in range(1, k):
-        mat = Mat.identity(coeff, 0)
-        for b in blocks:
-            if b == "triv":
-                blk = Mat.identity(coeff, 1)
-            else:
-                rows = [[coeff.zero()] * nat_dim for _ in range(nat_dim)]
-                for j in range(nat_dim):
-                    rows[j][j] = coeff.one()
-                rows[i - 1][i - 1] = coeff.zero()
-                rows[i][i] = coeff.zero()
-                rows[i - 1][i] = coeff.one()
-                rows[i][i - 1] = coeff.one()
-                blk = Mat(coeff, nat_dim, nat_dim, tuple(tuple(r) for r in rows))
-            mat = mat.block_diag(blk)
-        sym.append(mat)
-    return SymRep(k, module, sym)
-
-
 def test_criterion_06_dold_kan_round_trips():
     t0 = time.time()
     rng = random.Random(20260808)
     for trial in range(50):
         coeff = Q if trial % 2 else F2
         N = rng.randint(1, 5)
-        reps = SymRepList(coeff, [_random_symrep(rng, coeff, k)
+        reps = SymRepList(coeff, [random_symrep(rng, coeff, k)
                                   for k in range(N + 1)])
         R = dold_kan_reconstruct(reps)
         back = dold_kan_decompose(R)

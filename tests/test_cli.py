@@ -1,4 +1,5 @@
 """Command-line dispatch: exit codes, output shapes, round trips."""
+import hashlib
 import json
 
 import pytest
@@ -156,6 +157,45 @@ class TestSharpAndTilde:
         data = json.loads(mod_path.read_text())
         assert "proj" in data
         assert [lvl["gens"] for lvl in data["levels"]] == [1, 2, 3, 4, 5]
+
+    # dk-decompose --out on the free FI#-modules and on alpha(P(2)) at N = 7,
+    # whose levels carry 126-252 relations: the bytes are outputs, pinned
+    # as SHA-256 digests recorded before the idempotents became products.
+    FREE_SHARP_DIGEST = ("4ee102028f06e764d1bb9b93183a8422"
+                         "6772e94df608a7a5723b1c2952030465")
+    ALPHA_P2_DIGESTS = {
+        "Z": "f33b0fb8c35449d925043d7bb37f20dd9140de82d951076eb1c3b0e1db59922f",
+        "Q": "abf10ec2158eb36af9e74116a30714fb993b3e6fde81d0ce6550bd757101a034",
+        "F2": "5c00623f7303df8649dc879ba69db953e50f2a0b13bbcd01c2195c22a9a3b665",
+        "F3": "3f586cba1bf417483a50da8ff26fdd605583e54730b3cb1113d2d5071ba2ebf4",
+    }
+
+    @staticmethod
+    def decompose(capsys, out_path, *source) -> bytes:
+        code, out, _ = run(capsys, "dk-decompose", *source,
+                           "--out", str(out_path))
+        assert (code, out) == (0, "")
+        return out_path.read_bytes()
+
+    def test_dk_decompose_free_sharp_digest(self, capsys, tmp_path):
+        h = hashlib.sha256()
+        for d in range(4):
+            for N in range(6):
+                for coeff in ("F2", "Q"):
+                    h.update(self.decompose(
+                        capsys, tmp_path / "reps.json",
+                        f"corpus:free_sharp({d})", "--N", str(N),
+                        "--coeff", coeff))
+        assert h.hexdigest() == self.FREE_SHARP_DIGEST
+
+    @pytest.mark.parametrize("coeff", ["Z", "Q", "F2", "F3"])
+    def test_dk_decompose_alpha_digest(self, capsys, tmp_path, coeff):
+        module = tmp_path / "alpha.json"
+        code, _, _ = run(capsys, "alpha", "corpus:P(2)", "--N", "7",
+                         "--coeff", coeff, "--out", str(module))
+        assert code == 0
+        reps = self.decompose(capsys, tmp_path / "reps.json", str(module))
+        assert hashlib.sha256(reps).hexdigest() == self.ALPHA_P2_DIGESTS[coeff]
 
     def test_alpha(self, capsys, tmp_path):
         out_path = tmp_path / "a.json"

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fcalc.corpus import (
     augmentation_sequence, build, build_sharp, ex_upm_sequence,
@@ -14,11 +15,12 @@ from fcalc.fimod import (
     NEG_INF, NOT_CERTIFIED, DegreeReport, FunctorError, NatMap,
     TruncFIModule, WindowError,
     cokernel_nat, diff, dim_profile, direct_sum, exactness_transfer,
-    generation_degree, freeify, is_stably_null, kappa, perm_word, postcompose,
-    shift, stable_kernel, strong_degree, tensor, truncate, unit_map,
-    verify_six_term, weak_degree,
+    generation_degree, freeify, is_stably_null, kappa, perm_action, perm_word,
+    postcompose, shift, stable_kernel, strong_degree, tensor, truncate,
+    unit_map, verify_six_term, weak_degree,
 )
 from fcalc.fisharp import alpha
+from oracles import word_product
 
 Z, Q, F2 = Coeff.Z(), Coeff.Q(), Coeff.GF(2)
 
@@ -86,6 +88,44 @@ class TestStructure:
                 row = mat.rows[x - 1]
                 assert row[perm[x - 1] - 1] == 1
                 assert sum(map(abs, row)) == 1
+
+
+@st.composite
+def actions(draw):
+    """A ring, a generator count, one arbitrary (not necessarily monomial)
+    matrix per adjacent transposition, and a permutation."""
+    coeff = Coeff.parse(draw(st.sampled_from(["Z", "Q", "F2", "F3", "F5"])))
+    gens, points = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = st.integers(-3, 3)
+    if coeff.kind == Coeff.RATIONALS:
+        entry = st.one_of(entry, st.builds(Fraction, entry, st.integers(2, 5)))
+    row = st.lists(entry, min_size=gens, max_size=gens)
+    sym = [Mat.from_rows(coeff, draw(st.lists(row, min_size=gens,
+                                              max_size=gens)))
+           for _ in range(max(points - 1, 0))]
+    perm = tuple(draw(st.permutations(range(1, points + 1))))
+    return coeff, gens, sym, perm
+
+
+class TestPermAction:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(actions())
+    def test_matches_dense_word_product(self, action):
+        # repr tells an int from an integral Fraction: the entries must be
+        # the dense product's, canonical form included
+        coeff, gens, sym, perm = action
+        got = perm_action(coeff, gens, sym, perm)
+        assert got.shape == (gens, gens)
+        assert repr(got.rows) == repr(word_product(coeff, gens, sym, perm).rows)
+
+    def test_no_generators_and_identity_permutation(self):
+        for coeff in (Z, Q, F2):
+            swap = Mat.from_rows(coeff, [[0, 1], [1, 0]])
+            assert perm_action(coeff, 0, [Mat.zero(coeff, 0, 0)] * 2,
+                               (3, 1, 2)) == Mat.identity(coeff, 0)
+            assert perm_action(coeff, 2, [swap] * 3, (1, 2, 3, 4)) == \
+                Mat.identity(coeff, 2)
 
 
 class TestShift:

@@ -13,7 +13,10 @@ from fcalc.fisharp import (
     dold_kan_decompose, dold_kan_reconstruct, dold_kan_witness, epsilon_idem,
     eta_restrict, moebius_idem, sharp_natmap_ok,
 )
-from oracles import colimit_over_injections, cross_effect_cokernel_profile
+from oracles import (
+    colimit_over_injections, cross_effect_cokernel_profile, moebius_sum,
+    random_symrep,
+)
 
 Z, Q, F2 = Coeff.Z(), Coeff.Q(), Coeff.GF(2)
 
@@ -140,7 +143,54 @@ class TestMoebius:
                             assert es[I].then(es[J]).is_zero_map(), (key, n, I, J)
 
 
+    def test_product_is_the_moebius_sum_on_free_levels(self):
+        # on a level without relations a map is its matrix, so the product
+        # form and the alternating sum agree entry for entry
+        modules = [build_sharp(f"free_sharp({d})", code, 4)
+                   for d in range(3) for code in ("F2", "Q", "Z")]
+        rng = random.Random(8)
+        for trial in range(6):
+            coeff = Q if trial % 2 else F2
+            reps = [random_symrep(rng, coeff, k)
+                    for k in range(rng.randint(1, 4) + 1)]
+            modules.append(dold_kan_reconstruct(SymRepList(coeff, reps)))
+        for F in modules:
+            for n in range(F.N + 1):
+                for k in range(n + 1):
+                    for I in combinations(range(1, n + 1), k):
+                        assert moebius_idem(F, n, I).mat == \
+                            moebius_sum(F, n, I), (F, n, I)
+
+    @pytest.mark.parametrize("code", ["Z", "Q", "F2", "F3"])
+    def test_product_is_the_moebius_sum_on_alpha(self, code):
+        # alpha(P(2)) has 126-252 relations per level; there the two
+        # matrices may differ by relation rows, and they are one map
+        F = alpha(build("P(2)", code, 7)).module
+        for n in range(F.N + 1):
+            lvl = F.levels[n]
+            for k in range(n + 1):
+                for I in combinations(range(1, n + 1), k):
+                    assert moebius_idem(F, n, I).equals(
+                        ModuleMap(lvl, lvl, moebius_sum(F, n, I))), (n, I)
+
+
 class TestCrossEffect:
+    def test_idempotent_computed_once_per_k(self, monkeypatch):
+        # decompose and witness share each cross-effect inclusion
+        import fcalc.fisharp as fisharp
+        calls = []
+        inner = fisharp.moebius_idem
+
+        def spy(F, n, subset):
+            calls.append((n, tuple(subset)))
+            return inner(F, n, subset)
+
+        monkeypatch.setattr(fisharp, "moebius_idem", spy)
+        F = build_sharp("free_sharp(2)", "Q", 4)
+        dold_kan_witness(F, dold_kan_decompose(F))
+        assert sorted(calls) == [(k, tuple(range(1, k + 1)))
+                                 for k in range(F.N + 1)]
+
     def test_cr0_is_level0(self, sharps):
         for key, F in sharps.items():
             cr = cross_effect(F, 0)
