@@ -159,8 +159,8 @@ class TestSharpAndTilde:
         assert [lvl["gens"] for lvl in data["levels"]] == [1, 2, 3, 4, 5]
 
     # dk-decompose --out on the free FI#-modules and on alpha(P(2)) at N = 7,
-    # whose levels carry 126-252 relations: the bytes are outputs, pinned
-    # as SHA-256 digests recorded before the idempotents became products.
+    # whose levels carry 126-252 relations: the bytes, not only the
+    # representations they present, are outputs, pinned as SHA-256 digests.
     FREE_SHARP_DIGEST = ("4ee102028f06e764d1bb9b93183a8422"
                          "6772e94df608a7a5723b1c2952030465")
     ALPHA_P2_DIGESTS = {
