@@ -11,10 +11,17 @@ For theta the classes are exactly the partial injections a -> b; for sigma
 the classes correspond to injections b -> a (reading off the preimage of
 the b block).  Both normal forms are computed, and the colimit is also
 saturated directly as a union-find cross-check.
+
+tilde_hom enumerates each stage hom(a, b + t) once and runs the union-find
+on integer indices of the stage elements, so the least index of a class
+is its representative, the least (t, f).  Its stopping rule looks for
+three equal class counts from the first non-empty stage on, so that
+empty early stages cannot pass it.  verify_axioms computes each
+composite g o f once per composable pair.
 """
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import accumulate, compress, permutations
 from math import comb, factorial
 
 
@@ -26,7 +33,7 @@ class ConcreteSMC:
     """A skeletal symmetric monoidal category of counts with enumerable homs.
 
     Morphisms a -> b are value tuples (f(1), ..., f(a)) with entries in
-    1..b.  compose(g, f) is g after f; sum places blocks side by side.
+    1..b; sum places blocks side by side.
     """
 
     def __init__(self, name: str, hom):
@@ -39,10 +46,6 @@ class ConcreteSMC:
     @staticmethod
     def identity(a: int) -> tuple[int, ...]:
         return tuple(range(1, a + 1))
-
-    @staticmethod
-    def compose(g, f) -> tuple[int, ...]:
-        return tuple(g[x - 1] for x in f)
 
     @staticmethod
     def sum(f, a_dims, g, b_dims) -> tuple[int, ...]:
@@ -106,13 +109,19 @@ class TildeHom:
 
     def as_partial(self):
         """For theta: the pair (defined domain, values)."""
-        dom = tuple(i + 1 for i, v in enumerate(self.rep_map) if v <= self.b)
-        vals = tuple(self.rep_map[i - 1] for i in dom)
-        return dom, vals
+        return _partial(self.rep_map, self.b)
 
     def to_json(self) -> dict:
         dom, vals = self.as_partial()
         return {"domain": list(dom), "values": list(vals)}
+
+
+def _partial(f, b: int) -> tuple:
+    """The part of f: a -> b + t landing in the b block, as the pair
+    (defined domain, values)."""
+    keep = [v <= b for v in f]
+    return (tuple(compress(range(1, len(f) + 1), keep)),
+            tuple(compress(f, keep)))
 
 
 def _normal_form(cat: ConcreteSMC, a: int, b: int, f) -> tuple:
@@ -122,19 +131,28 @@ def _normal_form(cat: ConcreteSMC, a: int, b: int, f) -> tuple:
     sigma: the preimage tuple of the b block (an injection b -> a).
     """
     if cat.name == "theta":
-        dom = tuple(i + 1 for i, v in enumerate(f) if v <= b)
-        return (dom, tuple(f[i - 1] for i in dom))
-    inv = {v: i + 1 for i, v in enumerate(f)}
-    return tuple(inv[j] for j in range(1, b + 1))
+        return _partial(f, b)
+    return tuple([f.index(j) + 1 for j in range(1, b + 1)])
 
 
 def tilde_hom(cat: ConcreteSMC, a: int, b: int, max_extra: int | None = None
               ) -> list[TildeHom]:
     """All morphism classes a -> b of the nullified category.
 
-    Saturates the chain of stages t = 0, 1, ... with a union-find over the
-    one-step identifications, stopping when two consecutive stage
-    transitions are bijections.
+    The stages t = 0..max_extra are the sorted hom-sets a -> b + t, each
+    enumerated once; element (t, f) gets the integer index start[t] + its
+    position, so the least index of a class is its least (t, f), the
+    class representative.  A union-find over those indices, linking each
+    root under the smaller one, saturates the one-step identifications.
+    The class count up to stage t is then the number of roots below
+    start[t + 1], read in one cumulative pass.
+
+    Stopping rule: from the first non-empty stage on, three consecutive
+    stages must have the same class count (two transitions that are
+    bijections); otherwise CatError.  If every stage is empty the answer
+    is no class once the stages reach a (b + max_extra >= a, as for sigma
+    with a < b); before that, too few extras were given and CatError is
+    raised.
 
     >>> len(tilde_hom(THETA, 2, 2))
     7
@@ -145,7 +163,9 @@ def tilde_hom(cat: ConcreteSMC, a: int, b: int, max_extra: int | None = None
         raise CatError("objects are non-negative counts")
     if max_extra is None:
         max_extra = a + 2 if cat.name == "theta" else max(a - b, 0) + 2
-    parent = {}
+    stages = [sorted(cat.hom(a, b + t)) for t in range(max_extra + 1)]
+    start = list(accumulate(map(len, stages), initial=0))
+    parent = list(range(start[-1]))
 
     def find(x):
         while parent[x] != x:
@@ -155,57 +175,54 @@ def tilde_hom(cat: ConcreteSMC, a: int, b: int, max_extra: int | None = None
 
     def union(x, y):
         rx, ry = find(x), find(y)
-        if rx != ry:
+        if rx < ry:
+            parent[ry] = rx
+        elif ry < rx:
             parent[rx] = ry
 
-    elements = {t: cat.hom(a, b + t) for t in range(max_extra + 1)}
-    for t, maps in elements.items():
-        for f in maps:
-            parent[(t, f)] = (t, f)
-    ident_b = cat.identity(b)
-    for t in range(max_extra + 1):
-        # generating arrows suffice: every map between extras is a composite
-        # of the standard inclusion and adjacent transpositions, and the
-        # union-find closes transitively
-        arrows = []
-        if t + 1 <= max_extra and cat.hom(t, t + 1):
-            arrows.append((t + 1, tuple(range(1, t + 1))))
-        for i in range(1, t):
-            swap = tuple(i + 1 if x == i else i if x == i + 1 else x
-                         for x in range(1, t + 1))
-            arrows.append((t, swap))
-        for t2, u in arrows:
-            glue = cat.sum(ident_b, (b, b), u, (t, t2))
-            for f in elements[t]:
-                g = cat.compose(glue, f)
-                union((t, f), (t2, g))
-    # stage-by-stage class counts, to apply the two-bijection stopping rule
-    reps_by_stage = []
-    for t in range(max_extra + 1):
-        seen = set()
-        for s in range(t + 1):
-            for f in elements[s]:
-                seen.add(find((s, f)))
-        reps_by_stage.append(seen)
-    stable_from = None
-    for t in range(max_extra - 1):
-        if (len(reps_by_stage[t]) == len(reps_by_stage[t + 1])
-                == len(reps_by_stage[t + 2])):
-            stable_from = t
-            break
-    if stable_from is None:
+    # generating arrows suffice: every map between extras is a composite
+    # of the standard inclusion (id_t + the map 0 -> 1, where the category
+    # has one) and adjacent transpositions, and the union-find closes
+    # transitively.  An arrow u: t -> t2 acts by id_b + u, a glue tuple
+    # with a leading 0 so that it is indexed by the values of f.  Each
+    # pair is joined once, from its smaller index: a transposition pairs
+    # the elements of its stage both ways, and the inclusion always lands
+    # in a later stage.
+    has_step = bool(cat.hom(0, 1))
+    head = tuple(range(b + 1))
+    for t2 in range(max_extra + 1):
+        # the arrows into stage t2, as (source stage, u)
+        arrows = [(t2, (*range(1, i), i + 1, i, *range(i + 2, t2 + 1)))
+                  for i in range(1, t2)]
+        if has_step and t2 > 0:
+            arrows.append((t2 - 1, range(1, t2)))
+        index = dict(zip(stages[t2], range(start[t2], start[t2 + 1])))
+        for t, u in arrows:
+            glue = head + tuple(b + x for x in u)
+            for i, f in enumerate(stages[t], start[t]):
+                j = index[tuple([glue[x] for x in f])]
+                if i < j:
+                    union(i, j)
+    # the root of a class is its least index, so the classes met by
+    # stages <= t are the roots below start[t + 1]
+    counts = list(accumulate(
+        sum(parent[i] == i for i in range(start[t], start[t + 1]))
+        for t in range(max_extra + 1)))
+    first = next((t for t, maps in enumerate(stages) if maps), None)
+    if first is None:
+        if b + max_extra < a:
+            raise CatError(
+                f"hom colimit {cat.name}({a},{b}): no stage up to "
+                f"t={max_extra} reaches {a}")
+        first = 0
+    if not any(counts[t] == counts[t + 1] == counts[t + 2]
+               for t in range(first, max_extra - 1)):
         raise CatError(
             f"hom colimit {cat.name}({a},{b}) did not stabilize by t={max_extra}")
-    out = {}
-    for s in range(max_extra + 1):
-        for f in elements[s]:
-            root = find((s, f))
-            if root not in out or (s, f) < (out[root].rep_t, out[root].rep_map):
-                nf = _normal_form(cat, a, b, f)
-                out[root] = TildeHom(cat, a, b, s, f, nf)
-    classes = sorted(out.values(), key=lambda h: (h.rep_t, h.rep_map))
-    normals = {h.normal for h in classes}
-    if len(normals) != len(classes):
+    classes = [TildeHom(cat, a, b, t, f, _normal_form(cat, a, b, f))
+               for t, maps in enumerate(stages)
+               for i, f in enumerate(maps, start[t]) if parent[i] == i]
+    if len({h.normal for h in classes}) != len(classes):
         raise CatError("normal forms do not separate the computed classes")
     return classes
 
@@ -229,7 +246,8 @@ def tilde_compose(g: TildeHom, f: TildeHom) -> TildeHom:
     """Composite g after f in the nullified category.
 
     Representatives f: a -> b + t and g: b -> c + u compose through
-    (g + id_t): b + t -> c + u + t.
+    (g + id_t): b + t -> c + u + t, built as a glue tuple with a leading 0
+    so that it is indexed by the values of f.
 
     >>> h = tilde_from_partial(2, 2, (1,), (2,))
     >>> tilde_compose(h, h).normal
@@ -238,12 +256,11 @@ def tilde_compose(g: TildeHom, f: TildeHom) -> TildeHom:
     if f.cat.name != g.cat.name or f.b != g.a:
         raise CatError("classes are not composable")
     cat = f.cat
-    a, b, c = f.a, f.b, g.b
+    a, c = f.a, g.b
     t, u = f.rep_t, g.rep_t
-    glue = cat.sum(g.rep_map, (b, c + u), cat.identity(t), (t, t))
-    comp = cat.compose(glue, f.rep_map)
-    extra = u + t
-    return TildeHom(cat, a, c, extra, comp, _normal_form(cat, a, c, comp))
+    glue = (0,) + g.rep_map + tuple(range(c + u + 1, c + u + t + 1))
+    comp = tuple([glue[x] for x in f.rep_map])
+    return TildeHom(cat, a, c, u + t, comp, _normal_form(cat, a, c, comp))
 
 
 def theta_tilde_count(a: int, b: int) -> int:
@@ -274,52 +291,63 @@ class AxiomReport:
 
 def verify_axioms(cat: ConcreteSMC, bound: int) -> AxiomReport:
     """Associativity, units, and functoriality of the sum on the nullified
-    category, exhaustively on objects up to the bound."""
+    category, exhaustively on objects up to the bound.
+
+    Every composite is computed once: g o f for each composable pair goes
+    into a table, so an associativity triple composes only its two outer
+    steps, h o (g o f) and (h o g) o f, and the sum check reuses each
+    f o id from the right unit check.  Composites go through the
+    module-level tilde_compose.
+    """
     if bound < 1:
         raise CatError("bound must be at least 1")
-    homs = {}
-    for a in range(bound + 1):
-        for b in range(bound + 1):
-            homs[(a, b)] = tilde_hom(cat, a, b)
+    objs = range(bound + 1)
+    homs = {(a, b): tilde_hom(cat, a, b) for a in objs for b in objs}
+    ident = {}
+    for a in objs:
+        f = cat.identity(a)
+        ident[a] = TildeHom(cat, a, a, 0, f, _normal_form(cat, a, a, f))
     checks = 0
     failures = []
-
-    def ident(a):
-        f = cat.identity(a)
-        return TildeHom(cat, a, a, 0, f, _normal_form(cat, a, a, f))
-
+    right = {}  # (a, b) -> [f o id_a for f in homs[(a, b)]]
     for (a, b), fs in homs.items():
+        right[(a, b)] = []
         for f in fs:
             checks += 1
-            if tilde_compose(ident(b), f) != f:
+            if tilde_compose(ident[b], f) != f:
                 failures.append(f"left unit fails on {f}")
             checks += 1
-            if tilde_compose(f, ident(a)) != f:
+            fa = tilde_compose(f, ident[a])
+            right[(a, b)].append(fa)
+            if fa != f:
                 failures.append(f"right unit fails on {f}")
-    for a in range(bound + 1):
-        for b in range(bound + 1):
-            for c in range(bound + 1):
-                for dd in range(bound + 1):
-                    for f in homs[(a, b)]:
-                        for g in homs[(b, c)]:
-                            for h in homs[(c, dd)]:
+    # after[(a, b, c)][i][j] = homs[(b, c)][j] o homs[(a, b)][i]
+    after = {(a, b, c): [[tilde_compose(g, f) for g in homs[(b, c)]]
+                         for f in homs[(a, b)]]
+             for a in objs for b in objs for c in objs}
+    for a in objs:
+        for b in objs:
+            for c in objs:
+                for dd in objs:
+                    gfs, hgs = after[(a, b, c)], after[(b, c, dd)]
+                    for f, gf_row in zip(homs[(a, b)], gfs):
+                        for g, gf, hg_row in zip(homs[(b, c)], gf_row, hgs):
+                            for h, hg in zip(homs[(c, dd)], hg_row):
                                 checks += 1
-                                if tilde_compose(h, tilde_compose(g, f)) != \
-                                        tilde_compose(tilde_compose(h, g), f):
+                                if tilde_compose(h, gf) != \
+                                        tilde_compose(hg, f):
                                     failures.append(
                                         f"associativity fails on {f}, {g}, {h}")
     # sum functoriality on small pieces
-    for a in range(min(bound, 2) + 1):
-        for b in range(min(bound, 2) + 1):
-            for c in range(min(bound, 2) + 1):
-                for dd in range(min(bound, 2) + 1):
-                    for f in homs[(a, b)]:
-                        for g in homs[(c, dd)]:
+    small = range(min(bound, 2) + 1)
+    for a in small:
+        for b in small:
+            for c in small:
+                for dd in small:
+                    for f, fa in zip(homs[(a, b)], right[(a, b)]):
+                        for g, gc in zip(homs[(c, dd)], right[(c, dd)]):
                             checks += 1
-                            s = _tilde_sum(f, g)
-                            fa = tilde_compose(f, ident(a))
-                            gc = tilde_compose(g, ident(c))
-                            if s != _tilde_sum(fa, gc):
+                            if _tilde_sum(f, g) != _tilde_sum(fa, gc):
                                 failures.append(f"sum not functorial on {f}, {g}")
     return AxiomReport(cat.name, bound, checks, failures)
 

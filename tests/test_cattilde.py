@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from fcalc import cattilde
 from fcalc.cattilde import (
     CatError, SIGMA, THETA, category, theta_tilde_count,
     tilde_compose, tilde_from_partial, tilde_hom, verify_axioms,
@@ -62,6 +63,56 @@ class TestHomSets:
                 capped = {h.normal for h in tilde_hom(THETA, a, b, max_extra=a + 2)}
                 assert full == capped
 
+    @pytest.mark.parametrize("cat, a, b, max_extra", [
+        (THETA, 5, 1, 4),  # the last stage holds only 5 of the 6 classes
+        (THETA, 5, 0, 2),  # every stage is empty
+        (SIGMA, 7, 0, 3),
+    ])
+    def test_empty_early_stages_do_not_stop(self, cat, a, b, max_extra):
+        # three equal counts of 0 from empty stages certify nothing
+        with pytest.raises(CatError):
+            tilde_hom(cat, a, b, max_extra=max_extra)
+
+    def test_no_stage_reaching_a_raises(self):
+        with pytest.raises(CatError, match="reaches 5"):
+            tilde_hom(THETA, 5, 0, max_extra=2)
+
+    def test_sigma_below_target_is_empty(self):
+        for a in range(4):
+            for b in range(a + 1, 6):
+                assert tilde_hom(SIGMA, a, b) == []
+                assert tilde_hom(SIGMA, a, b, max_extra=2) == []
+
+    def test_explicit_extras_answer_or_raise(self):
+        # a short chain of stages either certifies the full class set or
+        # raises; it never returns a part of it
+        for cat in (THETA, SIGMA):
+            for a in range(5):
+                for b in range(4):
+                    full = [h.normal for h in tilde_hom(cat, a, b)]
+                    for max_extra in range(a + 4):
+                        try:
+                            got = tilde_hom(cat, a, b, max_extra=max_extra)
+                        except CatError:
+                            continue
+                        assert [h.normal for h in got] == full, \
+                            (cat, a, b, max_extra)
+
+    def test_representative_is_least_element(self):
+        for cat in (THETA, SIGMA):
+            for a in range(4):
+                for b in range(4):
+                    classes = tilde_hom(cat, a, b)
+                    keys = [(h.rep_t, h.rep_map) for h in classes]
+                    assert keys == sorted(keys)
+                    for h in classes:
+                        # no smaller element of a stage has the same class
+                        for t in range(h.rep_t + 1):
+                            for f in cat.hom(a, b + t):
+                                if (t, f) < (h.rep_t, h.rep_map):
+                                    assert cattilde._normal_form(
+                                        cat, a, b, f) != h.normal
+
     def test_eta_injective_on_homs(self):
         # distinct injections give distinct classes
         for a in range(4):
@@ -111,11 +162,54 @@ class TestAxioms:
     def test_theta(self):
         report = verify_axioms(THETA, 3)
         assert report.ok
-        assert report.checks > 1000
+        assert report.checks == 135500
 
     def test_sigma(self):
         report = verify_axioms(SIGMA, 3)
         assert report.ok
+        assert report.checks == 1052
+
+    @pytest.mark.parametrize("cat, a, b, c", [(THETA, 1, 2, 1),
+                                              (SIGMA, 2, 2, 1)])
+    def test_one_wrong_composite_fails(self, monkeypatch, cat, a, b, c):
+        # send one composite g o f to a wrong class: the check must notice
+        f, g = tilde_hom(cat, a, b)[-1], tilde_hom(cat, b, c)[-1]
+        true_compose = cattilde.tilde_compose
+        good = true_compose(g, f)
+        wrong = next(h for h in tilde_hom(cat, a, c) if h != good)
+
+        def sabotaged(gg, ff):
+            return wrong if (gg, ff) == (g, f) else true_compose(gg, ff)
+
+        monkeypatch.setattr(cattilde, "tilde_compose", sabotaged)
+        report = cattilde.verify_axioms(cat, 2)
+        assert not report.ok
+        assert any(m.startswith("associativity fails")
+                   for m in report.failures)
+
+    def test_each_composite_once(self, monkeypatch):
+        # the units, one composite per composable pair, and the two outer
+        # steps of each associativity triple
+        calls = []
+        true_compose = cattilde.tilde_compose
+
+        def counted(g, f):
+            calls.append((g, f))
+            return true_compose(g, f)
+
+        monkeypatch.setattr(cattilde, "tilde_compose", counted)
+        bound = 3
+        report = cattilde.verify_axioms(SIGMA, bound)
+        n = {(a, b): len(tilde_hom(SIGMA, a, b))
+             for a in range(bound + 1) for b in range(bound + 1)}
+        objs = range(bound + 1)
+        units = sum(n.values())
+        pairs = sum(n[(a, b)] * n[(b, c)]
+                    for a in objs for b in objs for c in objs)
+        triples = sum(n[(a, b)] * n[(b, c)] * n[(c, d)] for a in objs
+                      for b in objs for c in objs for d in objs)
+        assert report.ok
+        assert len(calls) == 2 * units + pairs + 2 * triples
 
     def test_category_lookup(self):
         assert category("theta") is THETA

@@ -226,6 +226,42 @@ class TestSharpAndTilde:
         assert "pass" in out
 
 
+class TestTildeDigests:
+    # exit code and stdout of the nullified hom-sets and axiom checks,
+    # pinned as SHA-256 digests of "rc\nstdout" over each group
+    DIGESTS = {
+        "hom-theta": "d2c64ecdf613b99e594ff3b11a5e0e9b"
+                     "d7320caa6ed4804be3f3fa38767d5718",
+        "hom-sigma": "9b1a9d3d61e9fb14c8229e418328eff4"
+                     "77129e25ff1f9d111a5db39f2c0eea56",
+        "hom-large": "9633fb2c357d814dc36deb790b88c329"
+                     "3190167f33d4f2458c63b109405e4adb",
+        "axioms": "f932a2eba3520b092fbe77dc97c21689"
+                  "45d10b466177d5945e9c965ba3a46627",
+    }
+    QUERIES = {
+        **{f"hom-{cat}": [["tilde-hom", "--cat", cat, *json_flag,
+                           str(a), str(b)]
+                          for a in range(5) for b in range(5)
+                          for json_flag in ([], ["--json"])]
+           for cat in ("theta", "sigma")},
+        "hom-large": [["tilde-hom", "--cat", "theta", "4", "5"],
+                      ["tilde-hom", "--cat", "sigma", "--json", "7", "7"]],
+        "axioms": [["tilde-axioms", "--cat", cat, "--bound", str(bound)]
+                   for cat, bounds in (("theta", (1, 2)),
+                                       ("sigma", (1, 2, 3, 4)))
+                   for bound in bounds],
+    }
+
+    @pytest.mark.parametrize("group", sorted(QUERIES))
+    def test_digest(self, capsys, group):
+        h = hashlib.sha256()
+        for argv in self.QUERIES[group]:
+            code, out, _ = run(capsys, *argv)
+            h.update(f"{code}\n{out}".encode())
+        assert h.hexdigest() == self.DIGESTS[group]
+
+
 class TestCorpusCommands:
     def test_list(self, capsys):
         code, out, _ = run(capsys, "corpus", "list")
