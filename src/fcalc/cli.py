@@ -1,13 +1,15 @@
 """Command line front end.
 
-One file holds one functor (JSON); pipelines compose via --out.  Inputs
-are file paths or ``corpus:NAME`` references built on the fly.  Exit codes:
+One file holds one functor (JSON); pipelines compose via --out, which
+writes a verb's JSON output to the file instead of stdout.  Inputs are
+file paths or ``corpus:NAME`` references built on the fly.  Exit codes:
 0 success, 1 oracle failure, 2 input error.  FCALC_MARGIN overrides the
 default stability margin of 2.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -121,7 +123,7 @@ def cmd_degree(args) -> int:
     else:
         rep = strong_degree(F)
         kind = "strong"
-    if args.json:
+    if args.json or args.out:
         emit({"kind": kind, "value": rep.value, "window": rep.window,
               "margin": rep.margin}, args.out)
     else:
@@ -133,15 +135,18 @@ def cmd_degree(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    # looked up when the verb runs, not when the parser was built, so a
+    # rebinding of diff, shift or kappa in this module takes effect
+    op = {"diff": diff, "shift": shift, "kappa": kappa}[args.verb]
     F = as_fi(load_functor(args.input, args.N, args.coeff))
-    emit(args.op(F, args.x).to_json(), args.out)
+    emit(op(F, args.x).to_json(), args.out)
     return 0
 
 
 def cmd_dims(args) -> int:
     F = as_fi(load_functor(args.input, args.N, args.coeff))
     prof = dim_profile(F)
-    if args.json:
+    if args.json or args.out:
         emit({"profiles": prof.profiles, "dims": prof.dims, "diffs": prof.diffs,
               "poly_degree": prof.poly_degree, "poly_from": prof.poly_from},
              args.out)
@@ -199,7 +204,7 @@ def cmd_alpha(args) -> int:
 def cmd_tilde_hom(args) -> int:
     cat = category(args.cat)
     classes = tilde_hom(cat, args.a, args.b)
-    if args.json:
+    if args.json or args.out:
         emit({"cat": cat.name, "a": args.a, "b": args.b,
               "classes": [h.to_json() for h in classes]}, args.out)
         return 0
@@ -245,25 +250,29 @@ def cmd_corpus(args) -> int:
     raise InputError(f"unknown corpus action {args.action!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later
+    ``main`` in the process; parsing keeps no state between calls."""
     ap = argparse.ArgumentParser(
         prog="fcalc",
         description="exact calculus for truncated functors on finite sets "
                     "and injections")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", help="functor JSON file or corpus:NAME")
+    def common(p, writes_json=True):
+        p.add_argument("input", help="functor JSON file or corpus:NAME")
         p.add_argument("--N", type=int, default=None,
                        help="truncation for corpus builds")
         p.add_argument("--coeff", default=None, help="Z, Q, F2, F<p>")
-        p.add_argument("--out", default=None, help="write JSON output here")
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable output")
+        if writes_json:
+            p.add_argument("--out", default=None,
+                           help="write JSON output here")
+            p.add_argument("--json", action="store_true",
+                           help="machine-readable output")
 
     p = sub.add_parser("verify", help="check the structural invariants")
-    common(p)
+    common(p, writes_json=False)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("degree", help="strong / weak / generation degree")
@@ -275,11 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin", type=int, default=None)
     p.set_defaults(fn=cmd_degree)
 
-    for verb, op in (("diff", diff), ("shift", shift), ("kappa", kappa)):
+    for verb in ("diff", "shift", "kappa"):
         p = sub.add_parser(verb, help=f"apply {verb} and emit the result")
         common(p)
         p.add_argument("--x", type=int, default=1)
-        p.set_defaults(fn=cmd_transform, op=op)
+        p.set_defaults(fn=cmd_transform)
 
     p = sub.add_parser("dims", help="dimension profile and difference table")
     common(p)
@@ -287,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("six-term", help="verify the kernel-cokernel six-term "
                                         "exact sequence")
-    common(p)
+    common(p, writes_json=False)
     p.set_defaults(fn=cmd_six_term)
 
     p = sub.add_parser("dk-decompose", help="cross-effect decomposition of an "

@@ -27,13 +27,14 @@ class Mat:
     True
     """
 
-    __slots__ = ("coeff", "nrows", "ncols", "rows")
+    __slots__ = ("coeff", "nrows", "ncols", "rows", "_sparse")
 
     def __init__(self, coeff: Coeff, nrows: int, ncols: int, rows):
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_sparse", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -121,10 +122,16 @@ class Mat:
             ),
         )
 
-    def sparse_rows(self) -> list:
+    def sparse_rows(self) -> tuple:
         """Each row's nonzero (column, value) pairs, as ``mul_row_mat``
-        takes them."""
-        return [list(compress(enumerate(row), row)) for row in self.rows]
+        takes them.  Computed on first use and kept: every later call
+        returns the same tuples."""
+        sparse = self._sparse
+        if sparse is None:
+            sparse = tuple(tuple(compress(enumerate(row), row))
+                           for row in self.rows)
+            object.__setattr__(self, "_sparse", sparse)
+        return sparse
 
     def transpose(self) -> "Mat":
         rows = tuple(zip(*self.rows)) if self.nrows else ()

@@ -308,12 +308,11 @@ def perm_action(coeff: Coeff, gens: int, sym, perm) -> Mat:
     """
     norm = coeff.normalize
     word = perm_word(perm)
-    letters = {i: sym[i].sparse_rows() for i in set(word)}
     rows = [{j: coeff.one()} for j in range(gens)]
     # sigma = s_{w1} o s_{w2} o ... applied right-to-left, so the
     # row-convention matrix multiplies left-to-right in reversed order
     for i in reversed(word):
-        letter = letters[i]
+        letter = sym[i].sparse_rows()
         product = []
         for row in rows:
             acc = {}

@@ -1,17 +1,47 @@
 """Command-line dispatch: exit codes, output shapes, round trips."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fcalc.cli
 from fcalc.cli import main
 from fcalc.fimod import TruncFIModule
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_to_exit(capsys, *argv):
+    """``run``, where an argparse error's SystemExit gives the exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_fresh(*argv, margin=None):
+    """Exit code, stdout and stderr of ``python -m fcalc ARGV`` in a new
+    process, with FCALC_MARGIN set to ``margin`` or unset and usage lines
+    wrapped at 80 columns."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    env.pop("FCALC_MARGIN", None)
+    if margin is not None:
+        env["FCALC_MARGIN"] = margin
+    proc = subprocess.run([sys.executable, "-m", "fcalc", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestDegree:
@@ -317,6 +347,82 @@ class TestSixTerm:
         code, out, _ = run(capsys, "six-term", "corpus:zgeq(2)", "--N", "5")
         assert code == 0
         assert "pass" in out
+
+
+class TestOutput:
+    @pytest.mark.parametrize("argv", [
+        ("degree", "corpus:P(1)", "--N", "4"),
+        ("dims", "corpus:P(1)", "--N", "4"),
+        ("tilde-hom", "2", "1"),
+    ])
+    def test_out_implies_json(self, capsys, tmp_path, argv):
+        code, printed, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        path = tmp_path / "out.json"
+        code, out, _ = run(capsys, *argv, "--out", str(path))
+        assert (code, out) == (0, "")
+        assert path.read_text() == printed
+
+    @pytest.mark.parametrize("verb", ["six-term", "verify"])
+    @pytest.mark.parametrize("flag", ["--json", "--out"])
+    def test_verdict_verbs_take_no_json_flags(self, capsys, tmp_path, verb,
+                                              flag):
+        path = tmp_path / "out.json"
+        extra = [flag] if flag == "--json" else [flag, str(path)]
+        code, out, err = run_to_exit(capsys, verb, "corpus:P(1)", "--N", "4",
+                                     *extra)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {' '.join(extra)}" in err
+        assert not path.exists()
+
+
+class TestOneProcess:
+    """``main`` builds its parser once per process; every call must still
+    answer as the first call of a fresh process does."""
+
+    def test_python_m_fcalc(self, capsys):
+        argv = ("degree", "--strong", "--json", "corpus:P(1)", "--N", "4")
+        code, out, err = run(capsys, *argv)
+        assert run_fresh(*argv) == (code, out, err)
+        assert code == 0 and out.startswith("{")
+
+    def test_transform_verbs_look_up_their_operation(self, capsys,
+                                                     monkeypatch, tmp_path):
+        run(capsys, "degree", "corpus:const", "--N", "3")
+        called = []
+        for verb in ("diff", "shift", "kappa"):
+            def spy(F, x, verb=verb, op=getattr(fcalc.cli, verb)):
+                called.append(verb)
+                return op(F, x)
+            monkeypatch.setattr(fcalc.cli, verb, spy)
+        for verb in ("diff", "shift", "kappa"):
+            code, _, _ = run(capsys, verb, "corpus:P(1)", "--N", "4",
+                             "--out", str(tmp_path / f"{verb}.json"))
+            assert code == 0
+        assert called == ["diff", "shift", "kappa"]
+
+    def test_no_state_leaks_between_calls(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        source = ("corpus:P(1)", "--N", "5")
+        sequence = [
+            (None, ("degree", "--strong", "--weak", *source)),
+            (None, ("degree", "--weak", "--margin", "1", "--json", *source)),
+            (None, ("degree", "--weak", "--json", *source)),
+            ("1", ("degree", "--weak", "--json", *source)),
+            (None, ("degree", "--weak", "--json", *source)),
+        ]
+        seen = []
+        for margin, argv in sequence:
+            if margin is None:
+                monkeypatch.delenv("FCALC_MARGIN", raising=False)
+            else:
+                monkeypatch.setenv("FCALC_MARGIN", margin)
+            got = run_to_exit(capsys, *argv)
+            assert got == run_fresh(*argv, margin=margin)
+            seen.append(got)
+        assert seen[0][0] == 2 and "not allowed with" in seen[0][2]
+        margins = [json.loads(out)["margin"] for _, out, _ in seen[1:]]
+        assert margins == [1, 2, 1, 2]
 
 
 def _cut_rows(data):

@@ -513,6 +513,29 @@ class TestSerialization:
         assert m.same_presentation(m2)
 
 
+class TestSparseRows:
+    def test_computed_once_and_shared(self):
+        m = Mat.from_rows(Q, [[0, Fraction(1, 2), 0], [3, 0, -1], [0, 0, 0]])
+        first = m.sparse_rows()
+        assert m.sparse_rows() is first
+        assert first == (((1, Fraction(1, 2)),), ((0, 3), (2, -1)), ())
+        assert all(type(row) is tuple for row in first)
+        # a matrix with the same rows whose pairs are not yet computed
+        same = Mat(Q, m.nrows, m.ncols, m.rows)
+        assert same.sparse_rows() == first
+        assert same.sparse_rows() is not first
+
+    def test_still_immutable(self):
+        m = Mat.from_rows(Z, [[1, 0], [0, 2]])
+        m.sparse_rows()
+        for name in ("_sparse", "rows"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, None)
+        # equality and hash read the rows only
+        fresh = Mat.from_rows(Z, [[1, 0], [0, 2]])
+        assert m == fresh and hash(m) == hash(fresh)
+
+
 # Property tests.  The corpus is integral, so these generate the inputs
 # that reach the non-integral Fraction paths over Q.  Examples are drawn
 # deterministically and nothing is stored between runs.
