@@ -16,12 +16,19 @@ tilde_hom enumerates each stage hom(a, b + t) once and runs the union-find
 on integer indices of the stage elements, so the least index of a class
 is its representative, the least (t, f).  Its stopping rule looks for
 three equal class counts from the first non-empty stage on, so that
-empty early stages cannot pass it.  verify_axioms computes each
-composite g o f once per composable pair.
+empty early stages cannot pass it.
+
+verify_axioms computes each composite g o f of listed classes once and
+keeps it as the index of its class, so associativity is a table lookup
+that composes nothing per triple.  The lookup reads listed
+representatives only, so independence of the representative is checked
+on its own: every member of a class, a stage element that tilde_hom's
+union-find joined to the representative, composes like the
+representative on both sides.
 """
 from __future__ import annotations
 
-from itertools import accumulate, compress, permutations
+from itertools import accumulate, permutations
 from math import comb, factorial
 
 
@@ -119,9 +126,8 @@ class TildeHom:
 def _partial(f, b: int) -> tuple:
     """The part of f: a -> b + t landing in the b block, as the pair
     (defined domain, values)."""
-    keep = [v <= b for v in f]
-    return (tuple(compress(range(1, len(f) + 1), keep)),
-            tuple(compress(f, keep)))
+    return (tuple([i for i, v in enumerate(f, 1) if v <= b]),
+            tuple([v for v in f if v <= b]))
 
 
 def _normal_form(cat: ConcreteSMC, a: int, b: int, f) -> tuple:
@@ -135,8 +141,8 @@ def _normal_form(cat: ConcreteSMC, a: int, b: int, f) -> tuple:
     return tuple([f.index(j) + 1 for j in range(1, b + 1)])
 
 
-def tilde_hom(cat: ConcreteSMC, a: int, b: int, max_extra: int | None = None
-              ) -> list[TildeHom]:
+def tilde_hom(cat: ConcreteSMC, a: int, b: int, max_extra: int | None = None,
+              *, members: list | None = None) -> list[TildeHom]:
     """All morphism classes a -> b of the nullified category.
 
     The stages t = 0..max_extra are the sorted hom-sets a -> b + t, each
@@ -153,6 +159,10 @@ def tilde_hom(cat: ConcreteSMC, a: int, b: int, max_extra: int | None = None
     is no class once the stages reach a (b + max_extra >= a, as for sigma
     with a < b); before that, too few extras were given and CatError is
     raised.
+
+    When members is a list, it is extended with one list per returned
+    class, in order: the stage elements (t, f) other than the
+    representative that the union-find put in the class.
 
     >>> len(tilde_hom(THETA, 2, 2))
     7
@@ -224,6 +234,16 @@ def tilde_hom(cat: ConcreteSMC, a: int, b: int, max_extra: int | None = None
                for i, f in enumerate(maps, start[t]) if parent[i] == i]
     if len({h.normal for h in classes}) != len(classes):
         raise CatError("normal forms do not separate the computed classes")
+    if members is not None:
+        roots = [i for i in range(start[-1]) if parent[i] == i]
+        others = [[] for _ in roots]
+        position = dict(zip(roots, others))
+        for t, maps in enumerate(stages):
+            for i, f in enumerate(maps, start[t]):
+                root = find(i)
+                if root != i:
+                    position[root].append((t, f))
+        members.extend(others)
     return classes
 
 
@@ -255,12 +275,11 @@ def tilde_compose(g: TildeHom, f: TildeHom) -> TildeHom:
     """
     if f.cat.name != g.cat.name or f.b != g.a:
         raise CatError("classes are not composable")
-    cat = f.cat
-    a, c = f.a, g.b
-    t, u = f.rep_t, g.rep_t
-    glue = (0,) + g.rep_map + tuple(range(c + u + 1, c + u + t + 1))
+    t, u, c = f.rep_t, g.rep_t, g.b
+    glue = (0, *g.rep_map, *range(c + u + 1, c + u + t + 1))
     comp = tuple([glue[x] for x in f.rep_map])
-    return TildeHom(cat, a, c, u + t, comp, _normal_form(cat, a, c, comp))
+    return TildeHom(f.cat, f.a, c, u + t, comp,
+                    _normal_form(f.cat, f.a, c, comp))
 
 
 def theta_tilde_count(a: int, b: int) -> int:
@@ -293,49 +312,126 @@ def verify_axioms(cat: ConcreteSMC, bound: int) -> AxiomReport:
     """Associativity, units, and functoriality of the sum on the nullified
     category, exhaustively on objects up to the bound.
 
-    Every composite is computed once: g o f for each composable pair goes
-    into a table, so an associativity triple composes only its two outer
-    steps, h o (g o f) and (h o g) o f, and the sum check reuses each
-    f o id from the right unit check.  Composites go through the
-    module-level tilde_compose.
+    Each composite g o f of listed classes is computed once and kept as an
+    index: after[(a, b, c)][i][j] is the position of g_j o f_i in
+    homs[(a, c)], for f_i in homs[(a, b)] and g_j in homs[(b, c)], or None
+    for a composite whose normal form is not listed, which is a failure.
+    Associativity is then a lookup that composes nothing per triple:
+    h o (g o f) is after[(a, c, d)][g o f][h] and (h o g) o f is
+    after[(a, b, d)][f][h o g].  The left unit is looked up too; the right
+    unit composes f o id_a, which the sum check reuses.
+
+    The lookup composes listed representatives only, so independence of
+    the representative is checked explicitly, on both sides.  The members
+    of a class are the stage elements that tilde_hom's union-find put in
+    it besides the representative, and each representative that
+    computing a composite produced outside those stages (for theta, the
+    extras of g o f add up and can exceed the a + 2 that tilde_hom
+    enumerates).  Each member must compose with every composable listed
+    class, after it and before it, to the listed class the representative
+    composes to.  The classes are the union-find's components, so this
+    covers whole classes.  Together the two checks test at least what
+    composing h with the representative r that computing g o f produced
+    tests: r is a member or the representative, so h o r lands where the
+    lookup h o (g o f) does; likewise for (h o g) o f.
+
+    The member check costs members times composable classes.  Comparing
+    each representative only with its images under the generating arrows
+    would cost less, but it is sound only for a composite computed from
+    stage maps: an answer that is wrong only on elements two arrows from
+    the representative passes it.  Composites go through the module-level
+    tilde_compose.
     """
     if bound < 1:
         raise CatError("bound must be at least 1")
     objs = range(bound + 1)
-    homs = {(a, b): tilde_hom(cat, a, b) for a in objs for b in objs}
+    homs, members = {}, {}
+    for a in objs:
+        for b in objs:
+            members[(a, b)] = []
+            homs[(a, b)] = tilde_hom(cat, a, b, members=members[(a, b)])
+    index = {ab: {h.normal: i for i, h in enumerate(fs)}
+             for ab, fs in homs.items()}
+    checks = 0
+    failures = []
+    after = {}
+    for a in objs:
+        for c in objs:
+            listed = index[(a, c)]
+            # the representatives met so far: the listed ones and members
+            known = {(h.rep_t, h.rep_map) for h in homs[(a, c)]}
+            known.update(x for xs in members[(a, c)] for x in xs)
+            for b in objs:
+                after[(a, b, c)] = table = []
+                for f in homs[(a, b)]:
+                    row = []
+                    for g in homs[(b, c)]:
+                        gf = tilde_compose(g, f)
+                        k = listed.get(gf.normal)
+                        if k is None:
+                            failures.append(
+                                f"composite {g} o {f} is not a listed class")
+                        elif (gf.rep_t, gf.rep_map) not in known:
+                            known.add((gf.rep_t, gf.rep_map))
+                            members[(a, c)][k].append((gf.rep_t, gf.rep_map))
+                        row.append(k)
+                    table.append(row)
     ident = {}
     for a in objs:
         f = cat.identity(a)
         ident[a] = TildeHom(cat, a, a, 0, f, _normal_form(cat, a, a, f))
-    checks = 0
-    failures = []
     right = {}  # (a, b) -> [f o id_a for f in homs[(a, b)]]
     for (a, b), fs in homs.items():
+        unit = index[(b, b)].get(ident[b].normal)
         right[(a, b)] = []
-        for f in fs:
+        for i, (f, row) in enumerate(zip(fs, after[(a, b, b)])):
             checks += 1
-            if tilde_compose(ident[b], f) != f:
+            if unit is None or row[unit] != i:
                 failures.append(f"left unit fails on {f}")
             checks += 1
             fa = tilde_compose(f, ident[a])
             right[(a, b)].append(fa)
             if fa != f:
                 failures.append(f"right unit fails on {f}")
-    # after[(a, b, c)][i][j] = homs[(b, c)][j] o homs[(a, b)][i]
-    after = {(a, b, c): [[tilde_compose(g, f) for g in homs[(b, c)]]
-                         for f in homs[(a, b)]]
-             for a in objs for b in objs for c in objs}
+    # independence of representative: each member x of the class f : a -> b
+    # composes like f, after each g : b -> c and before each e : c -> a
+    for (a, b), fs in homs.items():
+        for k, (f, xs) in enumerate(zip(fs, members[(a, b)])):
+            for t, x in xs:
+                fx = TildeHom(cat, a, b, t, x, f.normal)
+                for c in objs:
+                    listed = index[(a, c)]
+                    for g, gf in zip(homs[(b, c)], after[(a, b, c)][k]):
+                        if listed.get(tilde_compose(g, fx).normal) != gf:
+                            failures.append(
+                                f"well-definedness fails on {f}, {g}: "
+                                f"representative {(t, x)} of {f}")
+                    listed = index[(c, b)]
+                    for e, row in zip(homs[(c, a)], after[(c, a, b)]):
+                        if listed.get(tilde_compose(fx, e).normal) != row[k]:
+                            failures.append(
+                                f"well-definedness fails on {e}, {f}: "
+                                f"representative {(t, x)} of {f}")
     for a in objs:
         for b in objs:
             for c in objs:
                 for dd in objs:
                     gfs, hgs = after[(a, b, c)], after[(b, c, dd)]
-                    for f, gf_row in zip(homs[(a, b)], gfs):
+                    hfs, hgfs = after[(a, b, dd)], after[(a, c, dd)]
+                    hs = homs[(c, dd)]
+                    checks += len(gfs) * len(hgs) * len(hs)
+                    for f, gf_row, hf_row in zip(homs[(a, b)], gfs, hfs):
                         for g, gf, hg_row in zip(homs[(b, c)], gf_row, hgs):
-                            for h, hg in zip(homs[(c, dd)], hg_row):
-                                checks += 1
-                                if tilde_compose(h, gf) != \
-                                        tilde_compose(hg, f):
+                            try:
+                                same = hgfs[gf] == list(
+                                    map(hf_row.__getitem__, hg_row))
+                            except TypeError:  # g o f or an h o g unlisted
+                                same = False
+                            if same:
+                                continue
+                            for k, (h, hg) in enumerate(zip(hs, hg_row)):
+                                if gf is None or hg is None \
+                                        or hgfs[gf][k] != hf_row[hg]:
                                     failures.append(
                                         f"associativity fails on {f}, {g}, {h}")
     # sum functoriality on small pieces

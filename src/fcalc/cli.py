@@ -227,6 +227,14 @@ def cmd_tilde_axioms(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    if args.action != "emit":
+        given = [flag for flag, value in (("--N", args.N),
+                                          ("--coeff", args.coeff),
+                                          ("--out", args.out))
+                 if value is not None]
+        if given:
+            raise InputError(f"corpus {args.action} takes no "
+                             f"{', '.join(given)}")
     if args.action == "list":
         for name in list_entries():
             spec = ORACLES[name]
@@ -260,11 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "and injections")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def common(p, writes_json=True):
+    def common(p, writes_json=True, coeff=True):
         p.add_argument("input", help="functor JSON file or corpus:NAME")
         p.add_argument("--N", type=int, default=None,
                        help="truncation for corpus builds")
-        p.add_argument("--coeff", default=None, help="Z, Q, F2, F<p>")
+        if coeff:
+            p.add_argument("--coeff", default=None, help="Z, Q, F2, F<p>")
         if writes_json:
             p.add_argument("--out", default=None,
                            help="write JSON output here")
@@ -306,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dk-reconstruct", help="assemble an FI#-module from "
                                               "representations")
-    common(p)
+    # the ring is the representation list's own
+    common(p, coeff=False)
     p.set_defaults(fn=cmd_dk_reconstruct)
 
     p = sub.add_parser("alpha", help="stabilized translation colimit (to FI#)")

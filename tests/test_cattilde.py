@@ -187,9 +187,79 @@ class TestAxioms:
         assert any(m.startswith("associativity fails")
                    for m in report.failures)
 
+    @pytest.mark.parametrize("cat, bound", [(THETA, 2), (SIGMA, 3)])
+    @pytest.mark.parametrize("side", ["inner", "outer"])
+    def test_representative_dependent_composite_fails(self, monkeypatch, cat,
+                                                      bound, side):
+        # answer by the representative: g o x goes to a wrong class when
+        # the inner factor x (or the outer one) is not its class's listed
+        # representative; the lookup never composes such a factor, so only
+        # the well-definedness check can see it
+        objs = range(bound + 1)
+        homs = {(a, b): tilde_hom(cat, a, b) for a in objs for b in objs}
+        listed = {(a, b): {(h.rep_t, h.rep_map) for h in hs}
+                  for (a, b), hs in homs.items()}
+        true_compose = cattilde.tilde_compose
+
+        def by_representative(g, f):
+            good = true_compose(g, f)
+            x = f if side == "inner" else g
+            if (x.rep_t, x.rep_map) in listed[(x.a, x.b)]:
+                return good
+            return next((h for h in homs[(f.a, g.b)] if h != good), good)
+
+        monkeypatch.setattr(cattilde, "tilde_compose", by_representative)
+        report = cattilde.verify_axioms(cat, bound)
+        assert not report.ok
+        assert any(m.startswith("well-definedness fails")
+                   for m in report.failures)
+        assert not any(m.startswith("associativity fails")
+                       for m in report.failures)
+
+    def test_representative_beyond_the_stages_is_checked(self, monkeypatch):
+        # a theta composite g o f can carry more extras than the a + 2
+        # stages tilde_hom enumerates; composing with that representative
+        # is checked too
+        homs = {(a, c): tilde_hom(THETA, a, c)
+                for a in range(4) for c in range(4)}
+        true_compose = cattilde.tilde_compose
+
+        def wrong_beyond(g, f):
+            good = true_compose(g, f)
+            if f.rep_t <= f.a + 2:
+                return good
+            return next((h for h in homs[(f.a, g.b)] if h != good), good)
+
+        monkeypatch.setattr(cattilde, "tilde_compose", wrong_beyond)
+        report = cattilde.verify_axioms(THETA, 3)
+        assert not report.ok
+        assert all(m.startswith("well-definedness fails")
+                   for m in report.failures)
+
+    def test_unlisted_composite_is_a_failure(self, monkeypatch):
+        # a composite outside the listed classes is reported, not raised
+        f, g = tilde_hom(THETA, 1, 2)[-1], tilde_hom(THETA, 2, 1)[-1]
+        true_compose = cattilde.tilde_compose
+
+        def unlisted(gg, ff):
+            h = true_compose(gg, ff)
+            if (gg, ff) == (g, f):
+                return cattilde.TildeHom(h.cat, h.a, h.b, h.rep_t, h.rep_map,
+                                         "unlisted")
+            return h
+
+        monkeypatch.setattr(cattilde, "tilde_compose", unlisted)
+        report = cattilde.verify_axioms(THETA, 2)
+        assert not report.ok
+        assert f"composite {g} o {f} is not a listed class" in report.failures
+        assert report.checks == verify_axioms(THETA, 2).checks
+
     def test_each_composite_once(self, monkeypatch):
-        # the units, one composite per composable pair, and the two outer
-        # steps of each associativity triple
+        # the right units, one composite per composable pair, and each
+        # member of a class (a stage element other than its representative)
+        # composed with every listed class after it and before it.  The
+        # only stage of sigma's hom-set a -> b is hom(a, a), of a! elements,
+        # so a class has a!/n(a, b) elements; composites stay in that stage.
         calls = []
         true_compose = cattilde.tilde_compose
 
@@ -206,10 +276,11 @@ class TestAxioms:
         units = sum(n.values())
         pairs = sum(n[(a, b)] * n[(b, c)]
                     for a in objs for b in objs for c in objs)
-        triples = sum(n[(a, b)] * n[(b, c)] * n[(c, d)] for a in objs
-                      for b in objs for c in objs for d in objs)
+        members = sum((factorial(a) - n[(a, b)])
+                      * sum(n[(b, c)] + n[(c, a)] for c in objs)
+                      for a in objs for b in range(a + 1))
         assert report.ok
-        assert len(calls) == 2 * units + pairs + 2 * triples
+        assert len(calls) == units + pairs + members
 
     def test_category_lookup(self):
         assert category("theta") is THETA

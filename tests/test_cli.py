@@ -188,6 +188,21 @@ class TestSharpAndTilde:
         assert "proj" in data
         assert [lvl["gens"] for lvl in data["levels"]] == [1, 2, 3, 4, 5]
 
+    def test_dk_reconstruct_takes_no_coeff(self, capsys, tmp_path):
+        # the ring is the representation list's own: --coeff is refused
+        # rather than accepted and ignored
+        reps_path = tmp_path / "reps.json"
+        back_path = tmp_path / "back.json"
+        code, _, _ = run(capsys, "dk-decompose", "corpus:free_sharp(1)",
+                         "--N", "3", "--coeff", "F2", "--out", str(reps_path))
+        assert code == 0
+        code, out, err = run_to_exit(capsys, "dk-reconstruct", str(reps_path),
+                                     "--coeff", "Q", "--out", str(back_path))
+        assert code == 2
+        assert out == ""
+        assert "--coeff" in err
+        assert not back_path.exists()
+
     # dk-decompose --out on the free FI#-modules and on alpha(P(2)) at N = 7,
     # whose levels carry 126-252 relations: the bytes, not only the
     # representations they present, are outputs, pinned as SHA-256 digests.
@@ -314,6 +329,27 @@ class TestCorpusCommands:
     def test_unknown_entry(self, capsys):
         code, _, err = run(capsys, "corpus", "emit", "mystery(1)")
         assert code == 2
+
+    @pytest.mark.parametrize("argv, flags", [
+        (("check", "atomic(2)", "--out", "@out"), "--out"),
+        (("check", "atomic(2)", "--N", "3"), "--N"),
+        (("check", "atomic(2)", "--coeff", "Q"), "--coeff"),
+        (("check", "atomic(2)", "--out", "@out", "--N", "3", "--coeff", "Q"),
+         "--N, --coeff, --out"),
+        (("check", "--N", "3"), "--N"),
+        (("list", "--out", "@out"), "--out"),
+        (("list", "--coeff", "F2"), "--coeff"),
+    ])
+    def test_flags_only_for_emit(self, capsys, tmp_path, argv, flags):
+        # only emit builds at a size and ring and writes a file; list and
+        # check refuse the flags instead of ignoring them
+        out_path = tmp_path / "out.json"
+        argv = [str(out_path) if a == "@out" else a for a in argv]
+        code, out, err = run(capsys, "corpus", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"input error: corpus {argv[0]} takes no {flags}\n"
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("argv", [
         ("corpus", "emit", "P()", "--N", "3"),
