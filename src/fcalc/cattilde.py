@@ -235,15 +235,13 @@ def tilde_hom(cat: ConcreteSMC, a: int, b: int, max_extra: int | None = None,
     if len({h.normal for h in classes}) != len(classes):
         raise CatError("normal forms do not separate the computed classes")
     if members is not None:
-        roots = [i for i in range(start[-1]) if parent[i] == i]
-        others = [[] for _ in roots]
-        position = dict(zip(roots, others))
+        others = {i: [] for i in range(start[-1]) if parent[i] == i}
         for t, maps in enumerate(stages):
             for i, f in enumerate(maps, start[t]):
                 root = find(i)
                 if root != i:
-                    position[root].append((t, f))
-        members.extend(others)
+                    others[root].append((t, f))
+        members.extend(others.values())
     return classes
 
 
@@ -400,15 +398,14 @@ def verify_axioms(cat: ConcreteSMC, bound: int) -> AxiomReport:
             for t, x in xs:
                 fx = TildeHom(cat, a, b, t, x, f.normal)
                 for c in objs:
-                    listed = index[(a, c)]
+                    index_ac, index_cb = index[(a, c)], index[(c, b)]
                     for g, gf in zip(homs[(b, c)], after[(a, b, c)][k]):
-                        if listed.get(tilde_compose(g, fx).normal) != gf:
+                        if index_ac.get(tilde_compose(g, fx).normal) != gf:
                             failures.append(
                                 f"well-definedness fails on {f}, {g}: "
                                 f"representative {(t, x)} of {f}")
-                    listed = index[(c, b)]
                     for e, row in zip(homs[(c, a)], after[(c, a, b)]):
-                        if listed.get(tilde_compose(fx, e).normal) != row[k]:
+                        if index_cb.get(tilde_compose(fx, e).normal) != row[k]:
                             failures.append(
                                 f"well-definedness fails on {e}, {f}: "
                                 f"representative {(t, x)} of {f}")

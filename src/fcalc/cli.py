@@ -236,6 +236,8 @@ def cmd_corpus(args) -> int:
             raise InputError(f"corpus {args.action} takes no "
                              f"{', '.join(given)}")
     if args.action == "list":
+        if args.name is not None:
+            raise InputError(f"corpus list takes no name, got {args.name!r}")
         for name in list_entries():
             spec = ORACLES[name]
             print(f"{name:24} coeff {spec['coeff']:3} N {spec['N']:3} "

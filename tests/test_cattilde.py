@@ -218,8 +218,8 @@ class TestAxioms:
 
     def test_representative_beyond_the_stages_is_checked(self, monkeypatch):
         # a theta composite g o f can carry more extras than the a + 2
-        # stages tilde_hom enumerates; composing with that representative
-        # is checked too
+        # that tilde_hom enumerates; composing with that representative is
+        # checked too
         homs = {(a, c): tilde_hom(THETA, a, c)
                 for a in range(4) for c in range(4)}
         true_compose = cattilde.tilde_compose

@@ -351,6 +351,13 @@ class TestCorpusCommands:
         assert err == f"input error: corpus {argv[0]} takes no {flags}\n"
         assert not out_path.exists()
 
+    def test_list_takes_no_name(self, capsys):
+        code, out, err = run(capsys, "corpus", "list", "atomic(2)")
+        assert code == 2
+        assert out == ""
+        assert err == ("input error: corpus list takes no name, "
+                       "got 'atomic(2)'\n")
+
     @pytest.mark.parametrize("argv", [
         ("corpus", "emit", "P()", "--N", "3"),
         ("degree", "corpus:P()", "--N", "3"),
