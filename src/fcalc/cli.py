@@ -15,7 +15,7 @@ import os
 import sys
 
 from .cattilde import CatError, category, tilde_hom, verify_axioms
-from .corpus import ORACLES, build, build_sharp, list_entries, run_oracles
+from .corpus import ORACLES, build, list_entries, run_oracles
 from .exactlin import ExactLinError
 from .fimod import (
     FunctorError, TruncFIModule, WindowError, diff, dim_profile, kappa,
@@ -41,23 +41,22 @@ def default_margin() -> int:
         raise InputError(f"FCALC_MARGIN must be an integer, got {raw!r}")
 
 
-def build_entry(name: str, N: int | None, coeff: str | None, want_sharp=False):
+def build_entry(name: str, N: int | None, coeff: str | None):
     """The corpus entry NAME at truncation N (default 10) over coeff
-    (default Z), as an FI#-module when asked or when NAME is free_sharp."""
+    (default Z)."""
     n = N if N is not None else 10
     c = coeff or "Z"
     try:
-        if want_sharp or name.startswith("free_sharp"):
-            return build_sharp(name, c, n)
         return build(name, c, n)
     except (FunctorError, ValueError) as exc:
         raise InputError(f"cannot build corpus:{name}: {exc}")
 
 
-def load_functor(ref: str, N: int | None, coeff: str | None, want_sharp=False):
-    """A file path, or corpus:NAME built at the requested size."""
+def load_functor(ref: str, N: int | None, coeff: str | None):
+    """A file path, or corpus:NAME built at the requested size.  A file
+    carries its own N and ring, so N and coeff must be None for one."""
     if ref.startswith("corpus:"):
-        return build_entry(ref[len("corpus:"):], N, coeff, want_sharp)
+        return build_entry(ref[len("corpus:"):], N, coeff)
     try:
         with open(ref) as fh:
             data = json.load(fh)
@@ -71,6 +70,11 @@ def load_functor(ref: str, N: int | None, coeff: str | None, want_sharp=False):
     if not isinstance(data, dict):
         raise InputError(f"invalid functor data in {ref}: the top level must "
                          f"be a JSON object, got {type(data).__name__}")
+    given = [flag for flag, value in (("--N", N), ("--coeff", coeff))
+             if value is not None]
+    if given:
+        raise InputError(f"{', '.join(given)} apply to corpus: inputs only; "
+                         f"{ref} carries its own N and ring")
     try:
         if "proj" in data:
             return FISharpModule.from_json(data)
@@ -169,7 +173,7 @@ def cmd_six_term(args) -> int:
 
 
 def cmd_dk_decompose(args) -> int:
-    module = load_functor(args.input, args.N, args.coeff, want_sharp=True)
+    module = load_functor(args.input, args.N, args.coeff)
     if not isinstance(module, FISharpModule):
         raise InputError("dk-decompose needs an FI#-module (with proj data)")
     reps = dold_kan_decompose(module)

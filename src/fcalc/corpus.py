@@ -9,13 +9,20 @@ basis functors (injections from a fixed set, unordered pairs, partial
 injections), so all structure matrices are permutation-like and exact over
 any coefficient ring.  The atomic functors and the ``zgeq`` subfunctors of
 the constants come from one rank-one indicator builder, ``indicator``.
+Every matrix given on bases (structure maps, the norm map, the extension
+maps and the shift-kernel witness) is written by ``exactlin.basis_matrix``.
+
+One registry, ``ENTRIES``, names every entry, the FI# ones included:
+``build`` makes any of them at a requested N and ring, and ``build_sharp``
+also insists on an FI#-module.  An entry written to a file (``corpus
+emit``) carries its own N and ring from then on.
 """
 from __future__ import annotations
 
 from itertools import combinations, permutations
 from math import comb, factorial
 
-from .exactlin import Coeff, Mat, ModuleMap, PresentedModule
+from .exactlin import Coeff, Mat, ModuleMap, PresentedModule, basis_matrix
 from .fimod import (
     NatMap, NOT_CERTIFIED, NEG_INF, TruncFIModule,
     FunctorError, diff, dim_profile, direct_sum, generation_degree,
@@ -59,20 +66,6 @@ def _transposition(i: int):
     return phi
 
 
-def basis_matrix(coeff: Coeff, src, dst, image) -> Mat:
-    """The 0/1 matrix of the map sending each element b of the basis src
-    to the sum of the distinct elements image(b) of the basis dst."""
-    index = {b: i for i, b in enumerate(dst)}
-    zero, one = coeff.zero(), coeff.one()
-    rows = []
-    for b in src:
-        row = [zero] * len(dst)
-        for c in image(b):
-            row[index[c]] = one
-        rows.append(tuple(row))
-    return Mat(coeff, len(rows), len(dst), tuple(rows))
-
-
 def linearize(coeff: Coeff, bases, act, drop=None) -> TruncFIModule:
     """The free functor on a set-valued functor on injections.
 
@@ -85,16 +78,18 @@ def linearize(coeff: Coeff, bases, act, drop=None) -> TruncFIModule:
     """
     levels = [PresentedModule.free(coeff, len(bs)) for bs in bases]
     N = len(bases) - 1
+    one = coeff.one()
     incl = [ModuleMap(levels[n], levels[n + 1], basis_matrix(
-                coeff, bases[n], bases[n + 1], lambda b: (b,)))
+                coeff, bases[n], bases[n + 1], lambda b: ((b, one),)))
             for n in range(N)]
     sym = [[basis_matrix(coeff, bases[n], bases[n],
-                         lambda b, phi=_transposition(i): (act(phi, b),))
+                         lambda b, phi=_transposition(i): ((act(phi, b), one),))
             for i in range(1, n)] for n in range(N + 1)]
     if drop is None:
         return TruncFIModule(coeff, levels, incl, sym)
     proj = [ModuleMap(levels[n + 1], levels[n], basis_matrix(
-                coeff, bases[n + 1], bases[n], lambda b, n=n: (drop(b, n),)))
+                coeff, bases[n + 1], bases[n],
+                lambda b, n=n: ((drop(b, n), one),)))
             for n in range(N)]
     return FISharpModule(coeff, levels, incl, sym, proj)
 
@@ -174,9 +169,10 @@ def norm_map(coeff: Coeff, N: int) -> NatMap:
     """Unordered pairs into ordered pairs: {a,b} -> (a,b) + (b,a)."""
     A = _pairs(coeff, N)
     P2 = _injections(coeff, 2, N)
+    one = coeff.one()
     maps = [ModuleMap(A.levels[n], P2.levels[n], basis_matrix(
                 coeff, _pair_basis(n), _injection_basis(2, n),
-                lambda p: (p, p[::-1])))
+                lambda p: ((p, one), (p[::-1], one))))
             for n in range(N + 1)]
     return NatMap(A, P2, maps)
 
@@ -207,16 +203,17 @@ def ex_upm_sequence(coeff: Coeff, N: int) -> tuple[NatMap, NatMap]:
     F = build_ex_upm_F(coeff, N)
     C = _injections(coeff, 0, N)
     A = _pairs(coeff, N)
+    one = coeff.one()
     incl_maps = []
     proj_maps = []
     for n in range(N + 1):
         # the generators of F(n): the ordered pairs, then the constant
         gens = _injection_basis(2, n) + [None]
         incl_maps.append(ModuleMap(C.levels[n], F.levels[n], basis_matrix(
-            coeff, _injection_basis(0, n), gens, lambda b: (None,))))
+            coeff, _injection_basis(0, n), gens, lambda b: ((None, one),))))
         proj_maps.append(ModuleMap(F.levels[n], A.levels[n], basis_matrix(
             coeff, gens, _pair_basis(n),
-            lambda u: () if u is None else (tuple(sorted(u)),))))
+            lambda u: () if u is None else ((tuple(sorted(u)), one),))))
     return NatMap(C, F, incl_maps), NatMap(F, A, proj_maps)
 
 
@@ -264,18 +261,18 @@ ENTRIES = {
     "ex_upm_F": (0, build_ex_upm_F),
     "atomics_upto": (1, _atomics_upto),
     "sum_zgeq": (0, _sum_zgeq),
+    "free_sharp": (1, _free_sharp),
 }
-SHARP_ENTRIES = {"free_sharp": (1, _free_sharp)}
 
 
-def _build_entry(table, token: str, coeff, N: int, kind: str = ""):
-    """The entry of table that token names, built on its arguments."""
+def _build_entry(token: str, coeff, N: int):
+    """The entry that token names, built on its arguments."""
     if isinstance(coeff, str):
         coeff = Coeff.parse(coeff)
     head, args = _parse_call(token)
-    if head not in table:
-        raise FunctorError(f"unknown {kind}corpus entry {head!r}")
-    arity, builder = table[head]
+    if head not in ENTRIES:
+        raise FunctorError(f"unknown corpus entry {head!r}")
+    arity, builder = ENTRIES[head]
     if len(args) != arity:
         raise FunctorError(f"corpus entry {head!r} takes {arity} "
                            f"argument(s), got {len(args)}")
@@ -283,25 +280,30 @@ def _build_entry(table, token: str, coeff, N: int, kind: str = ""):
 
 
 def build(name: str, coeff, N: int) -> TruncFIModule:
-    """Build a corpus FI-module by name; '+' forms direct sums.
+    """Build a corpus functor by name; '+' forms direct sums, which are
+    FI-modules.  A single FI# entry is built as an FI#-module.
 
     >>> dim_profile(build("P(1)", "Q", 4)).dims
     [0, 1, 2, 3, 4]
     """
     out = None
     for part in name.split("+"):
-        F = _build_entry(ENTRIES, part, coeff, N)
+        F = _build_entry(part, coeff, N)
         out = F if out is None else direct_sum(out, F)
     return out
 
 
 def build_sharp(name: str, coeff, N: int) -> FISharpModule:
-    """Build a corpus FI#-module by name.
+    """Build a corpus FI#-module by name; raises FunctorError when the
+    entry is not one.
 
     >>> build_sharp("free_sharp(1)", "F2", 3).levels[3].dimension()
     4
     """
-    return _build_entry(SHARP_ENTRIES, name, coeff, N, "FI# ")
+    F = build(name, coeff, N)
+    if not isinstance(F, FISharpModule):
+        raise FunctorError(f"corpus entry {name!r} is not an FI#-module")
+    return F
 
 
 # -- oracles ----------------------------------------------------------------
@@ -320,16 +322,13 @@ class OracleReport:
             yield f"{'PASS' if ok else 'FAIL'}  {self.name}: {label}  [{detail}]"
 
 
-def run_oracles(name: str, coeff: str | None = None, N: int | None = None) -> OracleReport:
-    """Evaluate the stated facts for a corpus entry."""
+def run_oracles(name: str) -> OracleReport:
+    """Evaluate the stated facts for a corpus entry at its own N and ring."""
     spec = ORACLES.get(name)
     if spec is None:
         raise FunctorError(f"no oracles registered for {name!r}; "
                            f"known: {sorted(ORACLES)}")
-    coeff = coeff or spec["coeff"]
-    N = N or spec["N"]
-    builder = spec.get("builder", build)
-    module = builder(spec.get("expr", name), coeff, N)
+    module = build(spec.get("expr", name), spec["coeff"], spec["N"])
     results = []
     for label, fact in spec["facts"]:
         try:
@@ -403,17 +402,12 @@ def shift_kernel_witness(F: TruncFIModule) -> NatMap:
     if not K.structurally_equal(F):
         raise FunctorError("witness needs the stored augmentation kernel")
     P1 = fimod.truncate(_injections(F.coeff, 1, F.N), S.N)
-    one, zero = F.coeff.one(), F.coeff.zero()
+    one, minus_one = F.coeff.one(), F.coeff.normalize(-1)
     maps = []
     for n in range(S.N + 1):
-        rows = []
-        for x in range(1, n + 1):
-            row = [zero] * (n + 1)
-            row[x - 1] = one
-            row[n] = F.coeff.normalize(row[n] - one)
-            rows.append(tuple(row))
-        h = ModuleMap(P1.levels[n], aug.src.levels[n + 1],
-                      Mat(F.coeff, n, n + 1, tuple(rows)))
+        h = ModuleMap(P1.levels[n], aug.src.levels[n + 1], basis_matrix(
+            F.coeff, _injection_basis(1, n), _injection_basis(1, n + 1),
+            lambda x, last=(n + 1,): ((x, one), (last, minus_one))))
         maps.append(factor_through(h, incl.maps[n + 1]))
     return NatMap(P1, S, maps)
 
@@ -602,7 +596,7 @@ ORACLES = {
         ],
     },
     "free_sharp(1)": {
-        "coeff": "F2", "N": 5, "builder": build_sharp,
+        "coeff": "F2", "N": 5,
         "facts": [
             ("structure verifies", lambda F: (not F.verify(), "invariants")),
             ("idempotents complete and orthogonal", _sharp_idempotents_complete),
@@ -612,7 +606,7 @@ ORACLES = {
         ],
     },
     "free_sharp(2)": {
-        "coeff": "F2", "N": 4, "builder": build_sharp,
+        "coeff": "F2", "N": 4,
         "facts": [
             ("structure verifies", lambda F: (not F.verify(), "invariants")),
             ("idempotents complete and orthogonal", _sharp_idempotents_complete),

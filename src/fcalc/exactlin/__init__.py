@@ -4,7 +4,7 @@ Matrices, Smith normal form, finitely presented modules and their maps,
 with kernels, cokernels, images, coinvariants and exactness checks.
 """
 from .coeff import Coeff, Z, Q, F2
-from .matrix import Mat, det
+from .matrix import Mat, basis_matrix, det
 from .smith import RowBasis, left_kernel, snf, snf_diagonal
 from .presented import (
     ExactLinError,
@@ -24,7 +24,7 @@ from .presented import (
 )
 
 __all__ = [
-    "Coeff", "Z", "Q", "F2", "Mat", "det",
+    "Coeff", "Z", "Q", "F2", "Mat", "basis_matrix", "det",
     "RowBasis", "left_kernel", "snf", "snf_diagonal",
     "ExactLinError", "ModuleMap", "PresentedModule",
     "check_exact", "coinvariants", "cokernel", "direct_sum_modules",

@@ -222,6 +222,26 @@ class Mat:
         return cls(coeff, len(rows), ncols, rows)
 
 
+def basis_matrix(coeff: Coeff, src, dst, image) -> Mat:
+    """The matrix of the map sending each element b of the basis src to
+    the combination image(b) of the basis dst: (element of dst, canonical
+    value) pairs with distinct elements, every other entry zero.
+
+    >>> basis_matrix(Coeff.Z(), "ab", "xyz",
+    ...              lambda b: (("x", 1), ("z", -2)) if b == "a" else ())
+    Mat(Z, 2x3, [[1, 0, -2], [0, 0, 0]])
+    """
+    index = {b: i for i, b in enumerate(dst)}
+    zero = coeff.zero()
+    rows = []
+    for b in src:
+        row = [zero] * len(index)
+        for c, x in image(b):
+            row[index[c]] = x
+        rows.append(tuple(row))
+    return Mat(coeff, len(rows), len(index), tuple(rows))
+
+
 def mul_row_mat(coeff: Coeff, row: Sequence, sparse, ncols: int) -> tuple:
     """Row vector times a matrix given by its ``sparse_rows``, skipping
     zero entries on both sides; the result is canonical."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from .exactlin import (
-    Coeff, Mat, ModuleMap, PresentedModule,
+    Coeff, Mat, ModuleMap, PresentedModule, basis_matrix,
     check_exact, cokernel, direct_sum_modules, factor_through, freeify_module,
     is_isomorphism, kernel,
 )
@@ -653,12 +653,10 @@ def _exterior_power_mat(m: Mat, k: int) -> Mat:
 def _symmetric_power_mat(m: Mat, k: int) -> Mat:
     from itertools import combinations_with_replacement
     coeff = m.coeff
-    cols_idx = list(combinations_with_replacement(range(m.ncols), k))
-    col_pos = {c: i for i, c in enumerate(cols_idx)}
-    rows_idx = list(combinations_with_replacement(range(m.nrows), k))
     zero = coeff.zero()
-    out_rows = []
-    for I in rows_idx:
+
+    def expand(I):
+        """The product of the rows in I, as monomials with coefficients."""
         acc = {(): coeff.one()}
         for i in I:
             nxt = {}
@@ -670,11 +668,11 @@ def _symmetric_power_mat(m: Mat, k: int) -> Mat:
                     key = tuple(sorted(mono + (j,)))
                     nxt[key] = coeff.normalize(nxt.get(key, zero) + c * a)
             acc = nxt
-        out = [zero] * len(cols_idx)
-        for mono, c in acc.items():
-            out[col_pos[mono]] = c
-        out_rows.append(tuple(out))
-    return Mat(coeff, len(rows_idx), len(cols_idx), tuple(out_rows))
+        return acc.items()
+
+    return basis_matrix(
+        coeff, combinations_with_replacement(range(m.nrows), k),
+        combinations_with_replacement(range(m.ncols), k), expand)
 
 
 _SCHUR = {"T": _tensor_power_mat, "S": _symmetric_power_mat, "L": _exterior_power_mat}

@@ -26,9 +26,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .exactlin import (
-    Coeff, Mat, ModuleMap, PresentedModule,
-    coinvariants, direct_sum_modules, freeify_module, image_in, invert_iso,
-    is_isomorphism,
+    Coeff, Mat, ModuleMap, PresentedModule, basis_matrix,
+    coinvariants, freeify_module, image_in, invert_iso, is_isomorphism,
 )
 from .fimod import (
     FunctorError, NatMap, TruncFIModule, WindowError, induced_sym,
@@ -323,73 +322,49 @@ def dold_kan_reconstruct(reps: SymRepList, N: int | None = None) -> FISharpModul
     coeff = reps.coeff
     if N is None:
         N = reps.N
-    padded = list(reps.reps) + [
-        SymRep(k, PresentedModule.zero(coeff), [Mat.zero(coeff, 0, 0)] * max(k - 1, 0))
-        for k in range(reps.N + 1, N + 1)
-    ]
-    level_index = []
+    one = coeff.one()
+    # degrees beyond the list are zero: no generators, no relations
+    gens = [r.module.gens for r in reps.reps] + [0] * (N - reps.N)
+    nrels = [r.module.rels.nrows for r in reps.reps] + [0] * (N - reps.N)
+
+    def rel_row(b):
+        S, r = b
+        return [((S, j), x) for j, x in
+                reps.reps[len(S)].module.rels.sparse_rows()[r]]
+
+    # level n has the basis (S, j): generator j of the copy indexed by S
+    bases = []
     levels = []
     for n in range(N + 1):
-        subsets = []
-        for k in range(n + 1):
-            subsets.extend(combinations(range(1, n + 1), k))
-        offsets = {}
-        total = 0
-        module = PresentedModule.zero(coeff)
-        for S in subsets:
-            rep = padded[len(S)]
-            offsets[S] = total
-            total += rep.module.gens
-            module = direct_sum_modules(module, rep.module)
-        level_index.append((subsets, offsets, total))
-        levels.append(module)
+        subsets = [S for k in range(n + 1)
+                   for S in combinations(range(1, n + 1), k)]
+        basis = [(S, j) for S in subsets for j in range(gens[len(S)])]
+        rels = [(S, r) for S in subsets for r in range(nrels[len(S)])]
+        bases.append(basis)
+        levels.append(PresentedModule(
+            coeff, len(basis), basis_matrix(coeff, rels, basis, rel_row)))
 
-    def block_matrix(n_src, n_dst, blocks):
-        """blocks: dict (S_src, S_dst) -> Mat."""
-        subsets_s, offsets_s, total_s = level_index[n_src]
-        subsets_d, offsets_d, total_d = level_index[n_dst]
-        rows = [[coeff.zero()] * total_d for _ in range(total_s)]
-        for (S, T), mat in blocks.items():
-            r0, c0 = offsets_s[S], offsets_d[T]
-            for i, row in enumerate(mat.rows):
-                target = rows[r0 + i]
-                for j, x in enumerate(row):
-                    target[c0 + j] = x
-        return Mat(coeff, total_s, total_d, tuple(tuple(r) for r in rows))
+    def transposition(i):
+        """s_i swaps the points i and i+1."""
+        def image(b):
+            S, j = b
+            if i in S and i + 1 in S:  # adjacent entries of the sorted S
+                s = reps.reps[len(S)].sym[S.index(i)]
+                return [((S, c), x) for c, x in s.sparse_rows()[j]]
+            T = tuple(sorted(i if x == i + 1 else i + 1 if x == i else x
+                             for x in S))
+            return (((T, j), one),)
+        return image
 
-    incl = []
-    proj = []
-    for n in range(N):
-        blocks = {}
-        for S in level_index[n][0]:
-            rep = padded[len(S)]
-            blocks[(S, S)] = Mat.identity(coeff, rep.module.gens)
-        incl.append(ModuleMap(levels[n], levels[n + 1],
-                              block_matrix(n, n + 1, blocks)))
-        blocks = {}
-        for S in level_index[n + 1][0]:
-            if n + 1 in S:
-                continue
-            rep = padded[len(S)]
-            blocks[(S, S)] = Mat.identity(coeff, rep.module.gens)
-        proj.append(ModuleMap(levels[n + 1], levels[n],
-                              block_matrix(n + 1, n, blocks)))
-    sym = []
-    for n in range(N + 1):
-        mats = []
-        for i in range(1, n):  # s_i swaps points i, i+1
-            blocks = {}
-            for S in level_index[n][0]:
-                rep = padded[len(S)]
-                T = tuple(sorted(i if x == i + 1 else i + 1 if x == i else x
-                                 for x in S))
-                if i in S and i + 1 in S:
-                    pos = S.index(i)  # adjacent entries of the sorted tuple
-                    blocks[(S, T)] = rep.sym[pos]
-                else:
-                    blocks[(S, T)] = Mat.identity(coeff, rep.module.gens)
-            mats.append(block_matrix(n, n, blocks))
-        sym.append(mats)
+    incl = [ModuleMap(levels[n], levels[n + 1], basis_matrix(
+                coeff, bases[n], bases[n + 1], lambda b: ((b, one),)))
+            for n in range(N)]
+    proj = [ModuleMap(levels[n + 1], levels[n], basis_matrix(
+                coeff, bases[n + 1], bases[n],
+                lambda b, n=n: () if n + 1 in b[0] else ((b, one),)))
+            for n in range(N)]
+    sym = [[basis_matrix(coeff, bases[n], bases[n], transposition(i))
+            for i in range(1, n)] for n in range(N + 1)]
     return FISharpModule(coeff, levels, incl, sym, proj)
 
 
@@ -438,11 +413,13 @@ class AlphaResult:
     """Stabilized-translation colimit of an FI-module.
 
     module         -- FISharpModule on the certified window [0, module.N]
-    certified      -- per input level, whether the last `margin` transitions
-                      were isomorphisms
+    certified      -- per input level n, whether the last `margin`
+                      transitions were isomorphisms: N - n >= margin and
+                      first_stable[n] <= N - n - margin
     stage_profiles -- per level, the chain of stage profiles inspected
     first_stable   -- per level, the least stage from which every remaining
-                      transition is an isomorphism (None if never)
+                      transition is an isomorphism; the top stage N - n
+                      when the last transition is not one
     unit           -- the canonical map F -> eta_restrict(module)
     """
 
@@ -481,24 +458,16 @@ def alpha(F: TruncFIModule, margin: int = 2) -> AlphaResult:
             transitions[(n, m)] = ModuleMap(
                 stages[(n, m)], stages[(n, m + 1)], insertion_map(F, m, n).mat)
     iso = {key: is_isomorphism(t) for key, t in transitions.items()}
-    certified = []
     first_stable = []
     for n in range(N + 1):
-        top = N - n
-        certified.append(top >= margin and all(
-            iso[(n, m)] for m in range(top - margin, top)))
-        stable = None
-        for m in range(top, -1, -1):
-            if m < top and not iso[(n, m)]:
-                break
-            stable = m
-        first_stable.append(stable)
-    cert_N = -1
-    for n in range(N + 1):
-        if certified[n]:
-            cert_N = n
-        else:
-            break
+        m = N - n
+        while m > 0 and iso[(n, m - 1)]:
+            m -= 1
+        first_stable.append(m)
+    # first_stable[n] >= 0, so this also asks for N - n >= margin
+    certified = [m <= N - n - margin for n, m in enumerate(first_stable)]
+    # the last level of the certified prefix, -1 when level 0 fails
+    cert_N = (certified + [False]).index(False) - 1
     if cert_N < 0:
         raise WindowError(
             "no level of alpha stabilizes within the window; "

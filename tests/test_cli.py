@@ -114,6 +114,29 @@ class TestVerify:
         assert out == ""
         assert err.startswith(f"input error: cannot read {tmp_path}")
 
+    @pytest.mark.parametrize("verb, flags, given", [
+        (("degree", "--strong"), ("--N", "3", "--coeff", "Q"), "--N, --coeff"),
+        (("dims",), ("--coeff", "F2"), "--coeff"),
+        (("verify",), ("--N", "5"), "--N"),
+        (("diff", "--out", "@out"), ("--N", "4"), "--N"),
+    ])
+    def test_file_input_takes_no_size_or_ring(self, capsys, tmp_path, verb,
+                                              flags, given):
+        # a file carries its own N and ring: the flags are refused rather
+        # than accepted and ignored
+        path = tmp_path / "p1.json"
+        out_path = tmp_path / "out.json"
+        code, _, _ = run(capsys, "corpus", "emit", "P(1)", "--N", "5",
+                         "--coeff", "Z", "--out", str(path))
+        assert code == 0
+        verb = [str(out_path) if a == "@out" else a for a in verb]
+        code, out, err = run(capsys, *verb, str(path), *flags)
+        assert code == 2
+        assert out == ""
+        assert err == (f"input error: {given} apply to corpus: inputs only; "
+                       f"{path} carries its own N and ring\n")
+        assert not out_path.exists()
+
     def test_non_functor_fails_cleanly(self, capsys, tmp_path):
         # well shaped, but the inclusion at level 2 is not equivariant, so
         # kappa's factorization has no solution
@@ -202,6 +225,55 @@ class TestSharpAndTilde:
         assert out == ""
         assert "--coeff" in err
         assert not back_path.exists()
+
+    def test_dk_decompose_needs_fi_sharp_entry(self, capsys):
+        code, out, err = run(capsys, "dk-decompose", "corpus:P(1)", "--N", "3")
+        assert code == 2
+        assert out == ""
+        assert err == ("input error: dk-decompose needs an FI#-module "
+                       "(with proj data)\n")
+
+    # dk-reconstruct --out on seeded random representation lists, some
+    # with relations, at their own length and one level beyond
+    RECONSTRUCT_DIGESTS = {
+        "Z": "7c6b5f0acbc06adbb7b4913d7e22a977451ad4973d3e2fa6cbdbc4f1861d5926",
+        "Q": "51b413c5b41fcefd4628b43e7a158e9c79baddc0754bc37b849549d78d3ae3d2",
+        "F2": "e98839ee633fc5fb5150ce3a202a45c8851602b795baee652035c54c79a273e3",
+        "F3": "b140bc4b656144e33daaccca806939d0bebf0f397e15bc3dbe012043766ed45b",
+    }
+
+    @pytest.mark.parametrize("coeff", ["Z", "Q", "F2", "F3"])
+    def test_dk_reconstruct_digest(self, capsys, tmp_path, coeff):
+        import random
+
+        from fcalc.exactlin import Coeff, PresentedModule
+        from fcalc.fisharp import SymRep, SymRepList
+        from oracles import random_symrep
+
+        ring = Coeff.parse(coeff)
+        rng = random.Random(f"dk-reconstruct:{coeff}")
+        reps_path = tmp_path / "reps.json"
+        back_path = tmp_path / "back.json"
+        h = hashlib.sha256()
+        for _ in range(8):
+            reps = []
+            for k in range(rng.randint(0, 4) + 1):
+                rep = random_symrep(rng, ring, k)
+                g = rep.module.gens
+                if g and rng.random() < 0.5:
+                    # a multiple of the all-ones vector: every block is a
+                    # permutation representation, so the action keeps it
+                    c = rng.randint(2, 3)
+                    rep = SymRep(k, PresentedModule.from_rel_rows(
+                        ring, g, [[c] * g]), rep.sym)
+                reps.append(rep)
+            reps_path.write_text(json.dumps(SymRepList(ring, reps).to_json()))
+            for extra in ([], ["--N", str(len(reps))]):
+                code, out, _ = run(capsys, "dk-reconstruct", str(reps_path),
+                                   *extra, "--out", str(back_path))
+                assert (code, out) == (0, "")
+                h.update(back_path.read_bytes())
+        assert h.hexdigest() == self.RECONSTRUCT_DIGESTS[coeff]
 
     # dk-decompose --out on the free FI#-modules and on alpha(P(2)) at N = 7,
     # whose levels carry 126-252 relations: the bytes, not only the

@@ -34,6 +34,22 @@ def test_unknown_name_rejected():
         build_sharp("mystery", "Z", 5)
 
 
+def test_one_registry():
+    # build makes the FI# entries too; a '+' sum is an FI-module, and
+    # build_sharp refuses anything that is not an FI#-module
+    from fcalc.fimod import FunctorError
+    from fcalc.fisharp import FISharpModule
+    F = build("free_sharp(1)", "F2", 3)
+    assert isinstance(F, FISharpModule)
+    assert F.to_json() == build_sharp("free_sharp(1)", "F2", 3).to_json()
+    G = build("free_sharp(1)+P(1)", "F2", 3)
+    assert not isinstance(G, FISharpModule)
+    assert [m.gens for m in G.levels] == [1, 3, 5, 7]
+    for name in ("P(1)", "free_sharp(1)+free_sharp(0)"):
+        with pytest.raises(FunctorError, match="not an FI#-module"):
+            build_sharp(name, "F2", 3)
+
+
 def test_run_oracles_unknown():
     with pytest.raises(Exception):
         run_oracles("nonexistent")
