@@ -137,7 +137,8 @@ def summing_map(F: TruncFIModule) -> NatMap:
     basis element to 1."""
     C = _injections(F.coeff, 0, F.N)
     one = F.coeff.one()
-    maps = [ModuleMap(m, C.levels[n], Mat(F.coeff, m.gens, 1, ((one,),) * m.gens))
+    maps = [ModuleMap(m, C.levels[n],
+                      Mat.from_sparse(F.coeff, m.gens, 1, (((0, one),),) * m.gens))
             for n, m in enumerate(F.levels)]
     return NatMap(F, C, maps)
 

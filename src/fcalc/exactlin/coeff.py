@@ -28,17 +28,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def demote_integral(values) -> list:
-    """Rationals in canonical form: each integral ``Fraction`` becomes its
-    ``int``, everything else stays (one pass, no ring check per entry).
-
-    >>> demote_integral([Fraction(4, 2), Fraction(1, 2), 3])
-    [2, Fraction(1, 2), 3]
-    """
-    return [y if type(y) is int or y.denominator != 1 else y.numerator
-            for y in values]
-
-
 class Coeff:
     """A coefficient ring: ``Z``, ``Q`` or ``F<p>`` for a prime p.
 
@@ -171,7 +160,7 @@ class Coeff:
         return str(x)
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, Coeff)
             and self.kind == other.kind
             and self.p == other.p

@@ -1,4 +1,8 @@
-"""Immutable dense matrices over Z, Q or F_p, stored row-major.
+"""Immutable sparse matrices over Z, Q or F_p.
+
+A matrix is stored as its sparse rows: for each row, the (column, value)
+pairs of its nonzero entries, columns strictly increasing.  Dense rows
+are built on first request, for the few consumers that need them.
 
 All module elements in this package are ROW vectors; a map is applied as
 ``v -> v @ M``, so the matrix of ``g after f`` is ``f.mat @ g.mat``.
@@ -6,43 +10,67 @@ All module elements in this package are ROW vectors; a map is applied as
 from __future__ import annotations
 
 from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .coeff import Coeff, demote_integral
+from .coeff import Coeff
+
+_value = itemgetter(1)
 
 
 class Mat:
     """A rows x cols matrix with entries in a fixed coefficient ring.
 
+    The storage is ``sparse_rows()``: per row, the (column, value) pairs of
+    the nonzero entries, columns strictly increasing, no stored zero.
+    ``rows``, the dense tuple of row tuples, is built on first request and
+    kept.  Equality and hash read the sparse rows.
+
     Entries are canonical for the ring: ``int`` over Z, ``int`` in
     ``range(p)`` over F_p, and over Q an ``int`` when integral and a
     ``Fraction`` with denominator greater than 1 otherwise.  ``from_rows``,
-    ``from_json`` and the arithmetic establish this through
-    ``Coeff.normalize``, or, in the product, by reducing mod p or demoting
-    an integral ``Fraction`` to ``int``; the raw constructor trusts its
-    caller.  ``RowBasis`` relies on it and does not normalize again.
+    ``from_json`` and the arithmetic establish this, the arithmetic on the
+    nonzero entries it produces only; the raw constructors ``Mat(coeff,
+    nrows, ncols, dense_rows)`` and ``Mat.from_sparse`` trust their caller.
+    ``RowBasis`` relies on it and does not normalize again.
 
-    >>> m = Mat.from_rows(Coeff.Z(), [[1, 2], [3, 4]])
+    >>> m = Mat.from_rows(Coeff.Z(), [[1, 0], [3, 4]])
+    >>> m.sparse_rows()
+    (((0, 1),), ((0, 3), (1, 4)))
     >>> (m @ Mat.identity(Coeff.Z(), 2)) == m
     True
     """
 
-    __slots__ = ("coeff", "nrows", "ncols", "rows", "_sparse")
+    __slots__ = ("coeff", "nrows", "ncols", "_sparse", "_dense")
 
     def __init__(self, coeff: Coeff, nrows: int, ncols: int, rows):
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "nrows", nrows)
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_sparse", None)
+        """From trusted dense rows of canonical entries."""
+        _set_coeff(self, coeff)
+        _set_nrows(self, nrows)
+        _set_ncols(self, ncols)
+        _set_sparse(self, tuple([tuple(compress(enumerate(row), row))
+                                 for row in rows]))
+        _set_dense(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
 
+    @staticmethod
+    def from_sparse(coeff: Coeff, nrows: int, ncols: int, sparse) -> "Mat":
+        """From trusted sparse rows: a tuple of tuples of (column, value)
+        pairs, columns strictly increasing, values canonical and nonzero."""
+        m = _new(Mat)
+        _set_coeff(m, coeff)
+        _set_nrows(m, nrows)
+        _set_ncols(m, ncols)
+        _set_sparse(m, sparse)
+        _set_dense(m, None)
+        return m
+
     @classmethod
     def from_rows(cls, coeff: Coeff, rows: Iterable[Sequence]) -> "Mat":
         norm = coeff.normalize
-        data = tuple(tuple(norm(x) for x in row) for row in rows)
+        data = [[norm(x) for x in row] for row in rows]
         nrows = len(data)
         ncols = len(data[0]) if nrows else 0
         if any(len(r) != ncols for r in data):
@@ -51,91 +79,99 @@ class Mat:
 
     @classmethod
     def zero(cls, coeff: Coeff, nrows: int, ncols: int) -> "Mat":
-        z = coeff.zero()
-        row = (z,) * ncols
-        return cls(coeff, nrows, ncols, (row,) * nrows)
+        return cls.from_sparse(coeff, nrows, ncols, ((),) * nrows)
 
     @classmethod
     def identity(cls, coeff: Coeff, n: int) -> "Mat":
-        z, o = (coeff.zero(),), (coeff.one(),)
-        rows = tuple(z * i + o + z * (n - 1 - i) for i in range(n))
-        return cls(coeff, n, n, rows)
+        return cls.from_sparse(coeff, n, n, tuple([((i, 1),) for i in range(n)]))
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
+
+    def sparse_rows(self) -> tuple:
+        """Each row's nonzero (column, value) pairs: the storage itself."""
+        return self._sparse
+
+    @property
+    def rows(self) -> tuple:
+        """The dense rows, built from the sparse rows on first request."""
+        dense = self._dense
+        if dense is None:
+            blank = [0] * self.ncols
+            out = []
+            for srow in self._sparse:
+                row = blank.copy()
+                for j, x in srow:
+                    row[j] = x
+                out.append(tuple(row))
+            dense = tuple(out)
+            _set_dense(self, dense)
+        return dense
 
     def __eq__(self, other):
         return (
             isinstance(other, Mat)
             and self.coeff == other.coeff
             and self.shape == other.shape
-            and self.rows == other.rows
+            and self._sparse == other._sparse
         )
 
     def __hash__(self):
-        return hash((self.coeff, self.rows))
+        return hash((self.coeff, self.nrows, self.ncols, self._sparse))
 
     def __repr__(self):
         return f"Mat({self.coeff.code}, {self.nrows}x{self.ncols}, {list(map(list, self.rows))})"
 
     def is_zero(self) -> bool:
-        return not any(x for row in self.rows for x in row)
+        return not any(self._sparse)
 
     def __add__(self, other: "Mat") -> "Mat":
-        self._check_same_shape(other)
-        norm = self.coeff.normalize
-        rows = tuple(
-            tuple(norm(a + b) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        )
-        return Mat(self.coeff, self.nrows, self.ncols, rows)
+        return self._merge(other, 1)
 
     def __sub__(self, other: "Mat") -> "Mat":
+        return self._merge(other, -1)
+
+    def _merge(self, other: "Mat", sign: int) -> "Mat":
+        """self + sign * other, row by row, touching only nonzeros."""
         self._check_same_shape(other)
-        norm = self.coeff.normalize
-        rows = tuple(
-            tuple(norm(a - b) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        )
-        return Mat(self.coeff, self.nrows, self.ncols, rows)
+        coeff = self.coeff
+        rows = []
+        for ra, rb in zip(self._sparse, other._sparse):
+            if not rb:
+                rows.append(ra)
+                continue
+            acc = dict(ra)
+            get = acc.get
+            for j, b in rb:
+                acc[j] = get(j, 0) + sign * b
+            rows.append(finish_row(coeff, acc))
+        return Mat.from_sparse(coeff, self.nrows, self.ncols, tuple(rows))
 
     def scale(self, c) -> "Mat":
-        norm = self.coeff.normalize
-        c = norm(c)
-        rows = tuple(tuple(norm(c * x) for x in row) for row in self.rows)
-        return Mat(self.coeff, self.nrows, self.ncols, rows)
+        coeff = self.coeff
+        c = coeff.normalize(c)
+        rows = tuple([canonical_pairs(coeff, [(j, c * x) for j, x in row])
+                      for row in self._sparse])
+        return Mat.from_sparse(coeff, self.nrows, self.ncols, rows)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.coeff != other.coeff:
             raise ValueError("coefficient mismatch")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        sparse = other.sparse_rows()
-        return Mat(
-            self.coeff,
-            self.nrows,
-            other.ncols,
-            tuple(
-                mul_row_mat(self.coeff, row, sparse, other.ncols)
-                for row in self.rows
-            ),
-        )
-
-    def sparse_rows(self) -> tuple:
-        """Each row's nonzero (column, value) pairs, as ``mul_row_mat``
-        takes them.  Computed on first use and kept: every later call
-        returns the same tuples."""
-        sparse = self._sparse
-        if sparse is None:
-            sparse = tuple(tuple(compress(enumerate(row), row))
-                           for row in self.rows)
-            object.__setattr__(self, "_sparse", sparse)
-        return sparse
+        coeff, sparse = self.coeff, other._sparse
+        return Mat.from_sparse(
+            coeff, self.nrows, other.ncols,
+            tuple([mul_row_mat(coeff, row, sparse) for row in self._sparse]))
 
     def transpose(self) -> "Mat":
-        rows = tuple(zip(*self.rows)) if self.nrows else ()
-        return Mat(self.coeff, self.ncols, self.nrows, rows)
+        cols = [[] for _ in range(self.ncols)]
+        for i, row in enumerate(self._sparse):
+            for j, x in row:
+                cols[j].append((i, x))
+        return Mat.from_sparse(self.coeff, self.ncols, self.nrows,
+                               tuple(map(tuple, cols)))
 
     def stack(self, other: "Mat") -> "Mat":
         """Rows of self followed by rows of other (same width)."""
@@ -143,51 +179,51 @@ class Mat:
             if other.nrows == 0:
                 return self
             raise ValueError("stack mismatch")
-        return Mat(
+        return Mat.from_sparse(
             self.coeff, self.nrows + other.nrows, self.ncols,
-            self.rows + other.rows,
+            self._sparse + other._sparse,
         )
 
     def hjoin(self, other: "Mat") -> "Mat":
         """Columns of self followed by columns of other (same height)."""
         if self.coeff != other.coeff or self.nrows != other.nrows:
             raise ValueError("hjoin mismatch")
-        rows = tuple(ra + rb for ra, rb in zip(self.rows, other.rows))
-        return Mat(self.coeff, self.nrows, self.ncols + other.ncols, rows)
+        w = self.ncols
+        rows = tuple([ra + tuple([(w + j, x) for j, x in rb])
+                      for ra, rb in zip(self._sparse, other._sparse)])
+        return Mat.from_sparse(self.coeff, self.nrows, w + other.ncols, rows)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Mat":
-        rows = tuple(
-            tuple(self.rows[i][j] for j in col_idx) for i in row_idx
-        )
+        dense = self.rows
+        rows = [[dense[i][j] for j in col_idx] for i in row_idx]
         return Mat(self.coeff, len(row_idx), len(col_idx), rows)
 
     def block_diag(self, other: "Mat") -> "Mat":
         if self.coeff != other.coeff:
             raise ValueError("coefficient mismatch")
-        z = self.coeff.zero()
-        left = tuple(row + (z,) * other.ncols for row in self.rows)
-        right = tuple((z,) * self.ncols + row for row in other.rows)
-        return Mat(
-            self.coeff, self.nrows + other.nrows, self.ncols + other.ncols,
-            left + right,
+        w = self.ncols
+        right = tuple([tuple([(w + j, x) for j, x in row])
+                       for row in other._sparse])
+        return Mat.from_sparse(
+            self.coeff, self.nrows + other.nrows, w + other.ncols,
+            self._sparse + right,
         )
 
     def kron(self, other: "Mat") -> "Mat":
         """Kronecker product; basis of the product is (i, j) lexicographic."""
         if self.coeff != other.coeff:
             raise ValueError("coefficient mismatch")
-        norm = self.coeff.normalize
-        rows = []
-        for ra in self.rows:
-            for rb in other.rows:
-                rows.append(tuple(norm(a * b) for a in ra for b in rb))
-        return Mat(
-            self.coeff, self.nrows * other.nrows, self.ncols * other.ncols,
-            tuple(rows),
-        )
+        coeff, w = self.coeff, other.ncols
+        rows = tuple([
+            canonical_pairs(coeff, [(ja * w + jb, a * b)
+                                    for ja, a in ra for jb, b in rb])
+            for ra in self._sparse for rb in other._sparse])
+        return Mat.from_sparse(
+            coeff, self.nrows * other.nrows, self.ncols * w, rows)
 
     def diagonal(self) -> list:
-        return [self.rows[i][i] for i in range(min(self.nrows, self.ncols))]
+        return [dict(self._sparse[i]).get(i, 0)
+                for i in range(min(self.nrows, self.ncols))]
 
     def _check_same_shape(self, other: "Mat"):
         if self.coeff != other.coeff or self.shape != other.shape:
@@ -195,7 +231,14 @@ class Mat:
 
     def to_json(self) -> list[list[str]]:
         s = self.coeff.scalar_str
-        return [[s(x) for x in row] for row in self.rows]
+        blank = ["0"] * self.ncols
+        out = []
+        for srow in self._sparse:
+            row = blank.copy()
+            for j, x in srow:
+                row[j] = s(x)
+            out.append(row)
+        return out
 
     @classmethod
     def from_json(cls, coeff: Coeff, data, shape: tuple[int | None, int]) -> "Mat":
@@ -218,8 +261,40 @@ class Mat:
         for i, row in enumerate(data):
             if len(row) != ncols:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {ncols}")
-        rows = tuple(tuple(coeff.parse_scalar(x) for x in row) for row in data)
-        return cls(coeff, len(rows), ncols, rows)
+        parse = coeff.parse_scalar
+        return cls(coeff, len(data), ncols,
+                   [[parse(x) for x in row] for row in data])
+
+
+_new = object.__new__
+# the slots' own setters, which bypass the immutable __setattr__
+_set_coeff, _set_nrows, _set_ncols, _set_sparse, _set_dense = (
+    Mat.__dict__[name].__set__ for name in Mat.__slots__)
+
+
+def canonical_pairs(coeff: Coeff, pairs) -> tuple:
+    """(column, value) pairs of raw arithmetic results on canonical
+    entries, in the given column order, as a sparse row: each value
+    reduced mod p over F_p, an integral ``Fraction`` demoted to ``int``
+    over Q, and the zeros dropped.
+
+    >>> from fractions import Fraction
+    >>> canonical_pairs(Coeff.Q(), [(0, Fraction(4, 2)), (2, Fraction(0))])
+    ((0, 2),)
+    """
+    p = coeff.p
+    if p is not None:
+        pairs = [(j, x % p) for j, x in pairs]
+    elif coeff.kind == Coeff.RATIONALS:
+        pairs = [(j, x if type(x) is int or x.denominator != 1
+                  else x.numerator) for j, x in pairs]
+    return tuple(filter(_value, pairs))
+
+
+def finish_row(coeff: Coeff, acc: dict) -> tuple:
+    """The sparse row of raw sums {column: value}: ``canonical_pairs`` in
+    column order."""
+    return canonical_pairs(coeff, sorted(acc.items()))
 
 
 def basis_matrix(coeff: Coeff, src, dst, image) -> Mat:
@@ -232,29 +307,24 @@ def basis_matrix(coeff: Coeff, src, dst, image) -> Mat:
     Mat(Z, 2x3, [[1, 0, -2], [0, 0, 0]])
     """
     index = {b: i for i, b in enumerate(dst)}
-    zero = coeff.zero()
-    rows = []
-    for b in src:
-        row = [zero] * len(index)
-        for c, x in image(b):
-            row[index[c]] = x
-        rows.append(tuple(row))
-    return Mat(coeff, len(rows), len(index), tuple(rows))
+    rows = tuple([tuple(sorted([(index[c], x) for c, x in image(b) if x]))
+                  for b in src])
+    return Mat.from_sparse(coeff, len(rows), len(index), rows)
 
 
-def mul_row_mat(coeff: Coeff, row: Sequence, sparse, ncols: int) -> tuple:
-    """Row vector times a matrix given by its ``sparse_rows``, skipping
-    zero entries on both sides; the result is canonical."""
-    acc = [0] * ncols
-    for a, srow in compress(zip(row, sparse), row):
-        for j, b in srow:
-            acc[j] += a * b
-    if coeff.p is not None:
-        p = coeff.p
-        return tuple(x % p for x in acc)
-    if coeff.kind == Coeff.RATIONALS:
-        return tuple(demote_integral(acc))
-    return tuple(acc)
+def mul_row_mat(coeff: Coeff, row, sparse) -> tuple:
+    """A sparse row times a matrix given by its ``sparse_rows``, touching
+    only the nonzero entries on both sides; the result is a sparse row."""
+    if len(row) == 1:  # a monomial row picks out a row of the matrix
+        i, a = row[0]
+        if a == 1:
+            return sparse[i]
+    acc = {}
+    get = acc.get
+    for i, a in row:
+        for j, b in sparse[i]:
+            acc[j] = get(j, 0) + a * b
+    return finish_row(coeff, acc)
 
 
 def det(m: Mat):

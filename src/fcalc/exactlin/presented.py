@@ -12,7 +12,7 @@ factors / dimension) normalize on demand and cache.
 from __future__ import annotations
 
 from .coeff import Coeff
-from .matrix import Mat
+from .matrix import Mat, finish_row
 from .smith import RowBasis, left_kernel, snf_diagonal
 
 
@@ -50,11 +50,11 @@ class PresentedModule:
     @classmethod
     def from_rel_rows(cls, coeff: Coeff, gens: int, rel_rows) -> "PresentedModule":
         return cls(coeff, gens, Mat.from_rows(coeff, rel_rows)
-                   if rel_rows else Mat(coeff, 0, gens, ()))
+                   if rel_rows else Mat.zero(coeff, 0, gens))
 
     @classmethod
     def free(cls, coeff: Coeff, rank: int) -> "PresentedModule":
-        return cls(coeff, rank, Mat(coeff, 0, rank, ()))
+        return cls(coeff, rank, Mat.zero(coeff, 0, rank))
 
     @classmethod
     def zero(cls, coeff: Coeff) -> "PresentedModule":
@@ -167,7 +167,7 @@ class ModuleMap:
         span = self.dst.rel_span()
         return all(
             span.contains(row)
-            for row in (self.src.rels @ self.mat).rows
+            for row in (self.src.rels @ self.mat).sparse_rows()
         )
 
     def then(self, other: "ModuleMap") -> "ModuleMap":
@@ -189,7 +189,7 @@ class ModuleMap:
         span = self.dst.rel_span()
         if span.rank == 0:
             return False
-        return all(span.contains(row) for row in self.mat.rows)
+        return all(span.contains(row) for row in self.mat.sparse_rows())
 
     def equals(self, other: "ModuleMap") -> bool:
         """Equality as maps into the presented quotient."""
@@ -212,8 +212,10 @@ def preimage_generators(mat: Mat, rels: Mat) -> Mat:
     independently -- presentations need not be minimal).
     """
     lk = left_kernel(mat.stack(rels))
-    rows = tuple(row[: mat.nrows] for row in lk.rows)
-    return Mat(mat.coeff, len(rows), mat.nrows, rows)
+    n = mat.nrows
+    rows = tuple([tuple([e for e in row if e[0] < n])
+                  for row in lk.sparse_rows()])
+    return Mat.from_sparse(mat.coeff, len(rows), n, rows)
 
 
 def kernel(f: ModuleMap) -> tuple[PresentedModule, ModuleMap]:
@@ -247,10 +249,10 @@ def image_in(dst: PresentedModule, rows: Mat) -> tuple[PresentedModule, ModuleMa
     span = RowBasis(dst.coeff, dst.gens)
     span.add_mat(dst.rels)
     kept = []
-    for row in rows.rows:
+    for row in rows.sparse_rows():
         if span.add(row):
             kept.append(row)
-    gen_mat = Mat(dst.coeff, len(kept), dst.gens, tuple(kept))
+    gen_mat = Mat.from_sparse(dst.coeff, len(kept), dst.gens, tuple(kept))
     rels = preimage_generators(gen_mat, dst.rels)
     sub = PresentedModule(dst.coeff, gen_mat.nrows, rels)
     return sub, ModuleMap(sub, dst, gen_mat)
@@ -268,18 +270,20 @@ def coinvariants(m: PresentedModule, actions) -> tuple[PresentedModule, ModuleMa
     >>> q.rels.rows
     ((-1, 1), (1, -1))
     """
-    norm = m.coeff.normalize
-    rows = list(m.rels.rows)
+    coeff = m.coeff
+    rows = list(m.rels.sparse_rows())
     for g in actions:
         if isinstance(g, ModuleMap):
             g = g.mat
         if g.shape != (m.gens, m.gens):
             raise ExactLinError("action matrix is not an endomorphism")
         # g - id: only the diagonal entry of each row moves
-        rows += [row[:i] + (norm(row[i] - 1),) + row[i + 1:]
-                 for i, row in enumerate(g.rows)]
-    q = PresentedModule(m.coeff, m.gens,
-                        Mat(m.coeff, len(rows), m.gens, tuple(rows)))
+        for i, row in enumerate(g.sparse_rows()):
+            acc = dict(row)
+            acc[i] = acc.get(i, 0) - 1
+            rows.append(finish_row(coeff, acc))
+    q = PresentedModule(coeff, m.gens,
+                        Mat.from_sparse(coeff, len(rows), m.gens, tuple(rows)))
     return q, ModuleMap(m, q, Mat.identity(m.coeff, m.gens))
 
 
@@ -296,13 +300,14 @@ def factor_through(f: ModuleMap, through: ModuleMap) -> ModuleMap:
     basis = RowBasis(f.mat.coeff, through.dst.gens, track=True)
     basis.add_mat(through.mat)
     basis.add_mat(through.dst.rels)
+    n = through.src.gens
     rows = []
-    for row in f.mat.rows:
-        sol = basis.solve(row)
+    for row in f.mat.sparse_rows():
+        sol = basis.solve(dict(row))
         if sol is None:
             raise ExactLinError("map does not factor through the given map")
-        rows.append(tuple(sol[: through.src.gens]))
-    mat = Mat(f.mat.coeff, f.src.gens, through.src.gens, tuple(rows))
+        rows.append(tuple(sorted([e for e in sol.items() if e[0] < n])))
+    mat = Mat.from_sparse(f.mat.coeff, f.src.gens, n, tuple(rows))
     return ModuleMap(f.src, through.src, mat)
 
 
@@ -317,13 +322,16 @@ def freeify_module(m: PresentedModule):
     pivots = set(span.pivots)
     free_cols = [j for j in range(m.gens) if j not in pivots]
     free = PresentedModule.free(coeff, len(free_cols))
-    ident = Mat.identity(coeff, m.gens).rows
+    col = {j: t for t, j in enumerate(free_cols)}
     rows = []
-    for unit in ident:
-        red = span.reduce(unit)
-        rows.append(tuple(red[j] for j in free_cols))
-    to_free = ModuleMap(m, free, Mat(coeff, m.gens, len(free_cols), tuple(rows)))
-    back = Mat(coeff, len(free_cols), m.gens, tuple(ident[j] for j in free_cols))
+    for g in range(m.gens):
+        red = span.reduce({g: 1})
+        rows.append(tuple(sorted([(col[j], x) for j, x in red.items()
+                                  if j in col])))
+    to_free = ModuleMap(m, free, Mat.from_sparse(
+        coeff, m.gens, len(free_cols), tuple(rows)))
+    back = Mat.from_sparse(coeff, len(free_cols), m.gens,
+                           tuple([((j, 1),) for j in free_cols]))
     return free, to_free, ModuleMap(free, m, back)
 
 
@@ -381,7 +389,7 @@ def check_exact(seq: list[ModuleMap]) -> bool:
         span.add_mat(f.mat)
         span.add_mat(mid.rels)
         ker_gens = preimage_generators(g.mat, g.dst.rels)
-        for row in ker_gens.rows:
+        for row in ker_gens.sparse_rows():
             if not span.contains(row):
                 return False
     return True

@@ -11,22 +11,26 @@ Two engines live here:
 * ``RowBasis`` is the one incremental echelon engine for Z, Q and F_p
   (Hermite-style over Z, reduced echelon over fields) used for span
   membership, left kernels, solving ``x @ A = v`` and lattice saturation.
-  It is by far the hottest code path in the package.  Every row move is
-  one primitive, ``v[j:] -= x * row[j:]`` reduced mod p over F_p, and
-  every reduction divides by one pivot quotient: floor division over Z,
-  the entry itself over a field, whose pivots are 1.  Only the gcd merge
-  of a leading entry that its pivot does not divide, the pivot quotient
-  and the sign of a new pivot are particular to Z.  Entries are taken as
-  given: they must be canonical for the ring, as ``Mat`` keeps them, and
-  the row primitive keeps them so: over Q an integral entry is an
-  ``int``, so integral data is eliminated at the cost of Z, and only a
+  It is by far the hottest code path in the package.  Rows are
+  {column: value} maps of their nonzero entries, so a move costs the
+  nonzeros it touches, not the width.  Every row move is one primitive,
+  ``v -= x * row`` over the nonzero entries of row, reduced mod p over
+  F_p, and every reduction divides by one pivot quotient: floor division
+  over Z, the entry itself over a field, whose pivots are 1.  Only the
+  gcd merge of a leading entry that its pivot does not divide, the pivot
+  quotient and the sign of a new pivot are particular to Z.  Entries are
+  taken as given: they must be canonical for the ring, as ``Mat`` keeps
+  them, and the row primitive keeps them so: over Q an integral entry is
+  an ``int``, so integral data is eliminated at the cost of Z, and only a
   result with denominator 1 is demoted from ``Fraction``.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
+from heapq import heapify, heappop, heappush
+from itertools import compress
 
-from .coeff import Coeff, demote_integral
+from .coeff import Coeff
 from .matrix import Mat
 
 
@@ -188,119 +192,123 @@ class RowBasis:
     by the rows (pivots positive, gcd-combining on conflicts); over a field
     it maintains a reduced echelon basis with pivots 1.  Optionally tracks,
     for each basis row, its expression in terms of the vectors fed in (for
-    solving).  Vectors must hold canonical entries for the ring, as ``Mat``
-    rows do; they are taken as given.
+    solving).  Basis rows and their combinations are held as {column:
+    value} maps of their nonzero entries; ``rows`` and ``combos`` are
+    dense views of them, built on each request.
+
+    A vector is given dense, as a sequence of entries, or sparse, as a
+    {column: value} map of its nonzero entries or as a row of
+    ``Mat.sparse_rows()``; ``reduce`` and ``solve`` answer with a map when
+    given one and dense otherwise.  Entries must be canonical for the
+    ring, as ``Mat`` keeps them; they are taken as given.
 
     >>> from .coeff import Z
     >>> b = RowBasis(Z, 2)
-    >>> b.add([2, 0]), b.add([0, 1]), b.add([1, 0])
+    >>> b.add([2, 0]), b.add({1: 1}), b.add([1, 0])
     (True, True, True)
-    >>> b.contains([5, 7])
-    True
+    >>> b.contains([5, 7]), b.reduce({0: 5, 1: 7})
+    (True, {})
     """
 
     def __init__(self, coeff: Coeff, width: int, track: bool = False):
         self.coeff = coeff
         self.width = width
         self.track = track
-        self.rows: list[list] = []
         self.pivots: list[int] = []  # pivot column of each basis row
-        self.combos: list[list] = []  # expression of basis rows in the inputs
+        self._rows: list[dict] = []  # basis rows, in pivot order
+        self._combos: list[dict] = []  # their expressions in the inputs
+        self._row_at: dict = {}  # pivot column -> its basis row
+        self._combo_at: dict = {}  # pivot column -> that row's combination
         self._n_added = 0
         self._field = coeff.is_field
+        self._p = coeff.p
         self._rational = coeff.kind == Coeff.RATIONALS
 
-    def _sub(self, dst: list, x, src, start: int = 0):
-        """The row primitive: dst[start:] -= x * src[start:], reduced mod p
-        over F_p, an integral ``Fraction`` demoted to ``int`` over Q."""
-        p = self.coeff.p
-        if p is not None:
-            dst[start:] = [(a - x * b) % p
-                           for a, b in zip(dst[start:], src[start:])]
-        elif self._rational:
-            dst[start:] = demote_integral(
-                [a - x * b for a, b in zip(dst[start:], src[start:])])
-        else:
-            dst[start:] = [a - x * b for a, b in zip(dst[start:], src[start:])]
+    def _sub(self, dst: dict, x, src: dict):
+        """The row primitive: dst -= x * src for a nonzero x, reduced mod p
+        over F_p, an integral ``Fraction`` demoted to ``int`` over Q, and
+        an entry that becomes zero removed."""
+        get, p, rational = dst.get, self._p, self._rational
+        for k, b in src.items():
+            y = get(k, 0) - x * b
+            if p is not None:
+                y %= p
+            elif rational and type(y) is not int and y.denominator == 1:
+                y = y.numerator
+            if y:
+                dst[k] = y
+            else:
+                del dst[k]
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True iff the span/lattice grew."""
-        v = list(vec)
+        v = _as_map(vec)
         c = None
         if self.track:
-            # combos are kept as dense lists over all inputs seen so far
-            zero = self.coeff.zero()
-            for rc in self.combos:
-                rc.append(zero)
-            c = [zero] * self._n_added + [self.coeff.one()]
+            c = {self._n_added: 1}  # input n, as a combination of the inputs
             self._n_added += 1
         if self._field:
             self._reduce(v, c)  # at every pivot: the basis stays reduced
             grew = False
         else:
             grew = self._clear_leading(v, c)
-        for j, x in enumerate(v):
-            if x:
-                self._insert(j, v, c)
-                return True
+        if v:
+            self._insert(min(v), v, c)
+            return True
         return grew
 
-    def _clear_leading(self, v: list, c) -> bool:
+    def _clear_leading(self, v: dict, c) -> bool:
         """Over Z: cancel the leading entry of v against the pivot row in
         its column until it lands in a column with no pivot, merging v into
         that row by gcd where the pivot does not divide it.  The later
         entries of v stay unreduced, and so does the row it becomes: the
         basis ``left_kernel`` returns is built this way.  True iff a merge
         grew the lattice."""
-        rows, pivots, combos = self.rows, self.pivots, self.combos
+        row_at, combo_at = self._row_at, self._combo_at
         grew = False
-        j = 0
-        while True:
-            while j < self.width and not v[j]:
-                j += 1
-            pos = bisect_left(pivots, j)
-            if pos == len(pivots) or pivots[pos] != j:
+        while v:
+            j = min(v)
+            row = row_at.get(j)
+            if row is None:
                 return grew
-            row = rows[pos]
             a, b = row[j], v[j]
             if b % a == 0:
-                self._sub(v, b // a, row, j)
+                self._sub(v, b // a, row)
                 if c is not None:
-                    self._sub(c, b // a, combos[pos])
+                    self._sub(c, b // a, combo_at[j])
                 continue
             # (row, v) <- (x row + y v, (a v - b row) / g), row[j] = |g|
             x, y, g = _xgcd(a, b)
             ag, bg = a // g, b // g
             if g < 0:
                 x, y = -x, -y
-            pairs = [(row, v, j)]
+            _gcd_merge(row, v, x, y, ag, bg)
             if c is not None:
-                pairs.append((combos[pos], c, 0))
-            for r, w, start in pairs:
-                for k in range(start, len(r)):
-                    rk, wk = r[k], w[k]
-                    r[k] = x * rk + y * wk
-                    w[k] = ag * wk - bg * rk
-            self._reduce_above(pos, rows, combos)
+                _gcd_merge(combo_at[j], c, x, y, ag, bg)
+            self._reduce_above(bisect_left(self.pivots, j), self._rows,
+                               self._combos)
             grew = True
+        return grew
 
-    def _insert(self, j: int, v: list, c):
+    def _insert(self, j: int, v: dict, c):
         """Make v, whose leading entry is v[j], a basis row: scale it so its
         pivot is canonical (positive over Z, 1 over a field), insert it in
         pivot order and reduce the rows above it at column j."""
         x = v[j]
         u = self.coeff.invert(x) if self._field else (1 if x > 0 else -1)
         if u != 1:
-            # v *= u, as v -= (1 - u) * v
-            self._sub(v, 1 - u, v, j)
+            # v *= u, as v -= (1 - u) * v: no entry becomes zero
+            self._sub(v, 1 - u, v)
             if c is not None:
                 self._sub(c, 1 - u, c)
         pos = bisect_left(self.pivots, j)
-        self.rows.insert(pos, v)
+        self._rows.insert(pos, v)
         self.pivots.insert(pos, j)
+        self._row_at[j] = v
         if c is not None:
-            self.combos.insert(pos, c)
-        self._reduce_above(pos, self.rows, self.combos)
+            self._combos.insert(pos, c)
+            self._combo_at[j] = c
+        self._reduce_above(pos, self._rows, self._combos)
 
     def _reduce_above(self, pos: int, rows: list, combos):
         """Reduce rows[:pos] at the pivot column of rows[pos] by the pivot
@@ -308,43 +316,60 @@ class RowBasis:
         when not empty, take the same moves."""
         j = self.pivots[pos]
         row = rows[pos]
+        piv = row[j]
         for i in range(pos):
-            x = rows[i][j]
+            x = rows[i].get(j)
+            if x:
+                q = x if self._field else x // piv
+                if q:
+                    self._sub(rows[i], q, row)
+                    if combos:
+                        self._sub(combos[i], q, combos[pos])
+
+    def _reduce(self, v: dict, c=None):
+        """Reduce v at every pivot in increasing order by the pivot
+        quotient: floor division over Z, the entry itself over a field
+        (whose pivots are 1).  c, when given, takes the same moves against
+        the combos.  Only the pivots where v is nonzero are visited: a heap
+        holds them, and a move at pivot j changes v at later columns only.
+        Over a field a basis row is zero at every other pivot, so a move
+        adds no pivot to visit."""
+        row_at = self._row_at
+        heap = [k for k in v if k in row_at]
+        heapify(heap)
+        while heap:
+            j = heappop(heap)
+            x = v.get(j)
+            if not x:
+                continue
+            row = row_at[j]
             q = x if self._field else x // row[j]
             if q:
-                self._sub(rows[i], q, row, j)
-                if combos:
-                    self._sub(combos[i], q, combos[pos])
-
-    def _reduce(self, v: list, c=None):
-        """Reduce v at every pivot in turn by the pivot quotient: floor
-        division over Z, the entry itself over a field (whose pivots are
-        1).  c, when given, takes the same moves against the combos."""
-        for pos, j in enumerate(self.pivots):
-            x = v[j]
-            if x:
-                row = self.rows[pos]
-                q = x if self._field else x // row[j]
-                if q:
-                    self._sub(v, q, row, j)
-                    if c is not None:
-                        self._sub(c, q, self.combos[pos])
+                if not self._field:
+                    for k in row:
+                        if k not in v and k in row_at:
+                            heappush(heap, k)
+                self._sub(v, q, row)
+                if c is not None:
+                    self._sub(c, q, self._combo_at[j])
 
     def add_mat(self, m: Mat) -> bool:
         changed = False
-        for row in m.rows:
+        for row in m.sparse_rows():
             if self.add(row):
                 changed = True
         return changed
 
     def reduce(self, vec):
         """Residue of vec modulo the span; zero iff vec lies in the span."""
-        v = list(vec)
+        v = _as_map(vec)
         self._reduce(v)
-        return v
+        return v if type(vec) is dict else _dense(v, self.width)
 
     def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
+        v = _as_map(vec)
+        self._reduce(v)
+        return not v
 
     def solve(self, vec):
         """Coefficients expressing vec over the *input* vectors, or None.
@@ -355,34 +380,87 @@ class RowBasis:
         """
         if not self.track:
             raise ValueError("RowBasis built without tracking")
-        v = [-x for x in vec]
-        c = [self.coeff.zero()] * self._n_added
+        p = self._p
+        v = {k: -x if p is None else -x % p
+             for k, x in _as_map(vec).items()}
+        c = {}
         self._reduce(v, c)
-        return None if any(v) else c
+        if v:
+            return None
+        return c if type(vec) is dict else _dense(c, self._n_added)
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self) -> list[list]:
+        """The basis rows, dense."""
+        return [_dense(r, self.width) for r in self._rows]
+
+    @property
+    def combos(self) -> list[list]:
+        """Each basis row's expression in the inputs so far, dense."""
+        return [_dense(c, self._n_added) for c in self._combos]
 
     def is_full(self) -> bool:
         """True iff the span is the whole ambient module (Z^w or k^w)."""
-        return len(self.rows) == self.width and all(
-            row[j] == 1 for row, j in zip(self.rows, self.pivots))
+        return len(self._rows) == self.width and all(
+            row[j] == 1 for row, j in zip(self._rows, self.pivots))
 
     def basis_mat(self) -> Mat:
-        return Mat(
-            self.coeff, len(self.rows), self.width,
-            tuple(tuple(r) for r in self.rows),
+        return Mat.from_sparse(
+            self.coeff, len(self._rows), self.width,
+            tuple([tuple(sorted(r.items())) for r in self._rows]),
         )
 
     def snapshot(self) -> tuple:
         """Canonical form of the current span (for equality tests): the
         basis with every row reduced at every later pivot, which over Z is
         the HNF and over a field the basis as kept."""
-        rows = [list(r) for r in self.rows]
+        rows = [dict(r) for r in self._rows]
         for pos in range(len(rows)):
             self._reduce_above(pos, rows, None)
-        return tuple(tuple(r) for r in rows)
+        return tuple(tuple(_dense(r, self.width)) for r in rows)
+
+
+def _as_map(vec) -> dict:
+    """A fresh {column: value} map of the nonzero entries of a vector given
+    dense, as such a map, or as (column, value) pairs.  A scalar is never a
+    tuple, so the first entry tells pairs from dense entries."""
+    if type(vec) is dict:
+        return vec.copy()
+    if vec and type(vec[0]) is tuple:
+        return dict(vec)
+    return dict(compress(enumerate(vec), vec))
+
+
+def _dense(v: dict, width: int) -> list:
+    out = [0] * width
+    for k, x in v.items():
+        out[k] = x
+    return out
+
+
+def _gcd_merge(r: dict, w: dict, x, y, ag, bg):
+    """(r, w) <- (x r + y w, ag w - bg r) over Z, in place."""
+    nr, nw = {}, {}
+    for k, rk in r.items():
+        wk = w.get(k, 0)
+        if (t := x * rk + y * wk):
+            nr[k] = t
+        if (t := ag * wk - bg * rk):
+            nw[k] = t
+    for k, wk in w.items():
+        if k not in r:
+            if (t := y * wk):
+                nr[k] = t
+            if (t := ag * wk):
+                nw[k] = t
+    r.clear()
+    r.update(nr)
+    w.clear()
+    w.update(nw)
 
 
 def left_kernel(m: Mat) -> Mat:
@@ -399,15 +477,8 @@ def left_kernel(m: Mat) -> Mat:
     """
     n, w = m.nrows, m.ncols
     b = RowBasis(m.coeff, w + n)
-    zero, one = m.coeff.zero(), m.coeff.one()
-    for i, row in enumerate(m.rows):
-        aug = list(row) + [zero] * n
-        aug[w + i] = one
-        b.add(aug)
-    rows = tuple(
-        tuple(b.rows[pos][w:])
-        for pos in range(len(b.rows))
-        if b.pivots[pos] >= w
-    )
-    return Mat(m.coeff, len(rows), n, rows)
-
+    for i, row in enumerate(m.sparse_rows()):
+        b.add(row + ((w + i, 1),))
+    rows = tuple([tuple(sorted([(k - w, x) for k, x in r.items()]))
+                  for r, j in zip(b._rows, b.pivots) if j >= w])
+    return Mat.from_sparse(m.coeff, len(rows), n, rows)

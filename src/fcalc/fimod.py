@@ -298,36 +298,20 @@ def perm_action(coeff: Coeff, gens: int, sym, perm) -> Mat:
 
     perm is a sequence with perm[i] = image of point i+1 (1-indexed).
 
-    The running product is one {column: value} map per row, made dense
-    once at the end, so a letter of the word costs the nonzero entries it
-    touches: O(gens) for a permutation matrix.
+    The running product is kept as sparse rows, so a letter of the word
+    costs the nonzero entries it touches: O(gens) for a permutation matrix.
 
     >>> swap = Mat.from_rows(Coeff.Z(), [[0, 1], [1, 0]])
     >>> perm_action(Coeff.Z(), 2, [swap], (2, 1)) == swap
     True
     """
-    norm = coeff.normalize
-    word = perm_word(perm)
-    rows = [{j: coeff.one()} for j in range(gens)]
+    rows = Mat.identity(coeff, gens).sparse_rows()
     # sigma = s_{w1} o s_{w2} o ... applied right-to-left, so the
     # row-convention matrix multiplies left-to-right in reversed order
-    for i in reversed(word):
+    for i in reversed(perm_word(perm)):
         letter = sym[i].sparse_rows()
-        product = []
-        for row in rows:
-            acc = {}
-            for j, a in row.items():
-                for col, b in letter[j]:
-                    acc[col] = acc.get(col, 0) + a * b
-            product.append({col: x for col, v in acc.items() if (x := norm(v))})
-        rows = product
-    dense = []
-    for row in rows:
-        out = [coeff.zero()] * gens
-        for col, x in row.items():
-            out[col] = x
-        dense.append(tuple(out))
-    return Mat(coeff, gens, gens, tuple(dense))
+        rows = tuple([mul_row_mat(coeff, row, letter) for row in rows])
+    return Mat.from_sparse(coeff, gens, gens, rows)
 
 
 class NatMap:
@@ -553,16 +537,16 @@ def generation_degree(F: TruncFIModule) -> DegreeReport:
         else:
             for r in range(0, n):
                 comp = F.unit_to(r, n)
-                queue = [list(row) for row in comp.mat.rows]
+                queue = list(comp.mat.sparse_rows())
                 for v in queue:
                     span.add(v)
                 # close under the transposition actions
                 while queue:
                     v = queue.pop()
                     for s in gen_mats:
-                        w = mul_row_mat(F.coeff, v, s, lvl.gens)
+                        w = mul_row_mat(F.coeff, v, s)
                         if span.add(w):
-                            queue.append(list(w))
+                            queue.append(w)
                 if span.is_full():
                     r_min = r
                     break
@@ -660,11 +644,9 @@ def _symmetric_power_mat(m: Mat, k: int) -> Mat:
         acc = {(): coeff.one()}
         for i in I:
             nxt = {}
-            row = m.rows[i]
+            row = m.sparse_rows()[i]
             for mono, c in acc.items():
-                for j, a in enumerate(row):
-                    if a == zero:
-                        continue
+                for j, a in row:
                     key = tuple(sorted(mono + (j,)))
                     nxt[key] = coeff.normalize(nxt.get(key, zero) + c * a)
             acc = nxt

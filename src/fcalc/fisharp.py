@@ -187,8 +187,7 @@ class SymRep:
         for lam in _partitions(self.degree):
             perm = _cycle_type_rep(lam)
             mat = from_free.mat @ self.perm_matrix(perm) @ to_free.mat
-            out[lam] = self.module.coeff.normalize(
-                sum(mat.rows[i][i] for i in range(mat.nrows)))
+            out[lam] = self.module.coeff.normalize(sum(mat.diagonal()))
         return out
 
     def equivalent(self, other: "SymRep") -> bool:
@@ -389,8 +388,9 @@ def dold_kan_witness(F: FISharpModule, reps: SymRepList | None = None) -> NatMap
                 # with the inverse of the sorting permutation
                 sigma = _sorting_perm(n, S)
                 up = base @ F.perm_matrix(n, _inverse_perm(sigma))
-                rows.extend(up.rows)
-        mat = Mat(coeff, R.levels[n].gens, F.levels[n].gens, tuple(rows))
+                rows.extend(up.sparse_rows())
+        mat = Mat.from_sparse(coeff, R.levels[n].gens, F.levels[n].gens,
+                              tuple(rows))
         maps.append(ModuleMap(R.levels[n], F.levels[n], mat))
     return NatMap(eta_restrict(R), eta_restrict(F), maps)
 

@@ -106,10 +106,10 @@ def moebius_sum(F: FISharpModule, n: int, subset) -> Mat:
 
 
 def word_product(coeff, gens: int, sym, perm) -> Mat:
-    """The action of a permutation as the dense product of its
+    """The action of a permutation as the product of its
     adjacent-transposition word, identity @ sym[w_r] @ ... @ sym[w_1]:
-    one full matrix product per letter, where ``perm_action`` keeps a
-    sparse running product."""
+    one ``Mat`` product per letter, where ``perm_action`` multiplies the
+    running product's rows directly."""
     mat = Mat.identity(coeff, gens)
     for i in reversed(perm_word(perm)):
         mat = mat @ sym[i]
@@ -143,3 +143,61 @@ def random_symrep(rng, coeff, k, max_blocks=2) -> SymRep:
             mat = mat.block_diag(blk)
         sym.append(mat)
     return SymRep(k, module, sym)
+
+
+class DenseRef:
+    """Reference matrix arithmetic on dense rows (tuples of tuples), every
+    entry computed the schoolbook way and passed through
+    ``Coeff.normalize``: the oracle for ``Mat``'s sparse storage."""
+
+    def __init__(self, coeff):
+        self.coeff = coeff
+        self.norm = coeff.normalize
+
+    def rows(self, raw):
+        return tuple(tuple(self.norm(x) for x in row) for row in raw)
+
+    def zero(self, nrows, ncols):
+        return ((0,) * ncols,) * nrows
+
+    def identity(self, n):
+        return tuple(tuple(1 if i == j else 0 for j in range(n))
+                     for i in range(n))
+
+    def basis_matrix(self, src, dst, image):
+        out = []
+        for b in src:
+            row = [0] * len(dst)
+            for c, x in image(b):
+                row[dst.index(c)] = x
+            out.append(tuple(row))
+        return tuple(out)
+
+    def matmul(self, a, b, ncols):
+        inner = len(b)
+        return tuple(tuple(self.norm(sum((ra[t] * b[t][j] for t in range(inner)), 0))
+                           for j in range(ncols)) for ra in a)
+
+    def add(self, a, b, sign=1):
+        return tuple(tuple(self.norm(x + sign * y) for x, y in zip(ra, rb))
+                     for ra, rb in zip(a, b))
+
+    def scale(self, a, c):
+        return tuple(tuple(self.norm(c * x) for x in row) for row in a)
+
+    def hjoin(self, a, b):
+        return tuple(ra + rb for ra, rb in zip(a, b))
+
+    def block_diag(self, a, acols, b, bcols):
+        return (tuple(ra + (0,) * bcols for ra in a)
+                + tuple((0,) * acols + rb for rb in b))
+
+    def kron(self, a, b):
+        return tuple(tuple(self.norm(x * y) for x in ra for y in rb)
+                     for ra in a for rb in b)
+
+    def transpose(self, a, ncols):
+        return tuple(tuple(row[j] for row in a) for j in range(ncols))
+
+    def submatrix(self, a, row_idx, col_idx):
+        return tuple(tuple(a[i][j] for j in col_idx) for i in row_idx)

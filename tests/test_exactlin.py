@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from fcalc.exactlin import (
     Coeff, ExactLinError, Mat, ModuleMap, PresentedModule, RowBasis,
-    check_exact, coinvariants, cokernel, det, invert_iso, is_isomorphism,
-    kernel, left_kernel, preimage_generators, snf, snf_diagonal,
+    basis_matrix, check_exact, coinvariants, cokernel, det, invert_iso,
+    is_isomorphism, kernel, left_kernel, preimage_generators, snf,
+    snf_diagonal,
 )
-from oracles import as_text
+from oracles import DenseRef, as_text
 
 Z = Coeff.Z()
 Q = Coeff.Q()
@@ -520,7 +521,7 @@ class TestSparseRows:
         assert m.sparse_rows() is first
         assert first == (((1, Fraction(1, 2)),), ((0, 3), (2, -1)), ())
         assert all(type(row) is tuple for row in first)
-        # a matrix with the same rows whose pairs are not yet computed
+        # a matrix built again from the same dense rows
         same = Mat(Q, m.nrows, m.ncols, m.rows)
         assert same.sparse_rows() == first
         assert same.sparse_rows() is not first
@@ -531,7 +532,7 @@ class TestSparseRows:
         for name in ("_sparse", "rows"):
             with pytest.raises(AttributeError):
                 setattr(m, name, None)
-        # equality and hash read the rows only
+        # equality and hash read the sparse rows only
         fresh = Mat.from_rows(Z, [[1, 0], [0, 2]])
         assert m == fresh and hash(m) == hash(fresh)
 
@@ -618,3 +619,159 @@ class TestProperties:
     def test_parse_scalar_reduces_to_int(self):
         x = Q.parse_scalar("4/2")
         assert x == 2 and type(x) is int
+
+
+def sparse_scalars(coeff):
+    """Scalars with many zeros, so that rows of every density occur."""
+    return st.one_of(st.just(0), st.just(0), scalars(coeff))
+
+
+def dense_rows(data, coeff, nrows, ncols) -> list:
+    return data.draw(st.lists(
+        st.lists(sparse_scalars(coeff), min_size=ncols, max_size=ncols),
+        min_size=nrows, max_size=nrows))
+
+
+def check_mat(m: Mat, coeff, shape, want):
+    """m has the given shape, the dense rows want, sparse rows that keep
+    the storage invariant, and equals (with the same hash) the matrix built
+    from want as dense rows."""
+    assert m.shape == shape
+    assert m.rows == want
+    sparse = m.sparse_rows()
+    assert type(sparse) is tuple and len(sparse) == shape[0]
+    for row in sparse:
+        assert type(row) is tuple
+        cols = [j for j, _ in row]
+        assert cols == sorted(set(cols)) and all(0 <= j < shape[1] for j in cols)
+        assert all(x != 0 and canonical(coeff, x) for _, x in row), row
+    same = Mat(coeff, shape[0], shape[1], want)
+    assert same == m and hash(same) == hash(m)
+    assert same.sparse_rows() == sparse
+
+
+class TestMatStorage:
+    """Every constructor and operation of ``Mat`` against the dense
+    reference ``oracles.DenseRef``, over Z, Q, F2 and F3."""
+
+    RING = st.sampled_from(["Z", "Q", "F2", "F3"])
+
+    @PROPERTY
+    @given(RING, st.data())
+    def test_constructors(self, code, data):
+        coeff = RINGS[code]
+        ref = DenseRef(coeff)
+        n, k = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 4))
+        raw = dense_rows(data, coeff, n, k)
+        want = ref.rows(raw)
+        check_mat(Mat.from_rows(coeff, raw), coeff, (n, k), want)
+        text = [[coeff.scalar_str(x) for x in row] for row in want]
+        check_mat(Mat.from_json(coeff, text, (n, k)), coeff, (n, k), want)
+        check_mat(Mat.from_json(coeff, [], (None, k)), coeff, (0, k), ())
+        check_mat(Mat.identity(coeff, k), coeff, (k, k), ref.identity(k))
+        check_mat(Mat.zero(coeff, n, k), coeff, (n, k), ref.zero(n, k))
+        # basis elements are labels; images list their pairs in any order
+        src = [f"s{i}" for i in range(n)]
+        dst = data.draw(st.permutations([f"d{j}" for j in range(k)]))
+        images = {s: data.draw(st.permutations(
+            [(dst[j], x) for j, x in enumerate(row) if x]))
+            for s, row in zip(src, want)}
+        check_mat(basis_matrix(coeff, src, dst, images.__getitem__),
+                  coeff, (n, k), ref.basis_matrix(src, dst, images.__getitem__))
+
+    @PROPERTY
+    @given(RING, st.data())
+    def test_arithmetic(self, code, data):
+        coeff = RINGS[code]
+        ref = DenseRef(coeff)
+        n, k, m = (data.draw(st.integers(0, 4)) for _ in range(3))
+        ra, rb, rc = (ref.rows(dense_rows(data, coeff, r, c))
+                      for r, c in ((n, k), (k, m), (n, k)))
+        a, b, c = (Mat(coeff, r, cols, rows) for r, cols, rows in
+                   ((n, k, ra), (k, m, rb), (n, k, rc)))
+        check_mat(a @ b, coeff, (n, m), ref.matmul(ra, rb, m))
+        check_mat(a + c, coeff, (n, k), ref.add(ra, rc))
+        check_mat(a - c, coeff, (n, k), ref.add(ra, rc, -1))
+        check_mat(a - a, coeff, (n, k), ref.zero(n, k))
+        x = data.draw(sparse_scalars(coeff))
+        check_mat(a.scale(x), coeff, (n, k), ref.scale(ra, x))
+
+    @PROPERTY
+    @given(RING, st.data())
+    def test_shape_operations(self, code, data):
+        coeff = RINGS[code]
+        ref = DenseRef(coeff)
+        n, k, n2, k2 = (data.draw(st.integers(0, 3)) for _ in range(4))
+        ra, rb, rc = (ref.rows(dense_rows(data, coeff, r, c))
+                      for r, c in ((n, k), (n2, k), (n, k2)))
+        a, b, c = (Mat(coeff, r, cols, rows) for r, cols, rows in
+                   ((n, k, ra), (n2, k, rb), (n, k2, rc)))
+        check_mat(a.stack(b), coeff, (n + n2, k), ra + rb)
+        check_mat(a.hjoin(c), coeff, (n, k + k2), ref.hjoin(ra, rc))
+        check_mat(a.block_diag(c), coeff, (2 * n, k + k2),
+                  ref.block_diag(ra, k, rc, k2))
+        check_mat(a.kron(b), coeff, (n * n2, k * k), ref.kron(ra, rb))
+        check_mat(a.transpose(), coeff, (k, n), ref.transpose(ra, k))
+        rows = data.draw(st.lists(st.integers(0, n - 1), max_size=3)) if n else []
+        cols = data.draw(st.lists(st.integers(0, k - 1), max_size=3)) if k else []
+        check_mat(a.submatrix(rows, cols), coeff, (len(rows), len(cols)),
+                  ref.submatrix(ra, rows, cols))
+
+
+class TestRowBasisSparse:
+    """Edge cases of the sparse echelon engine, fed dense and sparse."""
+
+    def test_width_zero(self):
+        for coeff in (Z, Q, F2):
+            b = RowBasis(coeff, 0, track=True)
+            assert b.add([]) is False and b.add({}) is False
+            assert b.rank == 0 and b.is_full() and b.contains([])
+            assert b.solve([]) == [0, 0] and b.solve({}) == {}
+            assert b.basis_mat().shape == (0, 0)
+            assert left_kernel(Mat.zero(coeff, 3, 0)) == Mat.identity(coeff, 3)
+
+    def test_zero_vector_pads_nothing(self):
+        for coeff in (Z, Q, F3):
+            b = RowBasis(coeff, 3, track=True)
+            assert b.add([1, 0, 0])
+            assert b.add([0, 0, 0]) is False and b.add({}) is False
+            assert b._combos == [{0: 1}]
+            assert b.combos == [[1, 0, 0]]
+            assert b.add({1: 1})
+            assert b._combos == [{0: 1}, {3: 1}]
+            assert b.solve([2, 1, 0]) == [2, 0, 0, 1]
+            assert b.solve({0: 2, 1: 1}) == {0: 2, 3: 1}
+
+    def test_only_the_last_column(self):
+        for coeff, x, piv in ((Z, -4, 4), (Q, Fraction(2, 3), 1), (F3, 2, 1)):
+            for vec in ([0, 0, 0, x], {3: x}):
+                b = RowBasis(coeff, 4)
+                assert b.add(vec)
+                assert b.pivots == [3] and b.rows == [[0, 0, 0, piv]]
+                assert b.basis_mat().sparse_rows() == (((3, piv),),)
+                assert b.contains(vec) and b.reduce({3: x}) == {}
+                assert b.reduce([0, 0, 1, x]) == [0, 0, 1, 0]
+                assert not b.contains({0: 1})
+
+    def test_gcd_merge_with_tracking(self):
+        # 2 v1 - v2 = (1, 2) and 3 v1 - 2 v2 = (0, 3): the merge of (3, 0)
+        # into the pivot row (2, 1), then the reduction above the new pivot
+        for second in ([3, 0], {0: 3}):
+            b = RowBasis(Z, 2, track=True)
+            assert b.add([2, 1]) and b.add(second)
+            assert b.rows == [[1, 2], [0, 3]] and b.pivots == [0, 1]
+            assert b.combos == [[2, -1], [3, -2]]
+            assert b.solve([1, -1]) == [-1, 1]
+            assert b.solve([0, 1]) is None
+            assert b.snapshot() == ((1, 2), (0, 3))
+            assert left_kernel(Mat.from_rows(Z, [[2, 1], [3, 0]])).nrows == 0
+
+    def test_solve_zero_vector(self):
+        for coeff in (Z, Q, F2, F3, F5):
+            b = RowBasis(coeff, 3, track=True)
+            b.add([1, 1, 0])
+            b.add([0, 0, 0])
+            b.add([0, 1, 1])
+            assert b.solve([0, 0, 0]) == [0, 0, 0]
+            assert b.solve({}) == {}
+            assert b.reduce([0, 0, 0]) == [0, 0, 0] and b.reduce({}) == {}
