@@ -252,16 +252,15 @@ def cmd_corpus(args) -> int:
             raise InputError("corpus emit needs a name")
         emit(build_entry(args.name, args.N, args.coeff).to_json(), args.out)
         return 0
-    if args.action == "check":
-        names = list_entries() if args.name in (None, "all") else [args.name]
-        failed = False
-        for name in names:
-            report = run_oracles(name)
-            for line in report.lines():
-                print(line)
-            failed = failed or not report.ok
-        return 1 if failed else 0
-    raise InputError(f"unknown corpus action {args.action!r}")
+    # "check", the last of the parser's choices
+    names = list_entries() if args.name in (None, "all") else [args.name]
+    failed = False
+    for name in names:
+        report = run_oracles(name)
+        for line in report.lines():
+            print(line)
+        failed = failed or not report.ok
+    return 1 if failed else 0
 
 
 @functools.cache

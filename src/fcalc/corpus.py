@@ -436,10 +436,8 @@ def _unit_alpha_kills_constants(F):
     nonzero_kernel = False
     for n in range(res.module.N + 1):
         g = F.levels[n].gens
-        row = [coeff.zero()] * g
-        row[g - 1] = coeff.one()
         emb = ModuleMap(PresentedModule.free(coeff, 1), F.levels[n],
-                        Mat(coeff, 1, g, (tuple(row),)))
+                        Mat.from_sparse(coeff, 1, g, (((g - 1, 1),),)))
         if not emb.then(unit.maps[n]).is_zero_map():
             return False, f"constant class survives at level {n}"
         from .exactlin import kernel as _kernel

@@ -176,8 +176,6 @@ class Mat:
     def stack(self, other: "Mat") -> "Mat":
         """Rows of self followed by rows of other (same width)."""
         if self.coeff != other.coeff or self.ncols != other.ncols:
-            if other.nrows == 0:
-                return self
             raise ValueError("stack mismatch")
         return Mat.from_sparse(
             self.coeff, self.nrows + other.nrows, self.ncols,

@@ -200,9 +200,6 @@ class ModuleMap:
     def __repr__(self):
         return f"ModuleMap({self.src!r} -> {self.dst!r})"
 
-    def to_json(self) -> dict:
-        return {"mat": self.mat.to_json()}
-
 
 def preimage_generators(mat: Mat, rels: Mat) -> Mat:
     """Generators of {v : v @ mat lies in the row span of rels}.
@@ -259,7 +256,8 @@ def image_in(dst: PresentedModule, rows: Mat) -> tuple[PresentedModule, ModuleMa
 
 
 def coinvariants(m: PresentedModule, actions) -> tuple[PresentedModule, ModuleMap]:
-    """Quotient of m by the spans (g - id) v over the given endomorphisms.
+    """Quotient of m by the spans (g - id) v over the given endomorphism
+    matrices g.
 
     >>> from .coeff import Q
     >>> reg = PresentedModule.free(Q, 2)
@@ -273,8 +271,6 @@ def coinvariants(m: PresentedModule, actions) -> tuple[PresentedModule, ModuleMa
     coeff = m.coeff
     rows = list(m.rels.sparse_rows())
     for g in actions:
-        if isinstance(g, ModuleMap):
-            g = g.mat
         if g.shape != (m.gens, m.gens):
             raise ExactLinError("action matrix is not an endomorphism")
         # g - id: only the diagonal entry of each row moves

@@ -19,7 +19,9 @@ shifted functor inserts the new point just before the translation block
 """
 from __future__ import annotations
 
+from bisect import bisect
 from contextlib import contextmanager
+from itertools import combinations, combinations_with_replacement, product
 
 from .exactlin import (
     Coeff, Mat, ModuleMap, PresentedModule, basis_matrix,
@@ -345,9 +347,6 @@ class NatMap:
     def is_levelwise_iso(self) -> bool:
         return all(is_isomorphism(f) for f in self.maps)
 
-    def is_zero(self) -> bool:
-        return all(f.is_zero_map() for f in self.maps)
-
 
 def truncate(F: TruncFIModule, M: int) -> TruncFIModule:
     if M > F.N or M < 0:
@@ -616,55 +615,53 @@ def tensor(F: TruncFIModule, G: TruncFIModule) -> TruncFIModule:
 
 # -- Schur-type postcomposition ------------------------------------------
 
-def _tensor_power_mat(m: Mat, k: int) -> Mat:
-    out = Mat.identity(m.coeff, 1)
-    for _ in range(k):
-        out = out.kron(m)
-    return out
+# each power's basis words of length k in the letters: every word for T
+# (lexicographic, which is kron's order), sorted words for S, strictly
+# increasing words for L
+_WORDS = {"T": lambda letters, k: product(letters, repeat=k),
+          "S": combinations_with_replacement, "L": combinations}
 
 
-def _exterior_power_mat(m: Mat, k: int) -> Mat:
-    from itertools import combinations
-    from .exactlin.matrix import det
-    rows_idx = list(combinations(range(m.nrows), k))
-    cols_idx = list(combinations(range(m.ncols), k))
-    rows = []
-    for I in rows_idx:
-        rows.append(tuple(det(m.submatrix(I, J)) for J in cols_idx))
-    return Mat(m.coeff, len(rows_idx), len(cols_idx), tuple(rows))
+def _power_mat(m: Mat, kind: str, k: int) -> Mat:
+    """The matrix of the k-th tensor ("T"), symmetric ("S") or exterior
+    ("L") power of the map m.
 
-
-def _symmetric_power_mat(m: Mat, k: int) -> Mat:
-    from itertools import combinations_with_replacement
-    coeff = m.coeff
-    zero = coeff.zero()
+    Row I is the product of the rows of m in I, expanded over one nonzero
+    entry per row.  Each term's word of columns is put on its basis word
+    as it grows: T keeps it, S sorts it, and L sorts it with the sign of
+    the sorting permutation and drops it when a column repeats, so that an
+    L entry is the k x k minor expanded by Leibniz.
+    """
+    coeff, sparse = m.coeff, m.sparse_rows()
+    words = _WORDS[kind]
 
     def expand(I):
-        """The product of the rows in I, as monomials with coefficients."""
-        acc = {(): coeff.one()}
+        acc = {(): 1}
         for i in I:
             nxt = {}
-            row = m.sparse_rows()[i]
-            for mono, c in acc.items():
-                for j, a in row:
-                    key = tuple(sorted(mono + (j,)))
-                    nxt[key] = coeff.normalize(nxt.get(key, zero) + c * a)
+            for word, c in acc.items():
+                n = len(word)
+                for j, a in sparse[i]:
+                    pos = n if kind == "T" else bisect(word, j)
+                    if kind == "L":
+                        if pos and word[pos - 1] == j:
+                            continue
+                        if (n - pos) % 2:
+                            a = -a
+                    key = word[:pos] + (j,) + word[pos:]
+                    nxt[key] = nxt.get(key, 0) + c * a
             acc = nxt
-        return acc.items()
+        return [(word, coeff.normalize(x)) for word, x in acc.items()]
 
-    return basis_matrix(
-        coeff, combinations_with_replacement(range(m.nrows), k),
-        combinations_with_replacement(range(m.ncols), k), expand)
-
-
-_SCHUR = {"T": _tensor_power_mat, "S": _symmetric_power_mat, "L": _exterior_power_mat}
+    return basis_matrix(coeff, words(range(m.nrows), k),
+                        words(range(m.ncols), k), expand)
 
 
 def parse_schur(token: str) -> tuple[str, int]:
     """Parse "T2", "S^3", "L2" (L = exterior power) into (kind, k)."""
     token = token.replace("^", "")
     kind = token[0].upper()
-    if kind not in _SCHUR:
+    if kind not in _WORDS:
         raise FunctorError(f"unknown power functor {token!r} (use T/S/L)")
     return kind, int(token[1:])
 
@@ -695,12 +692,12 @@ def postcompose(F: TruncFIModule, schur: str) -> TruncFIModule:
     base = F
     if any(m.rels.nrows and not m.rels.is_zero() for m in F.levels):
         base, _ = freeify(F)
-    trans = _SCHUR[kind]
-    levels = [PresentedModule.free(base.coeff, trans(
-        Mat.identity(base.coeff, m.gens), k).nrows) for m in base.levels]
-    incl = [ModuleMap(levels[n], levels[n + 1], trans(base.incl[n].mat, k))
+    levels = [PresentedModule.free(base.coeff, _power_mat(
+        Mat.identity(base.coeff, m.gens), kind, k).nrows) for m in base.levels]
+    incl = [ModuleMap(levels[n], levels[n + 1],
+                      _power_mat(base.incl[n].mat, kind, k))
             for n in range(base.N)]
-    sym = [[trans(base.sym[n][i], k) for i in range(max(n - 1, 0))]
+    sym = [[_power_mat(base.sym[n][i], kind, k) for i in range(max(n - 1, 0))]
            for n in range(base.N + 1)]
     return TruncFIModule(base.coeff, levels, incl, sym)
 

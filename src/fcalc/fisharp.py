@@ -90,9 +90,7 @@ def eta_restrict(F: FISharpModule) -> TruncFIModule:
 
 
 def _down_up(F: FISharpModule, n: int, k: int) -> Mat:
-    """Matrix of the idempotent keeping the first k points of level n."""
-    if n == k:
-        return Mat.identity(F.coeff, F.levels[n].gens)
+    """Matrix of the idempotent keeping the first k < n points of level n."""
     mat = F.proj[n - 1].mat
     for m in range(n - 2, k - 1, -1):
         mat = mat @ F.proj[m].mat
@@ -416,17 +414,15 @@ class AlphaResult:
     certified      -- per input level n, whether the last `margin`
                       transitions were isomorphisms: N - n >= margin and
                       first_stable[n] <= N - n - margin
-    stage_profiles -- per level, the chain of stage profiles inspected
     first_stable   -- per level, the least stage from which every remaining
                       transition is an isomorphism; the top stage N - n
                       when the last transition is not one
     unit           -- the canonical map F -> eta_restrict(module)
     """
 
-    def __init__(self, module, certified, stage_profiles, first_stable, unit):
+    def __init__(self, module, certified, first_stable, unit):
         self.module = module
         self.certified = certified
-        self.stage_profiles = stage_profiles
         self.first_stable = first_stable
         self.unit = unit
 
@@ -457,11 +453,10 @@ def alpha(F: TruncFIModule, margin: int = 2) -> AlphaResult:
         for m in range(N - n):
             transitions[(n, m)] = ModuleMap(
                 stages[(n, m)], stages[(n, m + 1)], insertion_map(F, m, n).mat)
-    iso = {key: is_isomorphism(t) for key, t in transitions.items()}
     first_stable = []
     for n in range(N + 1):
         m = N - n
-        while m > 0 and iso[(n, m - 1)]:
+        while m > 0 and is_isomorphism(transitions[(n, m - 1)]):
             m -= 1
         first_stable.append(m)
     # first_stable[n] >= 0, so this also asks for N - n >= margin
@@ -502,8 +497,4 @@ def alpha(F: TruncFIModule, margin: int = 2) -> AlphaResult:
             f = f.then(transitions[(n, m)])
         unit_maps.append(ModuleMap(F.levels[n], levels[n], f.mat))
     unit = NatMap(truncate(F, cert_N), eta_restrict(module), unit_maps)
-    stage_profiles = {
-        n: [stages[(n, m)].invariant_factors() for m in range(N - n + 1)]
-        for n in range(N + 1)
-    }
-    return AlphaResult(module, certified, stage_profiles, first_stable, unit)
+    return AlphaResult(module, certified, first_stable, unit)

@@ -282,6 +282,26 @@ class TestAxioms:
         assert report.ok
         assert len(calls) == units + pairs + members
 
+    @pytest.mark.parametrize("cat, bound", [(THETA, 2), (SIGMA, 3)])
+    def test_sum_that_keeps_the_extras_in_place_fails(self, monkeypatch, cat,
+                                                      bound):
+        # a sum that leaves the extras of f between the b and d blocks
+        # depends on the representatives summed: the sum check compares two
+        # representatives of each class, so it must notice
+        def unordered(f, g):
+            a, b = f.a + g.a, f.b + g.b
+            h = cat.sum(f.rep_map, (f.a, f.b + f.rep_t),
+                        g.rep_map, (g.a, g.b + g.rep_t))
+            return cattilde.TildeHom(cat, a, b, f.rep_t + g.rep_t, h,
+                                     cattilde._normal_form(cat, a, b, h))
+
+        monkeypatch.setattr(cattilde, "_tilde_sum", unordered)
+        report = cattilde.verify_axioms(cat, bound)
+        assert not report.ok
+        assert all(m.startswith("sum not functorial")
+                   for m in report.failures)
+        assert report.checks == verify_axioms(cat, bound).checks
+
     def test_category_lookup(self):
         assert category("theta") is THETA
         assert category("sigma") is SIGMA

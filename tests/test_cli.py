@@ -69,6 +69,22 @@ class TestDegree:
         assert data == {"kind": "strong", "value": 2, "window": [0, 5],
                         "margin": None}
 
+    def test_generation_degree(self, capsys):
+        code, out, _ = run(capsys, "degree", "--generation", "corpus:P(2)",
+                           "--N", "5")
+        assert code == 0
+        assert out == "generation degree = 2, window [0,5]\n"
+
+    def test_fi_sharp_input(self, capsys, tmp_path):
+        # an FI#-module file is read as its underlying FI-module
+        path = tmp_path / "free1.json"
+        code, _, _ = run(capsys, "corpus", "emit", "free_sharp(1)", "--N", "4",
+                         "--out", str(path))
+        assert code == 0 and "proj" in json.loads(path.read_text())
+        code, out, _ = run(capsys, "degree", str(path))
+        assert code == 0
+        assert out == "strong degree = 1, window [0,2]\n"
+
     def test_margin_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("FCALC_MARGIN", "1")
         code, out, _ = run(capsys, "degree", "--weak", "corpus:zgeq(3)",
@@ -323,6 +339,15 @@ class TestSharpAndTilde:
         from fcalc.fisharp import FISharpModule
         G = FISharpModule.from_json(json.loads(out_path.read_text()))
         assert [m.dimension() for m in G.levels] == [1, 2, 3, 4]
+
+    def test_alpha_profiles(self, capsys):
+        # without --json or --out, alpha prints each level's profile
+        code, out, err = run(capsys, "alpha", "corpus:P(1)", "--N", "5",
+                             "--coeff", "Z")
+        assert code == 0
+        assert out == "level profiles: [[1], [2], [3]]\n"
+        assert err == ("alpha certified on [0, 2] "
+                       "(input window [0, 5], margin 2)\n")
 
     def test_tilde_hom_listing(self, capsys):
         code, out, _ = run(capsys, "tilde-hom", "--cat", "theta", "2", "2")

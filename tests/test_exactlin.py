@@ -396,6 +396,14 @@ class TestExactness:
         ]
         assert not check_exact(seq)
 
+    def test_kernel_generator_outside_the_image_detected(self):
+        # Z --2--> Z --0--> Z: the composite is zero, but the kernel Z is
+        # not the image 2Z
+        z1 = PresentedModule.free(Z, 1)
+        seq = [ModuleMap(z1, z1, Mat.from_rows(Z, [[2]])),
+               ModuleMap.zero_map(z1, z1)]
+        assert not check_exact(seq)
+
     def test_non_surjective_tail_detected(self):
         z1 = PresentedModule.free(Z, 1)
         zero = PresentedModule.zero(Z)
@@ -716,6 +724,16 @@ class TestMatStorage:
         cols = data.draw(st.lists(st.integers(0, k - 1), max_size=3)) if k else []
         check_mat(a.submatrix(rows, cols), coeff, (len(rows), len(cols)),
                   ref.submatrix(ra, rows, cols))
+
+
+    def test_stack_mismatch_raises(self):
+        # a mismatch raises whatever the height of the lower block
+        a = Mat.identity(Z, 2)
+        for other in (Mat.zero(Z, 0, 3), Mat.zero(Q, 0, 2),
+                      Mat.identity(Z, 3), Mat.identity(F2, 2)):
+            with pytest.raises(ValueError, match="stack mismatch"):
+                a.stack(other)
+        assert a.stack(Mat.zero(Z, 0, 2)) == a
 
 
 class TestRowBasisSparse:

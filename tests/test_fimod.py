@@ -2,6 +2,7 @@
 import contextlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from fcalc.corpus import (
     augmentation_sequence, build, build_sharp, ex_upm_sequence,
     shift_kernel_witness,
 )
-from fcalc.exactlin import Coeff, Mat, ModuleMap
+from fcalc.exactlin import Coeff, Mat, ModuleMap, PresentedModule, det
 from fcalc.fimod import (
     NEG_INF, NOT_CERTIFIED, DegreeReport, FunctorError, NatMap,
     TruncFIModule, WindowError,
@@ -19,6 +20,7 @@ from fcalc.fimod import (
     postcompose, shift, stable_kernel, strong_degree, tensor, truncate,
     unit_map, verify_six_term, weak_degree,
 )
+from fcalc.fimod import _power_mat
 from fcalc.fisharp import alpha
 from oracles import word_product
 
@@ -59,6 +61,27 @@ class TestStructure:
         incl[2] = ModuleMap(F.levels[2], F.levels[3], Mat.from_rows(Z, rows))
         G = TruncFIModule(Z, F.levels, incl, F.sym)
         assert G.verify() != []
+
+    def test_maps_that_break_the_relations_detected(self):
+        # level 2 of P(1) presented as Z^2 / (e_1): the swap sends the
+        # relation to e_2, and the inclusion sends it to the free e_1
+        F = build("P(1)", "Z", 3)
+        levels = list(F.levels)
+        levels[2] = PresentedModule.from_rel_rows(Z, 2, [[1, 0]])
+        incl = [ModuleMap(levels[n], levels[n + 1], f.mat)
+                for n, f in enumerate(F.incl)]
+        bad = TruncFIModule(Z, levels, incl, F.sym).verify()
+        assert "level 2: s_1 does not respect the relations" in bad
+        assert "inclusion at level 2 does not respect the relations" in bad
+
+    def test_distant_transpositions_that_do_not_commute_detected(self):
+        # s_3 at level 4 replaced by s_2: s_1 and s_3 no longer commute
+        F = build("P(1)", "Z", 4)
+        sym = [list(s) for s in F.sym]
+        sym[4][2] = sym[4][1]
+        bad = TruncFIModule(Z, F.levels, F.incl, sym).verify()
+        assert ("level 4: distant transpositions s_1, s_3 do not commute"
+                in bad)
 
     def test_perm_word(self):
         rng = random.Random(3)
@@ -173,6 +196,27 @@ class TestNatMap:
                            for a, b in zip(Q2.levels, C.levels)])
         assert not w.is_natural()
         assert not w.is_levelwise_iso()
+
+    def test_inclusion_square_fails(self):
+        # 2 at level 1 and 1 elsewhere: well defined, but the square of the
+        # inclusion from level 1 does not commute
+        F = build("P(1)", "Z", 3)
+        maps = [ModuleMap.identity(m) for m in F.levels]
+        maps[1] = ModuleMap(F.levels[1], F.levels[1], Mat.from_rows(Z, [[2]]))
+        assert not NatMap(F, F, maps).is_natural()
+
+    def test_transposition_square_fails(self):
+        # e_1, e_2 -> e_1 at level 2 commutes with the inclusions of P(1)
+        # on [0, 2] but not with the swap s_1
+        F = build("P(1)", "Z", 2)
+        maps = [ModuleMap.identity(m) for m in F.levels]
+        maps[2] = ModuleMap(F.levels[2], F.levels[2],
+                            Mat.from_rows(Z, [[1, 0], [1, 0]]))
+        w = NatMap(F, F, maps)
+        assert all(f.is_well_defined() for f in w.maps)
+        assert all(w.maps[n].then(F.incl[n]).equals(F.incl[n].then(w.maps[n + 1]))
+                   for n in range(F.N))
+        assert not w.is_natural()
 
 
 class TestUnitMap:
@@ -509,6 +553,46 @@ class TestPostcompose:
         D = diff(build("P(2)", coeff, 5))
         assert any(m.rels.nrows for m in D.levels)
         assert dim_profile(postcompose(D, "L2")).dims == [0, 1, 6, 15, 28]
+
+
+class TestPowerMatrices:
+    """The one builder of T^k, S^k and L^k against independent references:
+    iterated kron, the minors, and functoriality."""
+
+    RINGS = {"Z": Z, "Q": Q, "F2": F2, "F3": Coeff.GF(3)}
+
+    @staticmethod
+    def matrix(rng, coeff, nrows, ncols) -> Mat:
+        def entry():
+            x = rng.randint(-3, 3)
+            if coeff.kind == Coeff.RATIONALS and rng.random() < 0.3:
+                return Fraction(x, rng.randint(2, 4))
+            return x
+        if not nrows:
+            return Mat.zero(coeff, 0, ncols)
+        return Mat.from_rows(coeff, [[entry() for _ in range(ncols)]
+                                     for _ in range(nrows)])
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from(["Z", "Q", "F2", "F3"]), st.integers(0, 3),
+           st.randoms(use_true_random=False))
+    def test_powers(self, code, k, rng):
+        coeff = self.RINGS[code]
+        n, m, r = (rng.randint(0, 3) for _ in range(3))
+        a, b = self.matrix(rng, coeff, n, m), self.matrix(rng, coeff, m, r)
+        tensor = Mat.identity(coeff, 1)
+        for _ in range(k):
+            tensor = tensor.kron(a)
+        assert _power_mat(a, "T", k) == tensor
+        ext = _power_mat(a, "L", k)
+        rows, cols = (list(combinations(range(x), k)) for x in (n, m))
+        assert ext.shape == (len(rows), len(cols))
+        assert ext.rows == tuple(tuple(det(a.submatrix(I, J)) for J in cols)
+                                 for I in rows)
+        for kind in "TSL":  # for L this is Cauchy-Binet
+            assert _power_mat(a @ b, kind, k) == \
+                _power_mat(a, kind, k) @ _power_mat(b, kind, k)
 
 
 class TestSixTerm:

@@ -7,7 +7,7 @@ import pytest
 
 from fcalc.corpus import build, build_sharp
 from fcalc.exactlin import Coeff, Mat, ModuleMap, PresentedModule
-from fcalc.fimod import NEG_INF, diff, shift, strong_degree
+from fcalc.fimod import NEG_INF, NatMap, diff, shift, strong_degree
 from fcalc.fisharp import (
     FISharpModule, SymRep, SymRepList, alpha, cross_effect,
     dold_kan_decompose, dold_kan_reconstruct, dold_kan_witness, epsilon_idem,
@@ -53,6 +53,51 @@ class TestStructure:
         E = eta_restrict(sharps["free1"])
         assert not hasattr(E, "proj")
         assert E.verify() == []
+
+    def test_projection_that_breaks_the_relations_detected(self):
+        # Z -> Z/2 -> Z: the projection sends the relation 2 to a free 2
+        levels = [PresentedModule.free(Z, 1),
+                  PresentedModule.from_rel_rows(Z, 1, [[2]])]
+        one = Mat.identity(Z, 1)
+        F = FISharpModule(Z, levels, [ModuleMap(levels[0], levels[1], one)],
+                          [[], []], [ModuleMap(levels[1], levels[0], one)])
+        assert F.verify() == [
+            "projection at level 1 does not respect relations"]
+
+    @staticmethod
+    def with_proj(F, n, rows):
+        proj = list(F.proj)
+        proj[n] = ModuleMap(F.levels[n + 1], F.levels[n],
+                            Mat.from_rows(F.coeff, rows))
+        return FISharpModule(F.coeff, F.levels, F.incl, F.sym, proj)
+
+    def test_projection_not_left_inverse_detected(self, sharps):
+        # free_sharp(1) at level n has the basis (empty, point 1, .., n)
+        F = self.with_proj(sharps["free1Z"], 0, [[0], [0]])
+        assert F.verify() == ["level 0: proj o incl is not the identity"]
+
+    def test_projection_not_equivariant_detected(self, sharps):
+        # the projection from level 3 sends point 3 to point 2 instead of
+        # to the empty map; point 3 is fixed by s_1, point 2 is not
+        F = self.with_proj(sharps["free1Z"], 2,
+                           [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1]])
+        assert F.verify() == [
+            "level 3: incl o proj does not commute with s_1",
+            "projection at level 3 not equivariant for s_1"]
+
+    def test_sharp_naturality_needs_the_projection_square(self, sharps):
+        # point i -> point i + empty, empty -> empty: natural for the
+        # inclusions and transpositions, but the projection sends the last
+        # point to the empty map, where the two paths give 2 * empty and
+        # empty
+        F = sharps["free1Z"]
+        maps = [ModuleMap(m, m, Mat.from_rows(
+            Z, [[1] + [0] * n] + [[1] + [int(i == j) for j in range(n)]
+                                  for i in range(n)]))
+            for n, m in enumerate(F.levels)]
+        nm = NatMap(F, F, maps)
+        assert nm.is_natural()
+        assert not sharp_natmap_ok(F, F, nm)
 
 
 class TestEpsilon:
@@ -372,6 +417,20 @@ class TestCharacters:
         assert not triv2.equivalent(swap)
         assert triv2.module.invariant_factors() == swap.module.invariant_factors()
 
+    def test_inequivalent_by_degree(self):
+        # the trivial module Z in degrees 1 and 2, over Z, so no character
+        one = PresentedModule.free(Z, 1)
+        assert not SymRep(1, one, []).equivalent(
+            SymRep(2, one, [Mat.identity(Z, 1)]))
+
+    def test_inequivalent_by_profile(self):
+        # trivial Z against trivial Z/2 in degree 2
+        torsion = PresentedModule.from_rel_rows(Z, 1, [[2]])
+        trivial = SymRep(2, PresentedModule.free(Z, 1), [Mat.identity(Z, 1)])
+        assert trivial.equivalent(trivial)
+        assert not trivial.equivalent(
+            SymRep(2, torsion, [Mat.identity(Z, 1)]))
+
     def test_characters_reduced_mod_p(self):
         # the regular representation of S_2 over F2 in the bases {e, s}
         # and {e, e + s}: isomorphic, so the traces agree mod 2
@@ -458,6 +517,27 @@ class TestAlpha:
             for n in range(res.module.N + 1):
                 assert res.first_stable[n] is not None, (name, n)
                 assert res.first_stable[n] <= bound, (name, n, res.first_stable)
+
+    @pytest.mark.parametrize("name, coeff", [("P(2)", "Z"), ("zgeq(2)", "Z"),
+                                             ("ex_upm_A", "F2")])
+    def test_reads_only_the_transitions_it_needs(self, monkeypatch, name,
+                                                  coeff):
+        # level n tests its transitions from the top stage down to the
+        # first one that is not an isomorphism, and none below it (these
+        # entries have levels with first_stable >= 2)
+        import fcalc.fisharp as fisharp
+        calls = []
+        true_iso = fisharp.is_isomorphism
+
+        def counted(f):
+            calls.append(f)
+            return true_iso(f)
+
+        monkeypatch.setattr(fisharp, "is_isomorphism", counted)
+        N = 6
+        res = alpha(build(name, coeff, N), 2)
+        assert len(calls) == sum(N - n - m + (m > 0)
+                                 for n, m in enumerate(res.first_stable))
 
     def test_unit_alpha_shortcut(self):
         u = alpha(build("const", "Z", 5), 2).unit
