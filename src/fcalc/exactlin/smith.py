@@ -1,28 +1,26 @@
-"""Smith normal form and row-echelon workhorses.
+"""Row-echelon elimination, and the Smith normal form built on it.
 
-Two engines live here:
+``RowBasis`` is the one elimination engine for Z, Q and F_p: an
+incremental echelon basis (Hermite-style over Z, reduced echelon over
+fields) used for span membership, left kernels, solving ``x @ A = v``,
+lattice saturation and the Smith normal form.  It is by far the hottest
+code path in the package.  Rows are {column: value} maps of their nonzero
+entries, so a move costs the nonzeros it touches, not the width.  Every
+row move is one primitive, ``v -= x * row`` over the nonzero entries of
+row, reduced mod p over F_p, and every reduction divides by one pivot
+quotient: floor division over Z, the entry itself over a field, whose
+pivots are 1.  Only the gcd merge of a leading entry that its pivot does
+not divide, the pivot quotient and the sign of a new pivot are particular
+to Z.  Entries are taken as given: they must be canonical for the ring,
+as ``Mat`` keeps them, and the row primitive keeps them so: over Q an
+integral entry is an ``int``, so integral data is eliminated at the cost
+of Z, and only a result with denominator 1 is demoted from ``Fraction``.
 
-* ``_smith`` is the one Smith elimination.  ``snf`` asks it for the
-  unimodular U and V with U @ m @ V = D, D diagonal with the divisibility
-  chain d1 | d2 | ...; ``snf_diagonal`` asks for the invariant factors
-  only and skips the transform work.  Pivots are chosen by minimal
-  absolute value, which keeps intermediate entries small in practice.
-
-* ``RowBasis`` is the one incremental echelon engine for Z, Q and F_p
-  (Hermite-style over Z, reduced echelon over fields) used for span
-  membership, left kernels, solving ``x @ A = v`` and lattice saturation.
-  It is by far the hottest code path in the package.  Rows are
-  {column: value} maps of their nonzero entries, so a move costs the
-  nonzeros it touches, not the width.  Every row move is one primitive,
-  ``v -= x * row`` over the nonzero entries of row, reduced mod p over
-  F_p, and every reduction divides by one pivot quotient: floor division
-  over Z, the entry itself over a field, whose pivots are 1.  Only the
-  gcd merge of a leading entry that its pivot does not divide, the pivot
-  quotient and the sign of a new pivot are particular to Z.  Entries are
-  taken as given: they must be canonical for the ring, as ``Mat`` keeps
-  them, and the row primitive keeps them so: over Q an integral entry is
-  an ``int``, so integral data is eliminated at the cost of Z, and only a
-  result with denominator 1 is demoted from ``Fraction``.
+``snf`` and ``snf_diagonal`` alternate ``RowBasis`` passes on the rows
+of a matrix and on those of its transpose until it is diagonal, then make
+the divisibility chain by a gcd/lcm sweep (R. Kannan and A. Bachem, SIAM
+J. Comput. 8 (1979) 499-507; H. Cohen, A Course in Computational
+Algebraic Number Theory, GTM 138, 2.4).  They read no dense row.
 """
 from __future__ import annotations
 
@@ -44,145 +42,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
         y, ny = ny, y - q * ny
         g, ng = ng, g - q * ng
     return x, y, g
-
-
-def _smith(m: Mat, track: bool):
-    """The min-pivot elimination behind ``snf`` and ``snf_diagonal``.
-
-    Returns (a, v, rank).  a holds the rows of the diagonal form, each
-    followed, when track is set, by the matching row of U (row moves act on
-    [m | I]); v is V as a list of rows, empty unless track; rank counts the
-    nonzero diagonal entries.  Once pivot t is placed, the rows above it
-    are zero from column t on, so every move on a starts there.
-    """
-    if m.coeff.kind != Coeff.INTEGERS:
-        raise ValueError("Smith normal form is defined over the integer "
-                         "coefficients only")
-    nr, nc = m.nrows, m.ncols
-    a = [list(row) for row in m.rows]
-    v = []
-    if track:
-        for i, row in enumerate(a):
-            row.extend(1 if i == k else 0 for k in range(nr))
-        v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-    width = nc + nr if track else nc
-    t = 0
-    while t < min(nr, nc):
-        # minimal |entry| pivot in the trailing block
-        best = None
-        for i in range(t, nr):
-            ai = a[i]
-            for j in range(t, nc):
-                x = ai[j]
-                if x:
-                    ax = -x if x < 0 else x
-                    if best is None or ax < best[0]:
-                        best = (ax, i, j)
-                        if ax == 1:
-                            break
-            if best is not None and best[0] == 1:
-                break
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != t:
-            a[t], a[bi] = a[bi], a[t]
-        cols = a[t:] + v  # the rows a column move touches
-        if bj != t:
-            for row in cols:
-                row[t], row[bj] = row[bj], row[t]
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, nr):
-                x = a[i][t]
-                if x:
-                    piv = a[t][t]
-                    if x % piv == 0:
-                        q = x // piv
-                        ai, at = a[i], a[t]
-                        for j in range(t, width):
-                            ai[j] -= q * at[j]
-                    else:
-                        s, y, g = _xgcd(piv, x)
-                        ag, bg = piv // g, x // g
-                        at, ai = a[t], a[i]
-                        for j in range(t, width):
-                            tj, ij = at[j], ai[j]
-                            at[j] = s * tj + y * ij
-                            ai[j] = -bg * tj + ag * ij
-            for j in range(t + 1, nc):
-                x = a[t][j]
-                if x:
-                    piv = a[t][t]
-                    if x % piv == 0:
-                        q = x // piv
-                        for row in cols:
-                            row[j] -= q * row[t]
-                    else:
-                        s, y, g = _xgcd(piv, x)
-                        ag, bg = piv // g, x // g
-                        for row in cols:
-                            rt, rj = row[t], row[j]
-                            row[t] = s * rt + y * rj
-                            row[j] = -bg * rt + ag * rj
-                    if any(a[i][t] for i in range(t + 1, nr)):
-                        dirty = True
-        # enforce the divisibility chain: fold any non-divisible entry in
-        piv = a[t][t]
-        offender = None
-        for i in range(t + 1, nr):
-            ai = a[i]
-            for j in range(t + 1, nc):
-                if ai[j] % piv:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            at, ao = a[t], a[offender]
-            for j in range(t, width):
-                at[j] += ao[j]
-            continue
-        if piv < 0 and track:
-            a[t] = [-x for x in a[t]]
-        t += 1
-    return a, v, t
-
-
-def snf(m: Mat) -> tuple[Mat, Mat, Mat]:
-    """Smith normal form over Z: returns (U, D, V) with U @ m @ V = D.
-
-    D is diagonal, its nonzero entries are positive and satisfy
-    d1 | d2 | ...; U and V have determinant +-1.  Empty matrices return
-    empty factors.
-
-    >>> from .coeff import Z
-    >>> U, D, V = snf(Mat.from_rows(Z, [[2, 4], [6, 8]]))
-    >>> D.diagonal()
-    [2, 4]
-    >>> (U @ Mat.from_rows(Z, [[2, 4], [6, 8]]) @ V) == D
-    True
-    """
-    a, v, _ = _smith(m, track=True)
-    Z, nr, nc = m.coeff, m.nrows, m.ncols
-    return (
-        Mat(Z, nr, nr, tuple(tuple(row[nc:]) for row in a)),
-        Mat(Z, nr, nc, tuple(tuple(row[:nc]) for row in a)),
-        Mat(Z, nc, nc, tuple(map(tuple, v))),
-    )
-
-
-def snf_diagonal(m: Mat) -> list[int]:
-    """Just the invariant factors of m (nonzero diagonal of its SNF),
-    without the work of carrying U and V.
-
-    >>> from .coeff import Z
-    >>> snf_diagonal(Mat.from_rows(Z, [[2, 4], [6, 8]]))
-    [2, 4]
-    """
-    a, _, rank = _smith(m, track=False)
-    return [abs(a[i][i]) for i in range(rank)]
 
 
 class RowBasis:
@@ -463,22 +322,138 @@ def _gcd_merge(r: dict, w: dict, x, y, ag, bg):
     w.update(nw)
 
 
-def left_kernel(m: Mat) -> Mat:
-    """Basis (as rows) of {x : x @ m = 0}; over Z a lattice basis.
+def _echelon(m: Mat, track: bool) -> RowBasis:
+    """The echelon basis of the rows of m, or of [m | I] when track is set.
+    The rows of [m | I] are independent, so then the basis has a row for
+    each row of m: the I-parts are the rows of an invertible T, unimodular
+    over Z, and the m-parts those of T @ m, zero where the pivot falls in
+    the I block."""
+    w = m.ncols
+    b = RowBasis(m.coeff, w + m.nrows if track else w)
+    for i, row in enumerate(m.sparse_rows()):
+        b.add(row + ((w + i, 1),) if track else row)
+    return b
 
-    Computed by echelonizing the rows of [m | I]: rows whose leading entry
-    falls in the identity block have zero m-part, and their identity parts
-    form a basis of the kernel (the row operations are invertible).
+
+def left_kernel(m: Mat) -> Mat:
+    """Basis (as rows) of {x : x @ m = 0}; over Z a lattice basis: the
+    I-parts of the rows of the echelon basis of [m | I] whose m-parts are
+    zero.
 
     >>> from .coeff import Z
     >>> lk = left_kernel(Mat.from_rows(Z, [[2], [3]]))
     >>> [row for row in lk.rows]
     [(3, -2)]
     """
-    n, w = m.nrows, m.ncols
-    b = RowBasis(m.coeff, w + n)
-    for i, row in enumerate(m.sparse_rows()):
-        b.add(row + ((w + i, 1),))
+    w = m.ncols
+    b = _echelon(m, True)
     rows = tuple([tuple(sorted([(k - w, x) for k, x in r.items()]))
                   for r, j in zip(b._rows, b.pivots) if j >= w])
-    return Mat.from_sparse(m.coeff, len(rows), n, rows)
+    return Mat.from_sparse(m.coeff, len(rows), m.nrows, rows)
+
+
+def _diagonalize(m: Mat, track: bool) -> tuple:
+    """Alternating passes until a is diagonal; see ``snf``.  Returns
+    (a, U, W) with U @ m @ W.T == a when track is set, else (a or a.T,
+    None, None) with the zero rows dropped.  Each pass takes a to
+    (T @ a).T, so the invariant x @ m @ y.T == a (m.T while flipped) holds
+    with x, y <- y, T @ x."""
+    if m.coeff.kind != Coeff.INTEGERS:
+        raise ValueError("Smith normal form is defined over the integer "
+                         "coefficients only")
+    Z, a, flipped, x, y = m.coeff, m, False, None, None
+    if track:
+        x, y = Mat.identity(Z, m.nrows), Mat.identity(Z, m.ncols)
+    while True:
+        b, w = _echelon(a, track), a.ncols
+        cols, t = [[] for _ in range(w)], []
+        for i, r in enumerate(b._rows):
+            for k, v in r.items():
+                if k < w:
+                    cols[k].append((i, v))
+            if track:
+                t.append(tuple(sorted([(k - w, v) for k, v in r.items()
+                                       if k >= w])))
+        if track:
+            x, y = y, Mat.from_sparse(Z, b.rank, b.rank, tuple(t)) @ x
+        else:
+            cols = [c for c in cols if c]
+        a = Mat.from_sparse(Z, len(cols), b.rank, tuple(map(tuple, cols)))
+        flipped = not flipped
+        if all(not r or (len(r) == 1 and r[0][0] == i)
+               for i, r in enumerate(a.sparse_rows())):
+            break
+    return (a.transpose(), y, x) if flipped and track else (a, x, y)
+
+
+def _chain(d: list, u=None, w=None) -> list:
+    """The gcd/lcm sweep: for i < j, (a, b) = (d_i, d_j) <- (g, ab/g) with
+    g = xa + yb = gcd(a, b), which leaves d_1 | d_2 | ... .  With u and w,
+    the rows of U and of V.T, each step takes [[x, y], [-b/g, a/g]] on
+    rows i, j of U and [[1, -yb/g], [1, xa/g]] on columns i, j of V."""
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            a, b = d[i], d[j]
+            if b % a:
+                x, y, g = _xgcd(a, b)
+                d[i], d[j] = g, a // g * b
+                if u is not None:
+                    _gcd_merge(u[i], u[j], x, y, a // g, b // g)
+                    _gcd_merge(w[i], w[j], 1, 1, x * (a // g), y * (b // g))
+    return d
+
+
+def snf(m: Mat) -> tuple[Mat, Mat, Mat]:
+    """Smith normal form over Z: returns (U, D, V) with U @ m @ V = D.
+
+    D is diagonal, its nonzero entries are positive and satisfy
+    d1 | d2 | ...; U and V have determinant +-1.  Empty matrices return
+    empty factors.
+
+    Each pass echelonizes the rows of [a | I] with ``RowBasis``, which
+    gives the Hermite form T @ a and the unimodular T, and the next works
+    on the transpose of the result, until a pass leaves a diagonal.  The
+    passes end.  Each makes the leading entry, the pivot of the first
+    nonzero column, the gcd of that column, and clears the rest of it; the
+    next pass sees that column as a row and takes the gcd of the leading
+    entry's row.  So the leading entry's absolute value falls to a proper
+    divisor of itself, pass by pass, until it divides every entry of its
+    row and column.  The pass after that leaves it alone in both, and no
+    later pass touches it: each adds its row first, and no other row has
+    an entry in its column, so the other rows go through the passes of
+    the matrix without it, and end by induction.  The pass after one that
+    leaves at most one entry in each row puts the entries on the diagonal,
+    in pivot order.  A final gcd/lcm sweep (``_chain``) then makes the
+    divisibility chain.
+
+    >>> from .coeff import Z
+    >>> U, D, V = snf(Mat.from_rows(Z, [[2, 4], [6, 8]]))
+    >>> D.diagonal()
+    [2, 4]
+    >>> (U @ Mat.from_rows(Z, [[2, 4], [6, 8]]) @ V) == D
+    True
+    """
+    a, x, y = _diagonalize(m, True)
+    u, w = ([dict(r) for r in z.sparse_rows()] for z in (x, y))
+    _chain([e for e in a.diagonal() if e], u, w)
+    U, Vt = (Mat.from_sparse(m.coeff, len(z), len(z), tuple(
+        [tuple(sorted(r.items())) for r in z])) for z in (u, w))
+    V = Vt.transpose()
+    return U, U @ m @ V, V
+
+
+def snf_diagonal(m: Mat) -> list[int]:
+    """Just the invariant factors of m (nonzero diagonal of its SNF), by
+    the passes of ``snf`` without U and V.  The first pass is on the
+    columns: ``PresentedModule.invariant_factors`` hands over a Hermite
+    basis, which a pass on its rows would only echelonize again.  A 1
+    divides every entry, so the gcd/lcm sweep runs on the others only.
+
+    >>> from .coeff import Z
+    >>> snf_diagonal(Mat.from_rows(Z, [[2, 4], [6, 8]]))
+    [2, 4]
+    """
+    a, _, _ = _diagonalize(m.transpose(), False)
+    diag = [row[0][1] for row in a.sparse_rows()]
+    rest = [e for e in diag if e != 1]
+    return [1] * (len(diag) - len(rest)) + _chain(rest)

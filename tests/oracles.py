@@ -3,7 +3,7 @@ for the library's strategies, random representation lists, and a
 type-free text form of outputs for digests."""
 from itertools import combinations, permutations
 
-from fcalc.exactlin import Mat, PresentedModule
+from fcalc.exactlin import Coeff, Mat, PresentedModule
 from fcalc.fimod import TruncFIModule, insertion_map, perm_word
 from fcalc.fisharp import FISharpModule, SymRep, epsilon_idem
 
@@ -20,6 +20,24 @@ def as_text(x):
     if x is None or isinstance(x, bool):
         return x
     return str(x)
+
+
+def mod_p(M: PresentedModule, p: int) -> PresentedModule:
+    """M (x) F_p for a module M over Z: the same generators, with the
+    relations read mod p."""
+    Fp = Coeff.GF(p)
+    rows = tuple(tuple((j, x % p) for j, x in row if x % p)
+                 for row in M.rels.sparse_rows())
+    return PresentedModule(Fp, M.gens,
+                           Mat.from_sparse(Fp, len(rows), M.gens, rows))
+
+
+def uct_dimension(M: PresentedModule, p: int) -> int:
+    """dim over F_p of M (x) F_p for M over Z, by the universal
+    coefficients: the free rank plus the number of invariant factors
+    divisible by p."""
+    free, *torsion = M.invariant_factors()
+    return free + sum(1 for d in torsion if d % p == 0)
 
 
 def cross_effect_cokernel_profile(F: FISharpModule, k: int) -> list[int]:

@@ -349,6 +349,14 @@ class TestSharpAndTilde:
         assert err == ("alpha certified on [0, 2] "
                        "(input window [0, 5], margin 2)\n")
 
+    def test_alpha_profiles_of_a_large_z_presentation(self):
+        # P(3) over Z at N = 8: the stages carry hundreds of generators,
+        # so the profiles go through the Smith form of wide Hermite bases
+        assert run_fresh("alpha", "corpus:P(3)", "--N", "8",
+                         "--coeff", "Z") == (
+            0, "level profiles: [[1], [4], [13], [34]]\n",
+            "alpha certified on [0, 3] (input window [0, 8], margin 2)\n")
+
     def test_tilde_hom_listing(self, capsys):
         code, out, _ = run(capsys, "tilde-hom", "--cat", "theta", "2", "2")
         assert code == 0

@@ -22,7 +22,7 @@ from fcalc.fimod import (
 )
 from fcalc.fimod import _power_mat
 from fcalc.fisharp import alpha
-from oracles import word_product
+from oracles import mod_p, uct_dimension, word_product
 
 Z, Q, F2 = Coeff.Z(), Coeff.Q(), Coeff.GF(2)
 
@@ -593,6 +593,33 @@ class TestPowerMatrices:
         for kind in "TSL":  # for L this is Cauchy-Binet
             assert _power_mat(a @ b, kind, k) == \
                 _power_mat(a, kind, k) @ _power_mat(b, kind, k)
+
+
+class TestUniversalCoefficients:
+    """The universal-coefficient identity (``oracles.uct_dimension``) on
+    every level of diff, kappa and alpha of the Z corpus: the Z profile
+    against the F_p rank of the relations mod p, for p = 2 and 3.  No such
+    level has a factor > 1, so the torsion case is left to the random
+    presentations of test_exactlin.py."""
+
+    def test_corpus_levels(self):
+        levels = 0
+        for name in ("const", "atomic(2)", "zgeq(3)", "P(1)", "P(2)",
+                     "augmentation_kernel", "atomics_upto(6)", "sum_zgeq"):
+            F = build(name, "Z", 6)
+            outputs = [diff(F), kappa(F)]
+            if name in ("atomics_upto(6)", "sum_zgeq"):
+                with pytest.raises(WindowError):  # no level stabilizes
+                    alpha(F)
+            else:
+                outputs.append(alpha(F).module)
+            for G in outputs:
+                for M in G.levels:
+                    levels += 1
+                    for p in (2, 3):
+                        assert mod_p(M, p).dimension() == \
+                            uct_dimension(M, p), (name, p)
+        assert levels > 100
 
 
 class TestSixTerm:
