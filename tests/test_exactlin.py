@@ -749,14 +749,17 @@ class TestProperties:
 
 
 def random_entry(rng, coeff):
-    """A raw entry, nonzero in the ring: an int in [-9, 9], over Q
-    sometimes divided by 2 to 7."""
-    while True:
-        x = rng.randint(-9, 9)
-        if x and (coeff.p is None or x % coeff.p):
-            break
-    if coeff.kind == Coeff.RATIONALS and rng.random() < 0.3:
-        return Fraction(x, rng.randint(2, 7))
+    """A raw entry: a nonzero int in [-9, 9], which over F2 and F3 may be
+    zero in the ring (2, -3, ...); over Q sometimes divided by 2 to 7, and
+    now and then Fraction(0, d), a zero that is not an int."""
+    x = rng.choice((-9, -8, -7, -6, -5, -4, -3, -2, -1,
+                    1, 2, 3, 4, 5, 6, 7, 8, 9))
+    if coeff.kind == Coeff.RATIONALS:
+        u = rng.random()
+        if u < 0.1:
+            return Fraction(0, rng.randint(2, 7))
+        if u < 0.4:
+            return Fraction(x, rng.randint(2, 7))
     return x
 
 
