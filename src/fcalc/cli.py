@@ -85,8 +85,101 @@ def load_functor(ref: str, N: int | None, coeff: str | None):
         raise InputError(f"invalid functor data in {ref}: {exc}")
 
 
+_escape = json.encoder.encode_basestring_ascii
+_int_repr = int.__repr__
+_INF = float("inf")
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return _escape(key)
+    if isinstance(key, float):
+        return _escape(_json_float(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return _escape(_int_repr(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _write(o, nl: str, out: list):
+    """Append to ``out`` the pieces of the text that the standard
+    ``json`` module writes for ``o`` with an indent of 1, its lines
+    continued by ``nl`` (a newline and the current indent).  Strings go
+    through json's C escaper, and a list of only strings or only ints is
+    one join."""
+    if isinstance(o, str):
+        out.append(_escape(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(_int_repr(o))
+    elif isinstance(o, float):
+        out.append(_json_float(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + " "
+        sep = "," + inner
+        first = type(o[0])
+        if first is str:
+            try:
+                out += ("[", inner, sep.join(map(_escape, o)), nl, "]")
+                return
+            except TypeError:
+                pass
+        elif first is int and bool not in map(type, o):
+            try:
+                out += ("[", inner, sep.join(map(_int_repr, o)), nl, "]")
+                return
+            except TypeError:
+                pass
+        out.append("[" + inner)
+        _write(o[0], inner, out)
+        for x in o[1:]:
+            out.append(sep)
+            _write(x, inner, out)
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + " "
+        lead = "{" + inner
+        for k, v in o.items():
+            out += (lead, _json_key(k), ": ")
+            _write(v, inner, out)
+            lead = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} "
+                        f"is not JSON serializable")
+
+
 def emit(data: dict, out: str | None):
-    text = json.dumps(data, indent=1)
+    parts = []
+    _write(data, "\n", parts)
+    text = "".join(parts)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")

@@ -9,8 +9,8 @@ All module elements in this package are ROW vectors; a map is applied as
 """
 from __future__ import annotations
 
-from itertools import compress
-from operator import itemgetter
+from itertools import compress, count, repeat
+from operator import itemgetter, ne
 from typing import Iterable, Sequence
 
 from .coeff import Coeff
@@ -244,6 +244,11 @@ class Mat:
         rows None accepts any height.  A 0-row matrix is ``[]`` and an r x 0
         matrix is r empty lists; anything else raises ValueError.
 
+        Only the entries other than the literal string ``"0"`` are parsed,
+        in row-major order, and those that parse to zero (``"00"``, ``"3"``
+        over F3) are dropped.  So every entry is still checked, and a bad
+        one raises the same error as if all were parsed.
+
         >>> Mat.from_json(Coeff.Z(), [["1", "2"]], (None, 2)).shape
         (1, 2)
         >>> Mat.from_json(Coeff.Z(), [["1", "2"]], (2, 2))
@@ -260,8 +265,15 @@ class Mat:
             if len(row) != ncols:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {ncols}")
         parse = coeff.parse_scalar
-        return cls(coeff, len(data), ncols,
-                   [[parse(x) for x in row] for row in data])
+        sparse = []
+        for row in data:
+            srow = []
+            for j in compress(count(), map(ne, row, repeat("0"))):
+                x = parse(row[j])
+                if x:
+                    srow.append((j, x))
+            sparse.append(tuple(srow))
+        return cls.from_sparse(coeff, len(data), ncols, tuple(sparse))
 
 
 _new = object.__new__

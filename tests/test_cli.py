@@ -1,15 +1,20 @@
 """Command-line dispatch: exit codes, output shapes, round trips."""
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fcalc.cli
-from fcalc.cli import main
+from fcalc.cli import emit, main
 from fcalc.fimod import TruncFIModule
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -412,6 +417,87 @@ class TestTildeDigests:
         assert h.hexdigest() == self.DIGESTS[group]
 
 
+class TestJsonDigests:
+    """The JSON of the FI verbs over each ring: exit code, stdout, stderr
+    and the --out file of every query in a group, pinned as one SHA-256
+    digest per (group, ring).  The degrees include a weak degree -inf
+    (atomic(2)) and a strong degree that is not certified (sum_zgeq)."""
+
+    ENTRIES = ("const", "atomic(2)", "zgeq(3)", "P(1)", "P(2)",
+               "augmentation_kernel", "sum_zgeq")
+    QUERIES = {
+        "degree": [["degree", kind, "--json", f"corpus:{e}", "--N", "5"]
+                   for e in ENTRIES
+                   for kind in ("--strong", "--weak", "--generation")],
+        "dims": [["dims", "--json", f"corpus:{e}", "--N", "5"]
+                 for e in ENTRIES],
+        "transforms": [[verb, f"corpus:{e}", "--N", "5", "--out", "@out"]
+                       for e in ("P(1)", "P(2)", "zgeq(2)",
+                                 "augmentation_kernel")
+                       for verb in ("diff", "kappa", "shift")],
+        "emit": [["corpus", "emit", e, "--N", "5", "--out", "@out"]
+                 for e in ENTRIES + ("free_sharp(1)", "free_sharp(2)")],
+        "alpha": [["alpha", "--json", f"corpus:P({d})", "--N", str(N)]
+                  for d in (1, 2) for N in (5, 6)],
+    }
+    DIGESTS = {
+        "alpha:Z":
+            "bd0a9b6f6d31c868affef9f9c625bc604cfd09172e9aa29e65b3261279a3ceb8",
+        "alpha:Q":
+            "1ab882a3fd3816f380bcbab76cb21e359597d0dab665042210cc3bc9d29e32ea",
+        "alpha:F2":
+            "4854f3808316900eb5bb70e10156b1a035774e0b334c946a38465a04bcffe9e3",
+        "alpha:F3":
+            "de5eceb4d34636d6f9db7ce8f7843b2bb38384752e2071a82c8a7f9719e71b17",
+        "degree:Z":
+            "6ce66f08005cf8dee8ed404d1bf9b4a37d2c340720912778652f1f32ab82e606",
+        "degree:Q":
+            "6ce66f08005cf8dee8ed404d1bf9b4a37d2c340720912778652f1f32ab82e606",
+        "degree:F2":
+            "6ce66f08005cf8dee8ed404d1bf9b4a37d2c340720912778652f1f32ab82e606",
+        "degree:F3":
+            "6ce66f08005cf8dee8ed404d1bf9b4a37d2c340720912778652f1f32ab82e606",
+        "dims:Z":
+            "dc5a87fc1a2a75df7f4acbaccd0083028500761c145b91a83d44384ae94cd193",
+        "dims:Q":
+            "dc5a87fc1a2a75df7f4acbaccd0083028500761c145b91a83d44384ae94cd193",
+        "dims:F2":
+            "dc5a87fc1a2a75df7f4acbaccd0083028500761c145b91a83d44384ae94cd193",
+        "dims:F3":
+            "dc5a87fc1a2a75df7f4acbaccd0083028500761c145b91a83d44384ae94cd193",
+        "emit:Z":
+            "d13cd20724aeeb19bd70f4a2da1eefd94b0a70df2e28e35657ec7686610d8028",
+        "emit:Q":
+            "24bf217d10f385c63c2840d90e2ecc0139bd58e784849f2233f2530bf06d4868",
+        "emit:F2":
+            "a5e95ec2ac388bdfaefcf5b76631fc8a369b3004c81404d59817e8cbff41ef41",
+        "emit:F3":
+            "542741e27eea26f040a88359e57fa476ec41d8c14fc70a1df8c3178533378e5d",
+        "transforms:Z":
+            "dc51e75ddc4be130b0cc63267f0d27e87d816df808df490c1f3eb1a73da59c2e",
+        "transforms:Q":
+            "a89b2dc9636e7bac7253025fc9e445693484c52c53cf65f029af1e17ff9fdd12",
+        "transforms:F2":
+            "a31291a4d6203a3e9cc51523e365c3883e364138942907952c647ff8ff1b39e7",
+        "transforms:F3":
+            "cb1104b22bcdea911e95d344a86a1a6a44ad6fc7a3238e5a21cfae64e0a1db25",
+    }
+
+    @pytest.mark.parametrize("coeff", ["Z", "Q", "F2", "F3"])
+    @pytest.mark.parametrize("group", sorted(QUERIES))
+    def test_digest(self, capsys, tmp_path, group, coeff):
+        out_path = tmp_path / "out.json"
+        h = hashlib.sha256()
+        for argv in self.QUERIES[group]:
+            argv = [str(out_path) if a == "@out" else a for a in argv]
+            code, out, err = run(capsys, *argv, "--coeff", coeff)
+            h.update(f"{code}\n{out}\n{err}\n".encode())
+            if out_path.exists():
+                h.update(out_path.read_bytes())
+                out_path.unlink()
+        assert h.hexdigest() == self.DIGESTS[f"{group}:{coeff}"]
+
+
 class TestCorpusCommands:
     def test_list(self, capsys):
         code, out, _ = run(capsys, "corpus", "list")
@@ -522,6 +608,64 @@ class TestOutput:
         assert (code, out) == (2, "")
         assert f"unrecognized arguments: {' '.join(extra)}" in err
         assert not path.exists()
+
+
+# Random JSON trees for emit: strings that need escaping, big ints, bools
+# among ints, floats with nan and the infinities, None, tuples, empty
+# containers, non-string keys, and lists that turn mixed after a first
+# string or int.
+_TEXT = st.one_of(st.text(), st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "tab\there\n", "\u00e9\u20ac\U0001d11e",
+     "\ud800", "\u2028", "0", ""]))
+_INT = st.one_of(st.integers(), st.integers(-10 ** 40, 10 ** 40))
+_FLOAT = st.one_of(st.floats(), st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 5e-324]))
+_SCALAR = st.one_of(st.none(), st.booleans(), _INT, _FLOAT, _TEXT)
+_FLAT = st.one_of(
+    st.lists(_TEXT), st.lists(_INT), st.lists(st.one_of(_INT, st.booleans())),
+    st.builds(lambda head, x, tail: head + [x] + tail,
+              st.lists(_TEXT, min_size=1, max_size=4), _SCALAR,
+              st.lists(_TEXT, max_size=4)),
+    st.builds(lambda head, x: head + [x],
+              st.lists(_INT, min_size=1, max_size=4), _SCALAR))
+_KEY = st.one_of(_TEXT, _INT, _FLOAT, st.booleans(), st.none())
+_TREE = st.recursive(
+    st.one_of(_SCALAR, _FLAT),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(_KEY, children, max_size=4)),
+    max_leaves=12)
+
+
+class TestWriter:
+    """``emit`` writes the bytes of ``json.dumps(data, indent=1)``."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(_TREE)
+    def test_same_bytes_as_json_dumps(self, data):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            emit(data, None)
+        assert out.getvalue() == json.dumps(data, indent=1) + "\n"
+
+    def test_out_file(self, tmp_path):
+        data = {"levels": [{"gens": 2, "rels": [["0", "-1"]]}], "x": []}
+        path = tmp_path / "out.json"
+        emit(data, str(path))
+        assert path.read_bytes() == (json.dumps(data, indent=1)
+                                     + "\n").encode()
+
+    @pytest.mark.parametrize("data, message", [
+        ({"a": {1, 2}}, "Object of type set is not JSON serializable"),
+        ({(1, 2): 0}, "keys must be str, int, float, bool or None, "
+                      "not tuple"),
+    ])
+    def test_same_errors_as_json_dumps(self, data, message):
+        with pytest.raises(TypeError, match=message):
+            json.dumps(data, indent=1)
+        with pytest.raises(TypeError, match=message):
+            emit(data, None)
 
 
 class TestOneProcess:
@@ -639,3 +783,102 @@ class TestMalformedInput:
         assert code == 2
         assert out == ""
         assert field in err
+
+    @pytest.mark.parametrize("verb, source, mutate, message", [
+        ("degree", "P(1)", _cut_rows, "incl[2]: expected 2 rows, got 1"),
+        ("degree", "P(1)", _set(["incl", 2, 1, 2], "x"),
+         "incl[2]: invalid literal for int() with base 10: 'x'"),
+        ("degree", "P(1)", _set(["incl", 2, 1, 0], "1/2"),
+         "incl[2]: fractional scalar '1/2' over F2"),
+        ("dk-reconstruct", None, None,
+         "reps[2]: sym[0]: expected 2 rows, got 1"),
+        ("dk-reconstruct", None, _set(["reps", 2, "sym", 0],
+                                      [["0", "1"], ["1", "x"]]),
+         "reps[2]: sym[0]: invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_matrix_messages(self, capsys, tmp_path, verb, source, mutate,
+                             message):
+        if source is None:
+            data = copy.deepcopy(SHORT_SYM_REPS)
+        else:
+            code, _, _ = run(capsys, "corpus", "emit", source, "--N", "4",
+                             "--coeff", "F2", "--out", str(tmp_path / "ok.json"))
+            assert code == 0
+            data = json.loads((tmp_path / "ok.json").read_text())
+        if mutate is not None:
+            mutate(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert run(capsys, verb, str(path)) == (
+            2, "", f"input error: invalid functor data in {path}: {message}\n")
+
+
+def mutate_one(data, rng: random.Random) -> None:
+    """Replace, delete or insert one value somewhere in ``data``: walk
+    down from the top, stopping at each container with chance 0.3, so
+    that the top-level fields are hit as often as the matrix entries."""
+    node = data
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        inner = [k for k in keys if isinstance(node[k], (list, dict))]
+        if not inner or rng.random() < 0.3:
+            break
+        node = node[rng.choice(inner)]
+    value = copy.deepcopy(rng.choice(FUZZ_VALUES))
+    op = rng.choice(("replace", "delete", "insert")) if keys else "insert"
+    if op == "replace":
+        node[rng.choice(keys)] = value
+    elif op == "delete":
+        del node[rng.choice(keys)]
+    elif isinstance(node, dict):
+        node[rng.choice(FUZZ_KEYS)] = value
+    else:
+        node.insert(rng.randint(0, len(node)), value)
+
+
+# small values only: a representation of degree <= 1 has no sym matrix to
+# bound its gens, so a huge gens would be taken at its word
+FUZZ_VALUES = ["x", True, False, None, 1.5, [], {}, "1/2", "1/0", "00", "-0",
+               " 1", "", "0", "1", "2", "-1", 0, 1, 2, -1, [[]], [["1"]]]
+FUZZ_KEYS = ("N", "coeff", "levels", "gens", "rels", "incl", "sym", "proj",
+             "reps", "extra")
+FI_VERBS = (("verify",), ("degree", "--strong"), ("degree", "--weak"),
+            ("dims",), ("diff", "--out", "@out"), ("alpha",))
+FUZZ_SOURCES = [
+    (("corpus", "emit", "P(1)", "--N", "4", "--coeff", "Z"), FI_VERBS),
+    (("corpus", "emit", "zgeq(2)", "--N", "4", "--coeff", "Q"), FI_VERBS),
+    (("corpus", "emit", "free_sharp(1)", "--N", "3", "--coeff", "F3"),
+     FI_VERBS + (("dk-decompose", "--out", "@out"),)),
+    (("alpha", "corpus:P(1)", "--N", "4", "--coeff", "F2"),
+     (("verify",), ("degree", "--strong"), ("dk-decompose", "--out", "@out"))),
+    (("dk-decompose", "corpus:free_sharp(2)", "--N", "3", "--coeff", "Q"),
+     (("dk-reconstruct", "--out", "@out"),
+      ("dk-reconstruct", "--N", "4", "--out", "@out"), ("verify",))),
+]
+
+
+class TestLoaderFuzz:
+    """Files that fcalc wrote, each with one value replaced, deleted or
+    inserted: every verb on them answers, or exits 1 or 2, and none
+    raises."""
+
+    @pytest.mark.parametrize("source, verbs", FUZZ_SOURCES,
+                             ids=[" ".join(s[:3]) for s, _ in FUZZ_SOURCES])
+    def test_mutations(self, capsys, tmp_path, source, verbs):
+        good, bad, out_path = (tmp_path / name for name in
+                               ("good.json", "bad.json", "out.json"))
+        code, _, _ = run(capsys, *source, "--out", str(good))
+        assert code == 0
+        original = json.loads(good.read_text())
+        rng = random.Random(" ".join(source))
+        codes = set()
+        for _ in range(200):
+            data = copy.deepcopy(original)
+            mutate_one(data, rng)
+            bad.write_text(json.dumps(data))
+            verb = [str(out_path) if a == "@out" else a
+                    for a in rng.choice(verbs)]
+            code, _, _ = run_to_exit(capsys, verb[0], str(bad), *verb[1:])
+            assert code in (0, 1, 2), (verb, data)
+            codes.add(code)
+        assert codes >= {0, 2}

@@ -640,6 +640,40 @@ class TestSerialization:
         m2 = PresentedModule.from_json(m.to_json())
         assert m.same_presentation(m2)
 
+    @pytest.mark.parametrize("coeff, data, message", [
+        (Z, [["0", "0", "x"]], "invalid literal for int() with base 10: 'x'"),
+        # row-major order: the first bad entry is the one reported
+        (Z, [["0", "y"], ["x", "0"]], "'y'"),
+        (F2, [["0", "0"], ["0", "1/2"]], "fractional scalar '1/2' over F2"),
+        (Q, [["0", "1/0"]], "zero denominator in '1/0'"),
+        (Z, [["0", False]], "cannot parse scalar False"),
+        (Z, [["0", None]], "cannot parse scalar None"),
+        (Z, [["0", 1.5]], "cannot parse scalar 1.5"),
+        (Z, [["0", ""]], "invalid literal for int() with base 10: ''"),
+    ])
+    def test_from_json_checks_every_entry(self, coeff, data, message):
+        with pytest.raises(ValueError) as exc:
+            Mat.from_json(coeff, data, (None, len(data[0])))
+        assert message in str(exc.value)
+
+    @pytest.mark.parametrize("coeff, entries", [
+        (Z, ["0", "00", "-0", 0, " 0", "+0"]),
+        (Q, ["0", "0/5", "-0/3", 0]),
+        (F3, ["0", "3", "-6", 0, 9]),
+        (F2, ["0", "2", "-2", 0]),
+    ])
+    def test_from_json_drops_zeros(self, coeff, entries):
+        m = Mat.from_json(coeff, [entries, entries[::-1]], (2, len(entries)))
+        assert m == Mat.zero(coeff, 2, len(entries))
+        assert m.sparse_rows() == ((), ())
+
+    def test_from_json_keeps_nonzeros(self):
+        m = Mat.from_json(Q, [["0", "2/4", 3, "-0"], ["00", "0", "0", "07"]],
+                          (2, 4))
+        assert m.sparse_rows() == (((1, Fraction(1, 2)), (2, 3)), ((3, 7),))
+        assert m == Mat.from_rows(Q, [[0, Fraction(1, 2), 3, 0],
+                                      [0, 0, 0, 7]])
+
 
 class TestSparseRows:
     def test_computed_once_and_shared(self):

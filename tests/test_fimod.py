@@ -573,13 +573,16 @@ class TestPowerMatrices:
         return Mat.from_rows(coeff, [[entry() for _ in range(ncols)]
                                      for _ in range(nrows)])
 
+    # the matrices come from a seeded random: st.randoms(use_true_random=
+    # False) shrinks toward 0 and leaves almost every exterior power zero
     @settings(max_examples=120, deadline=None, derandomize=True,
               database=None)
     @given(st.sampled_from(["Z", "Q", "F2", "F3"]), st.integers(0, 3),
-           st.randoms(use_true_random=False))
+           st.randoms(use_true_random=True))
     def test_powers(self, code, k, rng):
         coeff = self.RINGS[code]
-        n, m, r = (rng.randint(0, 3) for _ in range(3))
+        # sizes from k - 1 up: most exterior powers are not zero by shape
+        n, m, r = (rng.randint(max(k - 1, 0), 3) for _ in range(3))
         a, b = self.matrix(rng, coeff, n, m), self.matrix(rng, coeff, m, r)
         tensor = Mat.identity(coeff, 1)
         for _ in range(k):
