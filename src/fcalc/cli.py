@@ -101,18 +101,16 @@ def _json_float(x: float) -> str:
 
 
 def _json_key(key) -> str:
+    """A dict key as ``json`` writes it.  Every key fcalc writes today is
+    a str; the others are quoted as ``json`` quotes them so that ``emit``
+    takes every tree ``json.dumps`` takes, with its bytes and its errors,
+    which is the contract ``TestWriter`` checks on random trees."""
     if isinstance(key, str):
         return _escape(key)
-    if isinstance(key, float):
-        return _escape(_json_float(key))
-    if key is True:
-        return '"true"'
-    if key is False:
-        return '"false"'
-    if key is None:
-        return '"null"'
-    if isinstance(key, int):
-        return _escape(_int_repr(key))
+    if key is None or isinstance(key, (int, float)):  # bool is an int
+        text = []
+        _write(key, "", text)
+        return f'"{text[0]}"'
     raise TypeError(f"keys must be str, int, float, bool or None, "
                     f"not {key.__class__.__name__}")
 

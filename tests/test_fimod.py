@@ -581,8 +581,11 @@ class TestPowerMatrices:
            st.randoms(use_true_random=True))
     def test_powers(self, code, k, rng):
         coeff = self.RINGS[code]
-        # sizes from k - 1 up: most exterior powers are not zero by shape
-        n, m, r = (rng.randint(max(k - 1, 0), 3) for _ in range(3))
+        # half the draws take sizes from k - 1 up, where the exterior power
+        # need not be zero by shape; the rest keep the empty and small
+        # shapes from 0 up
+        lo = rng.choice((0, max(k - 1, 0)))
+        n, m, r = (rng.randint(lo, 3) for _ in range(3))
         a, b = self.matrix(rng, coeff, n, m), self.matrix(rng, coeff, m, r)
         tensor = Mat.identity(coeff, 1)
         for _ in range(k):
