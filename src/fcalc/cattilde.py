@@ -14,9 +14,14 @@ saturated directly as a union-find cross-check.
 
 tilde_hom enumerates each stage hom(a, b + t) once and runs the union-find
 on integer indices of the stage elements, so the least index of a class
-is its representative, the least (t, f).  Its stopping rule looks for
-three equal class counts from the first non-empty stage on, so that
-empty early stages cannot pass it.
+is its representative, the least (t, f).  It joins each element with its
+image under the inclusion t -> t + 1, where the category has one, and
+under the two bijections (1 2) and (1 2 ... t), which generate the
+symmetric group.  With an inclusion (theta), the bijections are joined
+on the last stage only, since iota o s = (s + id_1) o iota carries their
+identifications down to every earlier stage; without one (sigma), on
+every stage.  Its stopping rule looks for three equal class counts from
+the first non-empty stage on, so that empty early stages cannot pass it.
 
 verify_axioms computes each composite g o f of listed classes once and
 keeps it as the index of its class, so associativity is a table lookup
@@ -149,7 +154,11 @@ def tilde_hom(cat: ConcreteSMC, a: int, b: int, max_extra: int | None = None,
     enumerated once; element (t, f) gets the integer index start[t] + its
     position, so the least index of a class is its least (t, f), the
     class representative.  A union-find over those indices, linking each
-    root under the smaller one, saturates the one-step identifications.
+    root under the smaller one, saturates the one-step identifications
+    under the generating arrows: the inclusion of stage t - 1 in stage t
+    (the image of f is f itself), and the transposition (1 2) and the
+    cycle (1 2 ... t) of the extras of stage t, on the last stage only
+    when the category has the inclusion, on every stage when it has not.
     The class count up to stage t is then the number of roots below
     start[t + 1], read in one cumulative pass.
 
@@ -191,27 +200,38 @@ def tilde_hom(cat: ConcreteSMC, a: int, b: int, max_extra: int | None = None,
             parent[rx] = ry
 
     # generating arrows suffice: every map between extras is a composite
-    # of the standard inclusion (id_t + the map 0 -> 1, where the category
-    # has one) and adjacent transpositions, and the union-find closes
-    # transitively.  An arrow u: t -> t2 acts by id_b + u, a glue tuple
-    # with a leading 0 so that it is indexed by the values of f.  Each
-    # pair is joined once, from its smaller index: a transposition pairs
-    # the elements of its stage both ways, and the inclusion always lands
-    # in a later stage.
+    # of the standard inclusion iota: t -> t + 1 (id_t + the map 0 -> 1,
+    # where the category has one) and bijections of t, which (1 2) and
+    # the cycle (1 2 ... t) generate, and the union-find closes
+    # transitively.  Where iota exists, the bijections are needed on the
+    # last stage only: iota o s = (s + id_1) o iota, so if stage t + 1 is
+    # closed under its bijections, then at stage t
+    # x ~ iota x ~ (s + id_1) iota x = iota (s x) ~ s x, and by induction
+    # from the top every stage is closed.  Sigma has no iota and joins the
+    # bijections on every stage.  A bijection u acts by id_b + u, a glue
+    # tuple with a leading 0 so that it is indexed by the values of f;
+    # iota fixes every value, so the image of f is f itself.  (1 2) pairs
+    # the elements of its stage both ways and is joined once, from the
+    # smaller index; the cycle is joined wherever it moves an element.
     has_step = bool(cat.hom(0, 1))
     head = tuple(range(b + 1))
-    for t2 in range(max_extra + 1):
-        # the arrows into stage t2, as (source stage, u)
-        arrows = [(t2, (*range(1, i), i + 1, i, *range(i + 2, t2 + 1)))
-                  for i in range(1, t2)]
-        if has_step and t2 > 0:
-            arrows.append((t2 - 1, range(1, t2)))
-        index = dict(zip(stages[t2], range(start[t2], start[t2 + 1])))
-        for t, u in arrows:
-            glue = head + tuple(b + x for x in u)
-            for i, f in enumerate(stages[t], start[t]):
-                j = index[tuple([glue[x] for x in f])]
-                if i < j:
+    for t in range(max_extra + 1):
+        index = dict(zip(stages[t], range(start[t], start[t + 1])))
+        if has_step and t > 0:
+            for i, j in enumerate(map(index.__getitem__, stages[t - 1]),
+                                  start[t - 1]):
+                union(i, j)
+        if t < 2 or (has_step and t < max_extra):
+            continue
+        swap = (*head, b + 2, b + 1, *range(b + 3, b + t + 1))
+        cycle = (*head, *range(b + 2, b + t + 1), b + 1)
+        for i, f in enumerate(stages[t], start[t]):
+            j = index[tuple([swap[x] for x in f])]
+            if i < j:
+                union(i, j)
+            if t > 2:
+                j = index[tuple([cycle[x] for x in f])]
+                if i != j:
                     union(i, j)
     # the root of a class is its least index, so the classes met by
     # stages <= t are the roots below start[t + 1]

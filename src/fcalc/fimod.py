@@ -254,7 +254,9 @@ class TruncFIModule:
                 levels.append(PresentedModule.from_json(entry, coeff))
         N = len(levels) - 1
         with json_field("N"):
-            if int(data["N"]) != N:
+            if type(data["N"]) is not int:
+                raise ValueError(f"expected an integer, got {data['N']!r}")
+            if data["N"] != N:
                 raise ValueError("does not match the number of levels")
         incl = []
         for n, mat in enumerate(json_list(data["incl"], "incl", N)):

@@ -1,8 +1,9 @@
 """Reference computations that only the tests use: brute-force oracles
 for the library's strategies, random representation lists, and a
 type-free text form of outputs for digests."""
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 
+from fcalc.cattilde import CatError, TildeHom, _normal_form
 from fcalc.exactlin import Coeff, Mat, PresentedModule
 from fcalc.fimod import TruncFIModule, insertion_map, perm_word
 from fcalc.fisharp import FISharpModule, SymRep, epsilon_idem
@@ -107,6 +108,77 @@ def compose_partial(a, b, c, pf, pg):
             dom.append(i)
             val.append(gmap[v])
     return tuple(dom), tuple(val)
+
+
+def tilde_hom_adjacent(cat, a, b, max_extra=None, *, members=None):
+    """``cattilde.tilde_hom`` saturated under every generating arrow of
+    every stage: each adjacent transposition of each stage t and the
+    inclusion t - 1 -> t, where the category has one.  The rest (indices,
+    representatives, counts, stopping rule, members) is tilde_hom's."""
+    if a < 0 or b < 0:
+        raise CatError("objects are non-negative counts")
+    if max_extra is None:
+        max_extra = a + 2 if cat.name == "theta" else max(a - b, 0) + 2
+    stages = [sorted(cat.hom(a, b + t)) for t in range(max_extra + 1)]
+    start = list(accumulate(map(len, stages), initial=0))
+    parent = list(range(start[-1]))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx < ry:
+            parent[ry] = rx
+        elif ry < rx:
+            parent[rx] = ry
+
+    has_step = bool(cat.hom(0, 1))
+    head = tuple(range(b + 1))
+    for t2 in range(max_extra + 1):
+        # the arrows into stage t2, as (source stage, u)
+        arrows = [(t2, (*range(1, i), i + 1, i, *range(i + 2, t2 + 1)))
+                  for i in range(1, t2)]
+        if has_step and t2 > 0:
+            arrows.append((t2 - 1, range(1, t2)))
+        index = dict(zip(stages[t2], range(start[t2], start[t2 + 1])))
+        for t, u in arrows:
+            glue = head + tuple(b + x for x in u)
+            for i, f in enumerate(stages[t], start[t]):
+                j = index[tuple([glue[x] for x in f])]
+                if i < j:
+                    union(i, j)
+    counts = list(accumulate(
+        sum(parent[i] == i for i in range(start[t], start[t + 1]))
+        for t in range(max_extra + 1)))
+    first = next((t for t, maps in enumerate(stages) if maps), None)
+    if first is None:
+        if b + max_extra < a:
+            raise CatError(
+                f"hom colimit {cat.name}({a},{b}): no stage up to "
+                f"t={max_extra} reaches {a}")
+        first = 0
+    if not any(counts[t] == counts[t + 1] == counts[t + 2]
+               for t in range(first, max_extra - 1)):
+        raise CatError(
+            f"hom colimit {cat.name}({a},{b}) did not stabilize by t={max_extra}")
+    classes = [TildeHom(cat, a, b, t, f, _normal_form(cat, a, b, f))
+               for t, maps in enumerate(stages)
+               for i, f in enumerate(maps, start[t]) if parent[i] == i]
+    if len({h.normal for h in classes}) != len(classes):
+        raise CatError("normal forms do not separate the computed classes")
+    if members is not None:
+        others = {i: [] for i in range(start[-1]) if parent[i] == i}
+        for t, maps in enumerate(stages):
+            for i, f in enumerate(maps, start[t]):
+                root = find(i)
+                if root != i:
+                    others[root].append((t, f))
+        members.extend(others.values())
+    return classes
 
 
 def moebius_sum(F: FISharpModule, n: int, subset) -> Mat:

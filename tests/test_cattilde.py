@@ -9,7 +9,7 @@ from fcalc.cattilde import (
     CatError, SIGMA, THETA, category, theta_tilde_count,
     tilde_compose, tilde_from_partial, tilde_hom, verify_axioms,
 )
-from oracles import compose_partial
+from oracles import compose_partial, tilde_hom_adjacent
 
 
 def brute_force_partial_injections(a: int, b: int):
@@ -112,6 +112,36 @@ class TestHomSets:
                                 if (t, f) < (h.rep_t, h.rep_map):
                                     assert cattilde._normal_form(
                                         cat, a, b, f) != h.normal
+
+    def test_same_saturation_as_every_adjacent_transposition(self,
+                                                             monkeypatch):
+        # two generating bijections, on the last stage only where the
+        # category has an inclusion, reach the partition that every
+        # adjacent transposition of every stage reaches: the same classes,
+        # the same members in the same order, the same CatError texts
+        def outcome(hom, cat, a, b, max_extra):
+            members = []
+            try:
+                classes = hom(cat, a, b, max_extra, members=members)
+            except CatError as e:
+                return str(e)
+            return [(h.rep_t, h.rep_map, h.normal) for h in classes], members
+
+        cases = [(cat, a, b, max_extra) for cat in (THETA, SIGMA)
+                 for a in range(7) for b in range(7 - a)
+                 for max_extra in (None, *range(7))]
+        cases += [(THETA, 1, 300, None), (THETA, 2, 60, None),
+                  (THETA, 0, 400, None)]
+        for case in cases:
+            assert outcome(tilde_hom, *case) == \
+                outcome(tilde_hom_adjacent, *case), case
+        # the axiom reports read the members too
+        bounds = [(THETA, 1), (THETA, 2), (THETA, 3),
+                  (SIGMA, 2), (SIGMA, 3), (SIGMA, 4)]
+        reports = [str(verify_axioms(cat, bound)) for cat, bound in bounds]
+        monkeypatch.setattr(cattilde, "tilde_hom", tilde_hom_adjacent)
+        assert reports == [str(verify_axioms(cat, bound))
+                           for cat, bound in bounds]
 
     def test_eta_injective_on_homs(self):
         # distinct injections give distinct classes

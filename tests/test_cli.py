@@ -393,6 +393,8 @@ class TestTildeDigests:
                      "3190167f33d4f2458c63b109405e4adb",
         "axioms": "f932a2eba3520b092fbe77dc97c21689"
                   "45d10b466177d5945e9c965ba3a46627",
+        "heavy": "7db439400e9d7f877730afe74899887c"
+                 "579481b41b0bd06382810384e232a5e1",
     }
     QUERIES = {
         **{f"hom-{cat}": [["tilde-hom", "--cat", cat, *json_flag,
@@ -406,6 +408,13 @@ class TestTildeDigests:
                    for cat, bounds in (("theta", (1, 2)),
                                        ("sigma", (1, 2, 3, 4)))
                    for bound in bounds],
+        # the heavy tail of the tilde benchmark workload, and theta's
+        # axioms at bound 3
+        "heavy": [["tilde-hom", "--cat", "theta", str(a), str(b)]
+                  for a, b in ((4, 2), (4, 3), (4, 4), (5, 0), (5, 1))]
+                 + [["tilde-hom", "--cat", "sigma", "7", str(b)]
+                    for b in range(4)]
+                 + [["tilde-axioms", "--cat", "theta", "--bound", "3"]],
     }
 
     @pytest.mark.parametrize("group", sorted(QUERIES))
@@ -795,6 +804,9 @@ class TestMalformedInput:
         ("dk-reconstruct", None, _set(["reps", 2, "sym", 0],
                                       [["0", "1"], ["1", "x"]]),
          "reps[2]: sym[0]: invalid literal for int() with base 10: 'x'"),
+        *[("degree", "P(1)", _set(["N"], n),
+           f"N: expected an integer, got {n!r}")
+          for n in (4.7, 4.0, "4", " 4", True, None)],
     ])
     def test_matrix_messages(self, capsys, tmp_path, verb, source, mutate,
                              message):
