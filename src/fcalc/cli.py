@@ -87,32 +87,6 @@ def load_functor(ref: str, N: int | None, coeff: str | None):
 
 _escape = json.encoder.encode_basestring_ascii
 _int_repr = int.__repr__
-_INF = float("inf")
-
-
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _json_key(key) -> str:
-    """A dict key as ``json`` writes it.  Every key fcalc writes today is
-    a str; the others are quoted as ``json`` quotes them so that ``emit``
-    takes every tree ``json.dumps`` takes, with its bytes and its errors,
-    which is the contract ``TestWriter`` checks on random trees."""
-    if isinstance(key, str):
-        return _escape(key)
-    if key is None or isinstance(key, (int, float)):  # bool is an int
-        text = []
-        _write(key, "", text)
-        return f'"{text[0]}"'
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
 
 
 def _write(o, nl: str, out: list):
@@ -120,7 +94,9 @@ def _write(o, nl: str, out: list):
     ``json`` module writes for ``o`` with an indent of 1, its lines
     continued by ``nl`` (a newline and the current indent).  Strings go
     through json's C escaper, and a list of only strings or only ints is
-    one join."""
+    one join.  ``o`` is what fcalc builds: str keys; str, int, bool and
+    None values; lists, tuples and dicts.  Anything else, a float or a
+    non-str key among them, raises TypeError."""
     if isinstance(o, str):
         out.append(_escape(o))
     elif o is None:
@@ -131,8 +107,6 @@ def _write(o, nl: str, out: list):
         out.append("false")
     elif isinstance(o, int):
         out.append(_int_repr(o))
-    elif isinstance(o, float):
-        out.append(_json_float(o))
     elif isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
@@ -165,7 +139,7 @@ def _write(o, nl: str, out: list):
         inner = nl + " "
         lead = "{" + inner
         for k, v in o.items():
-            out += (lead, _json_key(k), ": ")
+            out += (lead, _escape(k), ": ")
             _write(v, inner, out)
             lead = "," + inner
         out.append(nl + "}")
@@ -207,6 +181,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_degree(args) -> int:
+    if args.margin is not None and not args.weak:
+        raise InputError("--margin applies to degree --weak only")
     F = as_fi(load_functor(args.input, args.N, args.coeff))
     margin = args.margin if args.margin is not None else default_margin()
     if args.weak:

@@ -558,9 +558,7 @@ ORACLES = {
     "sum_zgeq": {
         "coeff": "Z", "N": 6,
         "facts": [
-            ("strong degree not certified",
-             lambda F: (strong_degree(F).value == NOT_CERTIFIED,
-                        str(strong_degree(F)))),
+            ("strong degree not certified", _expect_strong(NOT_CERTIFIED)),
             ("weak degree 0", _expect_weak(0, 1)),
         ],
     },

@@ -6,6 +6,12 @@ the one-step inclusion maps (new last point), and the actions of the
 adjacent transpositions.  On top of that sit the translation, difference
 and kernel operations and the degree computations.
 
+``levelwise`` is the one place that spells out this layout for a derived
+functor (one inclusion per level n -> n + 1, the transpositions
+s_1 .. s_{n-1} at level n): sub-objects, sums, tensor and Schur powers and
+the free normalization each give it only the image of one structure
+matrix.
+
 Truncation discipline: translation and difference consume window, so every
 degree answer carries the window on which it is certified.  A "true" or a
 numeric degree never claims more than the window shows.
@@ -400,22 +406,26 @@ def unit_map(F: TruncFIModule, x: int) -> NatMap:
     return NatMap(src, dst, maps)
 
 
-def induced_sym(F: TruncFIModule, inc: ModuleMap, n: int) -> list[Mat]:
-    """The transpositions of level n restricted to a submodule, given by
-    its inclusion inc into F(n) (a monomorphism that they preserve)."""
-    return [factor_through(inc.then(F.sym_map(n, i)), inc).mat
-            for i in range(max(n - 1, 0))]
+def levelwise(levels, image, *functors) -> TruncFIModule:
+    """The functor on the given levels whose structure matrices are
+    image(n, m, a, ...) of the matching structure matrices a, ... of the
+    functors: m = n + 1 for an inclusion, m = n for a transposition."""
+    incl = [ModuleMap(levels[n], levels[n + 1],
+                      image(n, n + 1, *[F.incl[n].mat for F in functors]))
+            for n in range(len(levels) - 1)]
+    sym = [[image(n, n, *mats) for mats in zip(*[F.sym[n] for F in functors])]
+           for n in range(len(levels))]
+    return TruncFIModule(functors[0].coeff, levels, incl, sym)
 
 
 def induced_structure(F: TruncFIModule, incls) -> TruncFIModule:
     """The subfunctor of F on the levels 0..len(incls)-1 carried by the
     levelwise inclusions incls[n]: K(n) -> F(n), with the inclusion maps
     and transpositions of F factored through them."""
-    top = len(incls) - 1
-    new_incl = [factor_through(incls[n].then(F.incl[n]), incls[n + 1])
-                for n in range(top)]
-    new_sym = [induced_sym(F, incls[n], n) for n in range(top + 1)]
-    return TruncFIModule(F.coeff, [inc.src for inc in incls], new_incl, new_sym)
+    def image(n, m, a):
+        return factor_through(ModuleMap(incls[n].src, F.levels[m],
+                                        incls[n].mat @ a), incls[m]).mat
+    return levelwise([inc.src for inc in incls], image, F)
 
 
 def kernel_nat(u: NatMap) -> tuple[TruncFIModule, NatMap]:
@@ -435,9 +445,7 @@ def cokernel_nat(u: NatMap) -> tuple[TruncFIModule, NatMap]:
         projs.append(proj)
     new_incl = [ModuleMap(levels[n], levels[n + 1], G.incl[n].mat)
                 for n in range(G.N)]
-    new_sym = [[G.sym[n][i] for i in range(max(n - 1, 0))]
-               for n in range(G.N + 1)]
-    C = TruncFIModule(G.coeff, levels, new_incl, new_sym)
+    C = TruncFIModule(G.coeff, levels, new_incl, G.sym)
     return C, NatMap(G, C, projs)
 
 
@@ -586,12 +594,7 @@ def direct_sum(F: TruncFIModule, G: TruncFIModule) -> TruncFIModule:
     if F.coeff != G.coeff or F.N != G.N:
         raise FunctorError("direct sum needs matching coefficients and truncation")
     levels = [direct_sum_modules(a, b) for a, b in zip(F.levels, G.levels)]
-    incl = [ModuleMap(levels[n], levels[n + 1],
-                      F.incl[n].mat.block_diag(G.incl[n].mat))
-            for n in range(F.N)]
-    sym = [[F.sym[n][i].block_diag(G.sym[n][i]) for i in range(max(n - 1, 0))]
-           for n in range(F.N + 1)]
-    return TruncFIModule(F.coeff, levels, incl, sym)
+    return levelwise(levels, lambda n, m, a, b: a.block_diag(b), F, G)
 
 
 def tensor(F: TruncFIModule, G: TruncFIModule) -> TruncFIModule:
@@ -607,12 +610,7 @@ def tensor(F: TruncFIModule, G: TruncFIModule) -> TruncFIModule:
         rels = a.rels.kron(Mat.identity(coeff, b.gens)).stack(
             Mat.identity(coeff, a.gens).kron(b.rels))
         levels.append(PresentedModule(coeff, gens, rels))
-    incl = [ModuleMap(levels[n], levels[n + 1],
-                      F.incl[n].mat.kron(G.incl[n].mat))
-            for n in range(F.N)]
-    sym = [[F.sym[n][i].kron(G.sym[n][i]) for i in range(max(n - 1, 0))]
-           for n in range(F.N + 1)]
-    return TruncFIModule(coeff, levels, incl, sym)
+    return levelwise(levels, lambda n, m, a, b: a.kron(b), F, G)
 
 
 # -- Schur-type postcomposition ------------------------------------------
@@ -674,10 +672,8 @@ def freeify(F: TruncFIModule) -> tuple[TruncFIModule, NatMap]:
     if not F.coeff.is_field:
         raise FunctorError("freeify needs field coefficients")
     levels, to_free, from_free = zip(*map(freeify_module, F.levels))
-    incl = [from_free[n].then(F.incl[n]).then(to_free[n + 1]) for n in range(F.N)]
-    sym = [[from_free[n].then(F.sym_map(n, i)).then(to_free[n]).mat
-            for i in range(max(n - 1, 0))] for n in range(F.N + 1)]
-    G = TruncFIModule(F.coeff, levels, incl, sym)
+    G = levelwise(levels,
+                  lambda n, m, a: from_free[n].mat @ a @ to_free[m].mat, F)
     return G, NatMap(F, G, to_free)
 
 
@@ -696,12 +692,7 @@ def postcompose(F: TruncFIModule, schur: str) -> TruncFIModule:
         base, _ = freeify(F)
     levels = [PresentedModule.free(base.coeff, _power_mat(
         Mat.identity(base.coeff, m.gens), kind, k).nrows) for m in base.levels]
-    incl = [ModuleMap(levels[n], levels[n + 1],
-                      _power_mat(base.incl[n].mat, kind, k))
-            for n in range(base.N)]
-    sym = [[_power_mat(base.sym[n][i], kind, k) for i in range(max(n - 1, 0))]
-           for n in range(base.N + 1)]
-    return TruncFIModule(base.coeff, levels, incl, sym)
+    return levelwise(levels, lambda n, m, a: _power_mat(a, kind, k), base)
 
 
 # -- six-term sequence and exactness transfer ------------------------------

@@ -27,11 +27,12 @@ from itertools import combinations
 
 from .exactlin import (
     Coeff, Mat, ModuleMap, PresentedModule, basis_matrix,
-    coinvariants, freeify_module, image_in, invert_iso, is_isomorphism,
+    coinvariants, factor_through, freeify_module, image_in, invert_iso,
+    is_isomorphism,
 )
 from .fimod import (
-    FunctorError, NatMap, TruncFIModule, WindowError, induced_sym,
-    insertion_map, json_field, json_list, perm_action, truncate,
+    FunctorError, NatMap, TruncFIModule, WindowError, insertion_map,
+    json_field, json_list, perm_action, truncate,
 )
 
 
@@ -290,7 +291,9 @@ def cross_effect(F: FISharpModule, k: int) -> SymRep:
     if k > F.N:
         raise WindowError(f"cross-effect {k} beyond the truncation {F.N}")
     incl = cross_effect_inclusion(F, k)
-    return SymRep(k, incl.src, induced_sym(F, incl, k))
+    return SymRep(k, incl.src,
+                  [factor_through(incl.then(F.sym_map(k, i)), incl).mat
+                   for i in range(max(k - 1, 0))])
 
 
 def cross_effect_inclusion(F: FISharpModule, k: int) -> ModuleMap:

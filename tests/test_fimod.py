@@ -1,5 +1,7 @@
 """Tests for the FI-module calculus: translation, difference, degrees."""
 import contextlib
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -21,7 +23,7 @@ from fcalc.fimod import (
     unit_map, verify_six_term, weak_degree,
 )
 from fcalc.fimod import _power_mat
-from fcalc.fisharp import alpha
+from fcalc.fisharp import alpha, cross_effect
 from oracles import mod_p, uct_dimension, word_product
 
 Z, Q, F2 = Coeff.Z(), Coeff.Q(), Coeff.GF(2)
@@ -743,3 +745,48 @@ class TestCanonicalEntries:
                 mats += list(_matrices(G)) + [f.mat for f in witness.maps]
             for m in mats:
                 assert all(canonical(x) for row in m.rows for x in row), name
+
+
+def _structure_pieces(code):
+    """The JSON of derived functors whose structure maps are induced one
+    matrix at a time: Schur powers, sums, tensor products, freeify with
+    its witness, the stable kernel, kappa by two, and the cross-effects
+    of an alpha."""
+    coeff = Coeff.parse(code)
+    if coeff.is_field:
+        P1, P2 = build("P(1)", coeff, 4), build("P(2)", coeff, 4)
+        D = diff(build("P(2)", coeff, 5))  # carries relations
+        for F in (P1, D):
+            for token in ("T2", "S2", "L2", "S3", "L3"):
+                yield postcompose(F, token).to_json()
+        yield tensor(P1, P2).to_json()
+        G, witness = freeify(D)
+        yield G.to_json()
+        yield [f.mat.to_json() for f in witness.maps]
+    A = alpha(build("P(2)", coeff, 7)).module
+    for k in range(A.N + 1):
+        yield cross_effect(A, k).to_json()
+    yield direct_sum(build("P(1)", coeff, 4),
+                     build("zgeq(2)", coeff, 4)).to_json()
+    for name in ("atomics_upto(4)", "ex_upm_F"):
+        F = build(name, coeff, 6)
+        yield stable_kernel(F).to_json()
+        yield kappa(F, 2).to_json()
+
+
+class TestStructureDigests:
+    """SHA-256 of the JSON of each derived functor in _structure_pieces,
+    in order, per ring: the structure maps every construction induces."""
+
+    DIGESTS = {
+        "Z": "f44c689da59d5439a5d529e461206d8e874acbe094fc748a0d8873ad2e55c406",
+        "Q": "48f937c34cc7f23e3627a43c24635d97f5de0f76cc09a514f403cc98aac44063",
+        "F2": "2ce789491d4a03f11695295d8c5e278876f5b911422f6241c4ef5f3a92ebe459",
+    }
+
+    @pytest.mark.parametrize("code", ["Z", "Q", "F2"])
+    def test_digest(self, code):
+        h = hashlib.sha256()
+        for piece in _structure_pieces(code):
+            h.update(json.dumps(piece).encode() + b"\n")
+        assert h.hexdigest() == self.DIGESTS[code]
