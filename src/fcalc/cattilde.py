@@ -12,13 +12,19 @@ the classes correspond to injections b -> a (reading off the preimage of
 the b block).  Both normal forms are computed, and the colimit is also
 saturated directly as a union-find cross-check.
 
-tilde_hom enumerates each stage hom(a, b + t) once and runs the union-find
-on integer indices of the stage elements, so the least index of a class
-is its representative, the least (t, f).  It joins each element with its
-image under the inclusion t -> t + 1, where the category has one, and
-under the two bijections (1 2) and (1 2 ... t), which generate the
-symmetric group.  With an inclusion (theta), the bijections are joined
-on the last stage only, since iota o s = (s + id_1) o iota carries their
+tilde_hom enumerates each stage hom(a, b + t) once, in increasing order,
+and runs the union-find on integer indices of the stage elements, so the
+least index of a class is its representative, the least (t, f).  It
+joins each element with its image under the inclusion t -> t + 1, where
+the category has one, and under the two bijections (1 2) and
+(1 2 ... t), which generate the symmetric group.  The inclusion fixes
+every value and is the first arrow into a stage, so it is one assignment
+of parents: each element of stage t that lies in stage t - 1 takes its
+index there.  The images of a whole stage under a bijection u come, in
+the stage's order, from one enumeration of the stage relabelled by the
+values of id_b + u (ConcreteSMC.relabelled), with no tuple built per
+element.  With an inclusion (theta), the bijections are joined on the
+last stage only, since iota o s = (s + id_1) o iota carries their
 identifications down to every earlier stage; without one (sigma), on
 every stage.  Its stopping rule looks for three equal class counts from
 the first non-empty stage on, so that empty early stages cannot pass it.
@@ -33,8 +39,9 @@ representative on both sides.
 """
 from __future__ import annotations
 
-from itertools import accumulate, permutations
+from itertools import accumulate, compress, permutations
 from math import comb, factorial
+from operator import eq
 
 
 class CatError(Exception):
@@ -45,15 +52,24 @@ class ConcreteSMC:
     """A skeletal symmetric monoidal category of counts with enumerable homs.
 
     Morphisms a -> b are value tuples (f(1), ..., f(a)) with entries in
-    1..b; sum places blocks side by side.
+    1..b; sum places blocks side by side.  maps(a, b, values) yields the
+    morphisms a -> b followed by v -> values[v - 1], in increasing order
+    of the morphisms.
     """
 
-    def __init__(self, name: str, hom):
+    def __init__(self, name: str, maps):
         self.name = name
-        self._hom = hom
+        self._maps = maps
 
     def hom(self, a: int, b: int) -> list[tuple[int, ...]]:
-        return self._hom(a, b)
+        """The morphisms a -> b, in increasing order."""
+        return list(self._maps(a, b, range(1, b + 1)))
+
+    def relabelled(self, a: int, b: int, values):
+        """An iterator over the morphisms f: a -> b in hom's order, each
+        followed by v -> values[v - 1]: the images u o f of hom(a, b) under
+        the map u: b -> c whose values are the b-tuple values."""
+        return self._maps(a, b, values)
 
     @staticmethod
     def identity(a: int) -> tuple[int, ...]:
@@ -69,14 +85,15 @@ class ConcreteSMC:
         return f"ConcreteSMC({self.name})"
 
 
-def _injections(a: int, b: int):
-    return [tuple(p) for p in permutations(range(1, b + 1), a)]
+# permutations(values, a) yields u o f for each f of
+# permutations(range(1, b + 1), a), in the same order, which is increasing
+# for the range
+def _injections(a: int, b: int, values):
+    return permutations(values, a)
 
 
-def _bijections(a: int, b: int):
-    if a != b:
-        return []
-    return [tuple(p) for p in permutations(range(1, a + 1))]
+def _bijections(a: int, b: int, values):
+    return permutations(values) if a == b else iter(())
 
 
 THETA = ConcreteSMC("theta", _injections)
@@ -124,7 +141,9 @@ class TildeHom:
         return _partial(self.rep_map, self.b)
 
     def to_json(self) -> dict:
-        dom, vals = self.as_partial()
+        # theta's normal form is already the partial injection
+        dom, vals = (self.normal if self.cat.name == "theta"
+                     else self.as_partial())
         return {"domain": list(dom), "values": list(vals)}
 
 
@@ -150,14 +169,16 @@ def tilde_hom(cat: ConcreteSMC, a: int, b: int, max_extra: int | None = None,
               *, members: list | None = None) -> list[TildeHom]:
     """All morphism classes a -> b of the nullified category.
 
-    The stages t = 0..max_extra are the sorted hom-sets a -> b + t, each
-    enumerated once; element (t, f) gets the integer index start[t] + its
-    position, so the least index of a class is its least (t, f), the
-    class representative.  A union-find over those indices, linking each
-    root under the smaller one, saturates the one-step identifications
-    under the generating arrows: the inclusion of stage t - 1 in stage t
-    (the image of f is f itself), and the transposition (1 2) and the
-    cycle (1 2 ... t) of the extras of stage t, on the last stage only
+    The stages t = 0..max_extra are the hom-sets a -> b + t, each
+    enumerated once in hom's increasing order; element (t, f) gets the
+    integer index start[t] + its position, so the least index of a class
+    is its least (t, f), the class representative.  A union-find over
+    those indices, linking each root under the smaller one, saturates the
+    one-step identifications under the generating arrows: the inclusion
+    of stage t - 1 in stage t (the image of f is f itself, and the links
+    are one slice assignment of parents), and the transposition (1 2) and
+    the cycle (1 2 ... t) of the extras of stage t (the images of the
+    stage read from its relabelled enumeration), on the last stage only
     when the category has the inclusion, on every stage when it has not.
     The class count up to stage t is then the number of roots below
     start[t + 1], read in one cumulative pass.
@@ -182,22 +203,21 @@ def tilde_hom(cat: ConcreteSMC, a: int, b: int, max_extra: int | None = None,
         raise CatError("objects are non-negative counts")
     if max_extra is None:
         max_extra = a + 2 if cat.name == "theta" else max(a - b, 0) + 2
-    stages = [sorted(cat.hom(a, b + t)) for t in range(max_extra + 1)]
+    stages = [cat.hom(a, b + t) for t in range(max_extra + 1)]
     start = list(accumulate(map(len, stages), initial=0))
     parent = list(range(start[-1]))
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx < ry:
-            parent[ry] = rx
-        elif ry < rx:
-            parent[rx] = ry
+        # find both roots, halving the paths; a parent's index is never
+        # above its child's
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x < y:
+            parent[y] = x
+        elif y < x:
+            parent[x] = y
 
     # generating arrows suffice: every map between extras is a composite
     # of the standard inclusion iota: t -> t + 1 (id_t + the map 0 -> 1,
@@ -208,36 +228,40 @@ def tilde_hom(cat: ConcreteSMC, a: int, b: int, max_extra: int | None = None,
     # closed under its bijections, then at stage t
     # x ~ iota x ~ (s + id_1) iota x = iota (s x) ~ s x, and by induction
     # from the top every stage is closed.  Sigma has no iota and joins the
-    # bijections on every stage.  A bijection u acts by id_b + u, a glue
-    # tuple with a leading 0 so that it is indexed by the values of f;
-    # iota fixes every value, so the image of f is f itself.  (1 2) pairs
-    # the elements of its stage both ways and is joined once, from the
-    # smaller index; the cycle is joined wherever it moves an element.
+    # bijections on every stage.  iota fixes every value, so the image of
+    # f is f itself; it is the first arrow into stage t, which no link has
+    # reached yet, so each element of stage t that is an image takes its
+    # preimage as parent in one assignment.  A bijection u acts by
+    # id_b + u, and the images of the whole stage, in its order, are the
+    # stage relabelled by the values of id_b + u.  (1 2) pairs the
+    # elements of its stage both ways and is joined once, from the smaller
+    # index; the cycle is joined wherever it moves an element.
     has_step = bool(cat.hom(0, 1))
-    head = tuple(range(b + 1))
+    head = range(1, b + 1)
+    index = {}
     for t in range(max_extra + 1):
-        index = dict(zip(stages[t], range(start[t], start[t + 1])))
+        lo, hi = start[t], start[t + 1]
+        prev, index = index, dict(zip(stages[t], range(lo, hi)))
         if has_step and t > 0:
-            for i, j in enumerate(map(index.__getitem__, stages[t - 1]),
-                                  start[t - 1]):
-                union(i, j)
+            parent[lo:hi] = map(prev.get, stages[t], range(lo, hi))
         if t < 2 or (has_step and t < max_extra):
             continue
         swap = (*head, b + 2, b + 1, *range(b + 3, b + t + 1))
-        cycle = (*head, *range(b + 2, b + t + 1), b + 1)
-        for i, f in enumerate(stages[t], start[t]):
-            j = index[tuple([swap[x] for x in f])]
+        images = map(index.__getitem__, cat.relabelled(a, b + t, swap))
+        for i, j in enumerate(images, lo):
             if i < j:
                 union(i, j)
-            if t > 2:
-                j = index[tuple([cycle[x] for x in f])]
+        if t > 2:
+            cycle = (*head, *range(b + 2, b + t + 1), b + 1)
+            images = map(index.__getitem__, cat.relabelled(a, b + t, cycle))
+            for i, j in enumerate(images, lo):
                 if i != j:
                     union(i, j)
     # the root of a class is its least index, so the classes met by
     # stages <= t are the roots below start[t + 1]
-    counts = list(accumulate(
-        sum(parent[i] == i for i in range(start[t], start[t + 1]))
-        for t in range(max_extra + 1)))
+    roots = list(map(eq, parent, range(start[-1])))
+    counts = list(accumulate(sum(roots[start[t]:start[t + 1]])
+                             for t in range(max_extra + 1)))
     first = next((t for t, maps in enumerate(stages) if maps), None)
     if first is None:
         if b + max_extra < a:
@@ -251,16 +275,19 @@ def tilde_hom(cat: ConcreteSMC, a: int, b: int, max_extra: int | None = None,
             f"hom colimit {cat.name}({a},{b}) did not stabilize by t={max_extra}")
     classes = [TildeHom(cat, a, b, t, f, _normal_form(cat, a, b, f))
                for t, maps in enumerate(stages)
-               for i, f in enumerate(maps, start[t]) if parent[i] == i]
+               for f in compress(maps, roots[start[t]:start[t + 1]])]
     if len({h.normal for h in classes}) != len(classes):
         raise CatError("normal forms do not separate the computed classes")
     if members is not None:
-        others = {i: [] for i in range(start[-1]) if parent[i] == i}
+        # a parent precedes its child, so in increasing order each parent
+        # already points at its root
+        for i in range(start[-1]):
+            parent[i] = parent[parent[i]]
+        others = {i: [] for i in compress(range(start[-1]), roots)}
         for t, maps in enumerate(stages):
             for i, f in enumerate(maps, start[t]):
-                root = find(i)
-                if root != i:
-                    others[root].append((t, f))
+                if parent[i] != i:
+                    others[parent[i]].append((t, f))
         members.extend(others.values())
     return classes
 

@@ -4,7 +4,8 @@ One file holds one functor (JSON); pipelines compose via --out, which
 writes a verb's JSON output to the file instead of stdout.  Inputs are
 file paths or ``corpus:NAME`` references built on the fly.  Exit codes:
 0 success, 1 oracle failure, 2 input error.  FCALC_MARGIN overrides the
-default stability margin of 2.
+default stability margin of 2 where a margin is used: alpha and the weak
+degree.
 """
 from __future__ import annotations
 
@@ -87,6 +88,7 @@ def load_functor(ref: str, N: int | None, coeff: str | None):
 
 _escape = json.encoder.encode_basestring_ascii
 _int_repr = int.__repr__
+_SEQUENCES = (list, tuple)
 
 
 def _write(o, nl: str, out: list):
@@ -94,7 +96,8 @@ def _write(o, nl: str, out: list):
     ``json`` module writes for ``o`` with an indent of 1, its lines
     continued by ``nl`` (a newline and the current indent).  Strings go
     through json's C escaper, and a list of only strings or only ints is
-    one join.  ``o`` is what fcalc builds: str keys; str, int, bool and
+    one join, made by the dict that holds it when it is a list of ints.
+    ``o`` is what fcalc builds: str keys; str, int, bool and
     None values; lists, tuples and dicts.  Anything else, a float or a
     non-str key among them, raises TypeError."""
     if isinstance(o, str):
@@ -138,10 +141,22 @@ def _write(o, nl: str, out: list):
             return
         inner = nl + " "
         lead = "{" + inner
+        item = inner + " "
+        sep = "," + item
         for k, v in o.items():
             out += (lead, _escape(k), ": ")
-            _write(v, inner, out)
             lead = "," + inner
+            # a value that is a list of ints, the usual leaf, is joined
+            # here rather than in a call of its own
+            if type(v) in _SEQUENCES and v and type(v[0]) is int \
+                    and bool not in map(type, v):
+                try:
+                    out += ("[", item, sep.join(map(_int_repr, v)), inner,
+                            "]")
+                    continue
+                except TypeError:
+                    pass
+            _write(v, inner, out)
         out.append(nl + "}")
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} "
@@ -184,8 +199,8 @@ def cmd_degree(args) -> int:
     if args.margin is not None and not args.weak:
         raise InputError("--margin applies to degree --weak only")
     F = as_fi(load_functor(args.input, args.N, args.coeff))
-    margin = args.margin if args.margin is not None else default_margin()
     if args.weak:
+        margin = args.margin if args.margin is not None else default_margin()
         rep = weak_degree(F, margin)
         kind = "weak"
     elif args.generation:

@@ -21,6 +21,27 @@ def brute_force_partial_injections(a: int, b: int):
     return out
 
 
+class TestEnumeration:
+    """tilde_hom indexes each stage by hom's order and reads the images
+    of a bijection from relabelled in that same order."""
+
+    @pytest.mark.parametrize("cat", [THETA, SIGMA], ids=["theta", "sigma"])
+    def test_hom_increasing_and_relabelled_in_its_order(self, cat):
+        for a in range(5):
+            for b in range(8):
+                maps = cat.hom(a, b)
+                assert maps == sorted(set(maps)), (cat, a, b)
+                want = (factorial(b) // factorial(b - a)
+                        if a <= b and (cat is THETA or a == b) else 0)
+                assert len(maps) == want, (cat, a, b)
+                for vals in (tuple(range(1, b + 1)),
+                             tuple(range(b, 0, -1)),
+                             tuple(5 * v % 13 + 20 for v in range(1, b + 1))):
+                    assert list(cat.relabelled(a, b, vals)) == [
+                        tuple(vals[v - 1] for v in f) for f in maps], \
+                        (cat, a, b, vals)
+
+
 class TestHomSets:
     def test_theta_counts_against_enumeration(self):
         for a in range(5):

@@ -98,6 +98,25 @@ class TestDegree:
         assert "margin 1" not in out  # margin is in the report, not printed
         assert "weak degree = 0" in out
 
+    @pytest.mark.parametrize("kind, want", [
+        (["--strong"], "strong degree = 1, window [0,2]\n"),
+        (["--generation"], "generation degree = 1, window [0,4]\n"),
+        ([], "strong degree = 1, window [0,2]\n")],
+        ids=["strong", "generation", "default"])
+    def test_margin_env_read_by_weak_only(self, capsys, monkeypatch, kind,
+                                          want):
+        # a malformed default stops only the kind that uses a margin
+        monkeypatch.setenv("FCALC_MARGIN", "x")
+        source = ("corpus:P(1)", "--N", "4")
+        assert run(capsys, "degree", *kind, *source) == (0, want, "")
+        code, out, err = run(capsys, "degree", "--weak", *source)
+        assert (code, out) == (2, "")
+        assert err == ("input error: FCALC_MARGIN must be an integer, "
+                       "got 'x'\n")
+        code, out, _ = run(capsys, "degree", "--weak", "--margin", "1",
+                           *source)
+        assert (code, out) == (0, "weak degree = 1, window [0,1]\n")
+
     @pytest.mark.parametrize("kind", [["--strong"], ["--generation"], []])
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     def test_margin_only_with_weak(self, capsys, kind, json_flag):
@@ -405,6 +424,8 @@ class TestTildeDigests:
                   "45d10b466177d5945e9c965ba3a46627",
         "heavy": "7db439400e9d7f877730afe74899887c"
                  "579481b41b0bd06382810384e232a5e1",
+        "theta-json-large": "1f693ea8d535190e52fbf31c091fb788"
+                            "b0bcf9a51068ba6d2a7ccad129294f40",
     }
     QUERIES = {
         **{f"hom-{cat}": [["tilde-hom", "--cat", cat, *json_flag,
@@ -425,6 +446,10 @@ class TestTildeDigests:
                  + [["tilde-hom", "--cat", "sigma", "7", str(b)]
                     for b in range(4)]
                  + [["tilde-axioms", "--cat", "theta", "--bound", "3"]],
+        # theta's class JSON, written from the normal forms, at the sizes
+        # of the workload's heavy tail
+        "theta-json-large": [["tilde-hom", "--cat", "theta", "--json",
+                              str(a), str(b)] for a, b in ((4, 5), (5, 1))],
     }
 
     @pytest.mark.parametrize("group", sorted(QUERIES))

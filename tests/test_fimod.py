@@ -1,5 +1,6 @@
 """Tests for the FI-module calculus: translation, difference, degrees."""
 import contextlib
+import functools
 import hashlib
 import json
 import random
@@ -9,6 +10,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fcalc import fimod
 from fcalc.corpus import (
     augmentation_sequence, build, build_sharp, ex_upm_sequence,
     shift_kernel_witness,
@@ -498,6 +500,125 @@ class TestSums:
         F = build("P(1)", "Z", 4)
         with pytest.raises(Exception):
             tensor(F, F)
+
+
+# -- closure properties -------------------------------------------------
+
+CLOSURE_ENTRIES = ("const", "atomic(2)", "zgeq(2)", "zgeq(3)", "P(1)", "P(2)",
+                   "augmentation_kernel", "sum_zgeq", "ex_upm_A", "ex_upm_F",
+                   "atomics_upto(6)")
+_ENTRY = st.tuples(st.sampled_from(CLOSURE_ENTRIES),
+                   st.sampled_from(("id", "diff", "kappa")))
+
+
+@functools.cache
+def _closure_functor(name, op, ring, N):
+    """The corpus entry, or its diff or kappa, over ring on [0, N]."""
+    if op == "id":
+        return build(name, ring, N)
+    return {"diff": diff, "kappa": kappa}[op](build(name, ring, N + 1))
+
+
+def _order(rep):
+    return float("-inf") if rep.value == NEG_INF else rep.value
+
+
+def _closure_violations(ring, F, G, margin, products):
+    """The closure properties that F, G and F + G break and, with
+    products (fields only), F x G and F x 1 for the tensor unit 1, the
+    constant functor: on certified degrees only, deg(F + G) = max(deg F,
+    deg G) for strong and weak degree, deg(F x G) <= deg F + deg G,
+    deg 1 = 0 and deg(F x 1) = deg F, and weak <= strong on each functor.
+    direct_sum and the degrees are looked up in fimod at the call."""
+    functors = {"F": F, "G": G, "F+G": fimod.direct_sum(F, G)}
+    if products:
+        functors["1"] = unit = _closure_functor("const", "id", ring, F.N)
+        functors["FxG"] = tensor(F, G)
+        functors["Fx1"] = tensor(F, unit)
+    bad = []
+    strong = {}
+    for kind in ("strong", "weak"):
+        deg = {name: fimod.strong_degree(X) if kind == "strong"
+               else fimod.weak_degree(X, margin)
+               for name, X in functors.items()}
+        value = {name: _order(rep) for name, rep in deg.items()
+                 if rep.certified}
+        if "F" in value and "G" in value and value.get("F+G") != max(
+                value["F"], value["G"]):
+            bad.append(f"{kind}: deg(F + G) = {deg['F+G'].value}, "
+                       f"deg F = {deg['F'].value}, deg G = {deg['G'].value}")
+        if {"F", "G", "FxG"} <= value.keys() \
+                and value["FxG"] > value["F"] + value["G"]:
+            bad.append(f"{kind}: deg(F x G) = {deg['FxG'].value}, "
+                       f"deg F = {deg['F'].value}, deg G = {deg['G'].value}")
+        if value.get("1", 0) != 0:
+            bad.append(f"{kind}: deg 1 = {deg['1'].value}")
+        if {"F", "Fx1"} <= value.keys() and value["Fx1"] != value["F"]:
+            bad.append(f"{kind}: deg(F x 1) = {deg['Fx1'].value}, "
+                       f"deg F = {deg['F'].value}")
+        bad += [f"{name}: weak degree {v} above strong {strong[name]}"
+                for name, v in value.items()
+                if name in strong and v > strong[name]]
+        strong = value
+    return bad
+
+
+class TestClosureProperties:
+    """The paper's strong and weak polynomial functors are closed under
+    direct sums and tensor products: the degree of a sum is the larger
+    degree, that of a tensor product at most the sum of the degrees, and
+    a strong degree bounds the weak one.  These relate answers to each
+    other, so they need no recorded answer.  Equality for tensor products
+    is false (P(1) x atomic(2) has strong degree 2), so only the bound is
+    checked; the tensor unit's degree 0 anchors it."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from(["Z", "Q", "F2", "F3"]), st.integers(3, 6),
+           _ENTRY, _ENTRY, st.integers(1, 2))
+    def test_sums(self, ring, N, f, g, margin):
+        F, G = (_closure_functor(*x, ring, N) for x in (f, g))
+        assert _closure_violations(ring, F, G, margin, False) == []
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from(["Q", "F2", "F3"]), st.integers(3, 5),
+           _ENTRY, _ENTRY, st.integers(1, 2))
+    def test_tensor_products(self, ring, N, f, g, margin):
+        F, G = (_closure_functor(*x, ring, N) for x in (f, g))
+        assert _closure_violations(ring, F, G, margin, True) == []
+
+    def test_sum_that_drops_a_top_level_fails(self, monkeypatch):
+        # G's top level replaced by 0: the weak degree of F + G drops to
+        # F's, since every unit into the top level is then zero
+        def drop_top(G):
+            zero = PresentedModule(G.coeff, 0, Mat.zero(G.coeff, 0, 0))
+            last = ModuleMap(G.levels[-2], zero,
+                             Mat.zero(G.coeff, G.levels[-2].gens, 0))
+            return TruncFIModule(
+                G.coeff, (*G.levels[:-1], zero), (*G.incl[:-1], last),
+                (*G.sym[:-1], [Mat.zero(G.coeff, 0, 0)] * (G.N - 1)))
+        F, G = (_closure_functor(name, "id", "Q", 5)
+                for name in ("const", "P(1)"))
+        monkeypatch.setattr(fimod, "direct_sum",
+                            lambda F, G, real=direct_sum: real(F, drop_top(G)))
+        assert _closure_violations("Q", F, G, 1, False) == [
+            "weak: deg(F + G) = 0, deg F = 0, deg G = 1"]
+
+    @pytest.mark.parametrize("off, caught", [
+        (1, "strong: deg 1 = 1"),
+        (-1, "strong: deg(F x G) = 1, deg F = 0, deg G = 0")])
+    def test_degree_off_by_one_fails(self, monkeypatch, off, caught):
+        # P(1) x P(1) meets the bound, so one less breaks it; one more
+        # breaks the unit's degree 0
+        def shifted(F, null_window, margin=None, real=fimod._degree):
+            rep = real(F, null_window, margin)
+            if rep.value in (NEG_INF, NOT_CERTIFIED):
+                return rep
+            return DegreeReport(rep.value + off, rep.window, rep.margin)
+        monkeypatch.setattr(fimod, "_degree", shifted)
+        F = _closure_functor("P(1)", "id", "Q", 5)
+        assert caught in _closure_violations("Q", F, F, 1, True)
 
 
 class TestPostcompose:
