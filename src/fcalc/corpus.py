@@ -4,13 +4,14 @@ Each entry builds a truncated functor (FI or FI#) and carries oracles:
 degree values, dimension patterns, isomorphism targets.  ``run_oracles``
 evaluates every fact and reports pass/fail with the certified windows.
 
-Free functors come from one builder, ``linearize``, applied to set-valued
-basis functors (injections from a fixed set, unordered pairs, partial
-injections), so all structure matrices are permutation-like and exact over
-any coefficient ring.  The atomic functors and the ``zgeq`` subfunctors of
-the constants come from one rank-one indicator builder, ``indicator``.
-Every matrix given on bases (structure maps, the norm map, the extension
-maps and the shift-kernel witness) is written by ``exactlin.basis_matrix``.
+Every entry given on bases comes from one builder, ``fisharp.linearize``.
+The free functors move their basis elements (injections from a fixed set,
+unordered pairs, partial injections) by point maps, so all structure
+matrices are permutation-like and exact over any coefficient ring.  The
+atomic functors, the ``zgeq`` subfunctors of the constants and their sums
+``atomics_upto`` and ``sum_zgeq`` fix their basis elements.  Every other
+matrix given on bases (the norm map, the extension maps and the
+shift-kernel witness) is written by ``exactlin.basis_matrix``.
 
 One registry, ``ENTRIES``, names every entry, the FI# ones included:
 ``build`` makes any of them at a requested N and ring, and ``build_sharp``
@@ -22,7 +23,10 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from math import comb, factorial
 
-from .exactlin import Coeff, Mat, ModuleMap, PresentedModule, basis_matrix
+from .exactlin import (
+    Coeff, Mat, ModuleMap, PresentedModule, basis_matrix, factor_through,
+    kernel,
+)
 from .fimod import (
     NatMap, NOT_CERTIFIED, NEG_INF, TruncFIModule,
     FunctorError, diff, dim_profile, direct_sum, generation_degree,
@@ -31,7 +35,8 @@ from .fimod import (
 )
 from . import fimod
 from .fisharp import (
-    FISharpModule, alpha, dold_kan_decompose, eta_restrict, moebius_idem,
+    FISharpModule, alpha, dold_kan_decompose, eta_restrict, linearize,
+    moebius_idem,
 )
 
 
@@ -56,80 +61,44 @@ def _partial_basis(d: int, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...
     return out
 
 
-def _transposition(i: int):
-    def phi(x: int) -> int:
-        if x == i:
-            return i + 1
-        if x == i + 1:
-            return i
-        return x
-    return phi
-
-
-def linearize(coeff: Coeff, bases, act, drop=None) -> TruncFIModule:
-    """The free functor on a set-valued functor on injections.
-
-    bases[n] lists the basis of level n; each basis element of level n is
-    also one of level n+1 (the inclusion); act(phi, b) is b moved by the
-    point map phi.  When drop is given, drop(b, n) is b at level n+1 with
-    the point n+1 forgotten, and the result is an FI#-module.  Every
-    structure matrix sends basis elements to basis elements, so it is built
-    directly as a 0/1 matrix.
-    """
-    levels = [PresentedModule.free(coeff, len(bs)) for bs in bases]
-    N = len(bases) - 1
-    one = coeff.one()
-    incl = [ModuleMap(levels[n], levels[n + 1], basis_matrix(
-                coeff, bases[n], bases[n + 1], lambda b: ((b, one),)))
-            for n in range(N)]
-    sym = [[basis_matrix(coeff, bases[n], bases[n],
-                         lambda b, phi=_transposition(i): ((act(phi, b), one),))
-            for i in range(1, n)] for n in range(N + 1)]
-    if drop is None:
-        return TruncFIModule(coeff, levels, incl, sym)
-    proj = [ModuleMap(levels[n + 1], levels[n], basis_matrix(
-                coeff, bases[n + 1], bases[n],
-                lambda b, n=n: ((drop(b, n), one),)))
-            for n in range(N)]
-    return FISharpModule(coeff, levels, incl, sym, proj)
+def _moved(move):
+    """linearize's action from move(phi, b), the basis element b moved by
+    the point map phi: s_i swaps the points i and i + 1."""
+    def act(i):
+        def phi(x: int) -> int:
+            return i + 1 if x == i else i if x == i + 1 else x
+        return lambda b: ((move(phi, b), 1),)
+    return act
 
 
 def _injections(coeff: Coeff, d: int, N: int) -> TruncFIModule:
     """P_d: the free functor on injections from a d-element set."""
     return linearize(coeff, [_injection_basis(d, n) for n in range(N + 1)],
-                     lambda phi, u: tuple(phi(x) for x in u))
+                     _moved(lambda phi, u: tuple(map(phi, u))))
 
 
 def _pairs(coeff: Coeff, N: int) -> TruncFIModule:
     """The free functor on unordered pairs (injections from 2 modulo swap)."""
     return linearize(coeff, [_pair_basis(n) for n in range(N + 1)],
-                     lambda phi, p: tuple(sorted((phi(p[0]), phi(p[1])))))
+                     _moved(lambda phi, p: tuple(sorted(map(phi, p)))))
 
 
-def _drop_point(b, n):
-    """A partial injection (domain, values) at level n+1 with the value
-    n+1 forgotten."""
-    dom, vals = b
-    keep = [(x, v) for x, v in zip(dom, vals) if v != n + 1]
-    return (tuple(x for x, _ in keep), tuple(v for _, v in keep))
+def _drop_point(n):
+    """The projection's image of a partial injection (domain, values) at
+    level n+1: the value n+1 forgotten."""
+    def image(b):
+        keep = [(x, v) for x, v in zip(*b) if v != n + 1]
+        return (((tuple(x for x, _ in keep), tuple(v for _, v in keep)), 1),)
+    return image
 
 
-def indicator(coeff: Coeff, support, N: int) -> TruncFIModule:
-    """One copy of the coefficients at each level in support, zero
-    elsewhere: identity inclusions between supported levels, zero maps
-    otherwise, trivial transpositions."""
-    levels = [PresentedModule.free(coeff, 1 if n in support else 0)
-              for n in range(N + 1)]
-    incl = []
-    for n in range(N):
-        if levels[n].gens and levels[n + 1].gens:
-            mat = Mat.identity(coeff, 1)
-        else:
-            mat = Mat.zero(coeff, levels[n].gens, levels[n + 1].gens)
-        incl.append(ModuleMap(levels[n], levels[n + 1], mat))
-    sym = [[Mat.identity(coeff, levels[n].gens)] * max(n - 1, 0)
-           for n in range(N + 1)]
-    return TruncFIModule(coeff, levels, incl, sym)
+def _fixed(coeff: Coeff, N: int, basis) -> TruncFIModule:
+    """The functor on the bases basis(0), ..., basis(N) that every
+    permutation fixes: one copy of the coefficients per basis element,
+    included into the copy of the same element one level up, or sent to 0
+    where that level lacks it."""
+    return linearize(coeff, [basis(n) for n in range(N + 1)],
+                     _moved(lambda phi, b: b))
 
 
 def summing_map(F: TruncFIModule) -> NatMap:
@@ -158,7 +127,7 @@ def augmentation_sequence(coeff: Coeff, N: int) -> tuple[NatMap, NatMap]:
     sets), as two natural maps."""
     aug = augmentation_map(coeff, N)
     K, incl = kernel_nat(aug)
-    Zgeq1 = indicator(coeff, range(1, N + 1), N)
+    Zgeq1 = _fixed(coeff, N, lambda n: [0] if n >= 1 else [])
     maps = [ModuleMap(aug.src.levels[n], Zgeq1.levels[n], aug.maps[n].mat
                       if n >= 1 else Mat.zero(coeff, 0, 0))
             for n in range(N + 1)]
@@ -231,37 +200,27 @@ def _parse_call(token: str) -> tuple[str, list[int]]:
     return token, []
 
 
-def _atomics_upto(coeff: Coeff, N: int, k: int) -> TruncFIModule:
-    F = indicator(coeff, {0}, N)
-    for i in range(1, k + 1):
-        F = direct_sum(F, indicator(coeff, {i}, N))
-    return F
-
-
-def _sum_zgeq(coeff: Coeff, N: int) -> TruncFIModule:
-    F = indicator(coeff, range(N + 1), N)
-    for i in range(1, N + 1):
-        F = direct_sum(F, indicator(coeff, range(i, N + 1), N))
-    return F
-
-
 def _free_sharp(coeff: Coeff, N: int, d: int) -> FISharpModule:
     return linearize(coeff, [_partial_basis(d, n) for n in range(N + 1)],
-                     lambda phi, b: (b[0], tuple(phi(v) for v in b[1])),
+                     _moved(lambda phi, b: (b[0], tuple(map(phi, b[1])))),
                      _drop_point)
 
 
 # entry name -> (number of arguments, builder(coeff, N, *arguments))
 ENTRIES = {
     "const": (0, lambda coeff, N: _injections(coeff, 0, N)),
-    "atomic": (1, lambda coeff, N, k: indicator(coeff, {k}, N)),
-    "zgeq": (1, lambda coeff, N, k: indicator(coeff, range(k, N + 1), N)),
+    "atomic": (1, lambda coeff, N, k:
+               _fixed(coeff, N, lambda n: [0] if n == k else [])),
+    "zgeq": (1, lambda coeff, N, k:
+             _fixed(coeff, N, lambda n: [0] if n >= k else [])),
     "P": (1, lambda coeff, N, d: _injections(coeff, d, N)),
     "augmentation_kernel": (0, build_augmentation_kernel),
     "ex_upm_A": (0, _pairs),
     "ex_upm_F": (0, build_ex_upm_F),
-    "atomics_upto": (1, _atomics_upto),
-    "sum_zgeq": (0, _sum_zgeq),
+    # atomic(0) + ... + atomic(k), and zgeq(0) + ... + zgeq(N)
+    "atomics_upto": (1, lambda coeff, N, k:
+                     _fixed(coeff, N, lambda n: [n] if n <= k else [])),
+    "sum_zgeq": (0, lambda coeff, N: _fixed(coeff, N, lambda n: range(n + 1))),
     "free_sharp": (1, _free_sharp),
 }
 
@@ -340,23 +299,10 @@ def run_oracles(name: str) -> OracleReport:
     return OracleReport(name, results)
 
 
-def _expect_strong(expected):
+def _expect_degree(degree, expected, *args):
+    """The fact degree(F, *args) == expected, detailed by the report."""
     def fact(F):
-        rep = strong_degree(F)
-        return rep.value == expected, str(rep)
-    return fact
-
-
-def _expect_weak(expected, margin):
-    def fact(F):
-        rep = weak_degree(F, margin)
-        return rep.value == expected, str(rep)
-    return fact
-
-
-def _expect_generation(expected):
-    def fact(F):
-        rep = generation_degree(F)
+        rep = degree(F, *args)
         return rep.value == expected, str(rep)
     return fact
 
@@ -396,7 +342,6 @@ def shift_kernel_witness(F: TruncFIModule) -> NatMap:
     F must be the stored augmentation kernel (same construction route, so
     the kernel generator presentations line up).
     """
-    from .exactlin import factor_through
     S = shift(F, 1)
     aug = augmentation_map(F.coeff, F.N)
     K, incl = kernel_nat(aug)
@@ -440,8 +385,7 @@ def _unit_alpha_kills_constants(F):
                         Mat.from_sparse(coeff, 1, g, (((g - 1, 1),),)))
         if not emb.then(unit.maps[n]).is_zero_map():
             return False, f"constant class survives at level {n}"
-        from .exactlin import kernel as _kernel
-        k, _ = _kernel(unit.maps[n])
+        k, _ = kernel(unit.maps[n])
         if not k.is_zero():
             nonzero_kernel = True
     return nonzero_kernel, "unit kills the constant subfunctor; kernel nonzero"
@@ -483,38 +427,31 @@ def _sharp_binomial_identity(F):
     return True, f"cross-effect dims {cr_dims}"
 
 
-def _sharp_eta_strong(expected):
-    def fact(F):
-        rep = strong_degree(eta_restrict(F))
-        return rep.value == expected, str(rep)
-    return fact
-
-
 ORACLES = {
     "const": {
         "coeff": "Z", "N": 10,
         "facts": [
-            ("strong degree 0", _expect_strong(0)),
-            ("weak degree 0", _expect_weak(0, 1)),
+            ("strong degree 0", _expect_degree(strong_degree, 0)),
+            ("weak degree 0", _expect_degree(weak_degree, 0, 1)),
             ("not stably null", _expect_stably_null(False)),
-            ("generation degree 0", _expect_generation(0)),
+            ("generation degree 0", _expect_degree(generation_degree, 0)),
         ],
     },
     "atomic(2)": {
         "coeff": "Z", "N": 10,
         "facts": [
             ("stably null", _expect_stably_null(True)),
-            ("strong degree 2", _expect_strong(2)),
-            ("weak degree -inf", _expect_weak(NEG_INF, 1)),
+            ("strong degree 2", _expect_degree(strong_degree, 2)),
+            ("weak degree -inf", _expect_degree(weak_degree, NEG_INF, 1)),
         ],
     },
     "zgeq(3)": {
         "coeff": "Z", "N": 10,
         "facts": [
-            ("strong degree 3", _expect_strong(3)),
-            ("weak degree 0", _expect_weak(0, 1)),
+            ("strong degree 3", _expect_degree(strong_degree, 3)),
+            ("weak degree 0", _expect_degree(weak_degree, 0, 1)),
             ("difference is the atomic functor", _expect_diff_profile("atomic(2)")),
-            ("generation degree 3", _expect_generation(3)),
+            ("generation degree 3", _expect_degree(generation_degree, 3)),
             ("not stably null", _expect_stably_null(False)),
             ("dims 0,0,0,1,...", _expect_dims(lambda n: 1 if n >= 3 else 0)),
         ],
@@ -522,8 +459,8 @@ ORACLES = {
     "P(1)": {
         "coeff": "Z", "N": 10,
         "facts": [
-            ("strong degree 1", _expect_strong(1)),
-            ("generation degree 1", _expect_generation(1)),
+            ("strong degree 1", _expect_degree(strong_degree, 1)),
+            ("generation degree 1", _expect_degree(generation_degree, 1)),
             ("difference is constant", _expect_diff_profile("const")),
             ("kappa vanishes", lambda F: (kappa(F).is_zero_functor(), "kappa = 0")),
             ("dims n", _expect_dims(lambda n: n)),
@@ -532,8 +469,8 @@ ORACLES = {
     "P(2)": {
         "coeff": "Z", "N": 8,
         "facts": [
-            ("strong degree 2", _expect_strong(2)),
-            ("generation degree 2", _expect_generation(2)),
+            ("strong degree 2", _expect_degree(strong_degree, 2)),
+            ("generation degree 2", _expect_degree(generation_degree, 2)),
             ("six-term exact", _expect_six_term),
             ("dims n(n-1)", _expect_dims(lambda n: n * (n - 1))),
         ],
@@ -541,8 +478,8 @@ ORACLES = {
     "augmentation_kernel": {
         "coeff": "Z", "N": 10,
         "facts": [
-            ("strong degree 2", _expect_strong(2)),
-            ("weak degree 1", _expect_weak(1, 2)),
+            ("strong degree 2", _expect_degree(strong_degree, 2)),
+            ("weak degree 1", _expect_degree(weak_degree, 1, 2)),
             ("difference is zgeq(1)", _expect_diff_profile("zgeq(1)")),
             ("shift is the rank functor", _shift_is_P1),
             ("six-term exact", _expect_six_term),
@@ -552,20 +489,21 @@ ORACLES = {
         "coeff": "Z", "N": 10,
         "facts": [
             ("stably null", _expect_stably_null(True)),
-            ("weak degree -inf", _expect_weak(NEG_INF, 1)),
+            ("weak degree -inf", _expect_degree(weak_degree, NEG_INF, 1)),
         ],
     },
     "sum_zgeq": {
         "coeff": "Z", "N": 6,
         "facts": [
-            ("strong degree not certified", _expect_strong(NOT_CERTIFIED)),
-            ("weak degree 0", _expect_weak(0, 1)),
+            ("strong degree not certified",
+             _expect_degree(strong_degree, NOT_CERTIFIED)),
+            ("weak degree 0", _expect_degree(weak_degree, 0, 1)),
         ],
     },
     "ex_upm_A": {
         "coeff": "F2", "N": 8,
         "facts": [
-            ("strong degree 2", _expect_strong(2)),
+            ("strong degree 2", _expect_degree(strong_degree, 2)),
             ("alpha dims C(n,2)+n+1",
              _alpha_dims(lambda n: comb(n, 2) + n + 1)),
         ],
@@ -573,7 +511,7 @@ ORACLES = {
     "ex_upm_F": {
         "coeff": "F2", "N": 8,
         "facts": [
-            ("strong degree 2", _expect_strong(2)),
+            ("strong degree 2", _expect_degree(strong_degree, 2)),
             ("alpha dims C(n,2)+n+1",
              _alpha_dims(lambda n: comb(n, 2) + n + 1)),
             ("unit of alpha kills the constants", _unit_alpha_kills_constants),
@@ -598,7 +536,8 @@ ORACLES = {
             ("structure verifies", lambda F: (not F.verify(), "invariants")),
             ("idempotents complete and orthogonal", _sharp_idempotents_complete),
             ("binomial dimension identity", _sharp_binomial_identity),
-            ("restriction has strong degree 1", _sharp_eta_strong(1)),
+            ("restriction has strong degree 1",
+             _expect_degree(lambda F: strong_degree(eta_restrict(F)), 1)),
             ("dims n+1", _expect_dims(lambda n: n + 1)),
         ],
     },
@@ -608,7 +547,8 @@ ORACLES = {
             ("structure verifies", lambda F: (not F.verify(), "invariants")),
             ("idempotents complete and orthogonal", _sharp_idempotents_complete),
             ("binomial dimension identity", _sharp_binomial_identity),
-            ("restriction has strong degree 2", _sharp_eta_strong(2)),
+            ("restriction has strong degree 2",
+             _expect_degree(lambda F: strong_degree(eta_restrict(F)), 2)),
             ("dims sum C(2,k)C(n,k)k!",
              _expect_dims(lambda n: sum(comb(2, k) * comb(n, k) * factorial(k)
                                         for k in (0, 1, 2)))),

@@ -351,10 +351,15 @@ def is_isomorphism(f: ModuleMap) -> bool:
 
 def invert_iso(f: ModuleMap) -> ModuleMap:
     """Inverse of an isomorphism of presented modules: the lift of the
-    identity of f.dst through f."""
-    if not is_isomorphism(f):
-        raise ExactLinError("map is not an isomorphism, cannot invert")
-    return factor_through(ModuleMap.identity(f.dst), f)
+    identity of f.dst through f.  The lift exists iff f is onto, so with
+    equal invariants it decides, as ``is_isomorphism`` does, whether f is
+    an isomorphism."""
+    if f.src.profile_eq(f.dst):
+        try:
+            return factor_through(ModuleMap.identity(f.dst), f)
+        except ExactLinError:
+            pass
+    raise ExactLinError("map is not an isomorphism, cannot invert")
 
 
 def check_exact(seq: list[ModuleMap]) -> bool:

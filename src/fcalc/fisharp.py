@@ -6,6 +6,11 @@ inclusions, projections and permutations, so this linear-size data
 determines the whole functor; the epsilon idempotents make the
 reconstruction canonical.
 
+``linearize`` is the one builder of a functor given on bases (an FI- or
+FI#-module, free or presented): the corpus's free and rank-one functors
+and ``dold_kan_reconstruct`` give it their bases and the images of basis
+elements under the transpositions and projections.
+
 On top of the raw structure live the commuting idempotents ``epsilon_I``,
 their Moebius inversion ``e_I`` (a complete orthogonal family), the
 cross-effects, the decomposition into symmetric-group representations and
@@ -88,6 +93,44 @@ class FISharpModule(TruncFIModule):
 def eta_restrict(F: FISharpModule) -> TruncFIModule:
     """Forget the projections: the underlying FI-module."""
     return TruncFIModule(F.coeff, F.levels, F.incl, F.sym)
+
+
+def linearize(coeff: Coeff, bases, act, drop=None, rels=None) -> TruncFIModule:
+    """The functor given on bases: level n has the basis bases[n], and is
+    free or carries the relation rows rels(n).
+
+    The inclusion sends a basis element to itself in bases[n + 1], or to 0
+    where that basis lacks it.  act(i) gives each basis element's image
+    under s_i and, when drop is given, drop(n) its image under the
+    projection from level n + 1 to level n, which makes the result an
+    FI#-module.  Images and relation rows are (element, value) pairs, as
+    ``basis_matrix`` takes them.
+
+    >>> from .exactlin import Q
+    >>> F = linearize(Q, [["a"], ["a", "b"], ["b"]], lambda i: lambda b: ((b, 1),))
+    >>> [f.mat.rows for f in F.incl]  # "a" is not in level 2: it maps to 0
+    [((1, 0),), ((0,), (1,))]
+    """
+    def kept(n):
+        there = set(bases[n + 1])
+        return lambda b: ((b, 1),) if b in there else ()
+
+    levels = [PresentedModule.free(coeff, len(basis)) if rels is None else
+              PresentedModule(coeff, len(basis),
+                              basis_matrix(coeff, rels(n), basis, tuple))
+              for n, basis in enumerate(bases)]
+    N = len(bases) - 1
+    incl = [ModuleMap(levels[n], levels[n + 1],
+                      basis_matrix(coeff, bases[n], bases[n + 1], kept(n)))
+            for n in range(N)]
+    sym = [[basis_matrix(coeff, basis, basis, act(i)) for i in range(1, n)]
+           for n, basis in enumerate(bases)]
+    if drop is None:
+        return TruncFIModule(coeff, levels, incl, sym)
+    proj = [ModuleMap(levels[n + 1], levels[n],
+                      basis_matrix(coeff, bases[n + 1], bases[n], drop(n)))
+            for n in range(N)]
+    return FISharpModule(coeff, levels, incl, sym, proj)
 
 
 def _down_up(F: FISharpModule, n: int, k: int) -> Mat:
@@ -256,9 +299,6 @@ def _partitions(n: int):
     >>> list(_partitions(3))
     [(3,), (2, 1), (1, 1, 1)]
     """
-    if n == 0:
-        yield ()
-        return
     def gen(rest, maxpart):
         if rest == 0:
             yield ()
@@ -325,24 +365,11 @@ def dold_kan_reconstruct(reps: SymRepList, N: int | None = None) -> FISharpModul
     one = coeff.one()
     # degrees beyond the list are zero: no generators, no relations
     gens = [r.module.gens for r in reps.reps] + [0] * (N - reps.N)
-    nrels = [r.module.rels.nrows for r in reps.reps] + [0] * (N - reps.N)
-
-    def rel_row(b):
-        S, r = b
-        return [((S, j), x) for j, x in
-                reps.reps[len(S)].module.rels.sparse_rows()[r]]
-
-    # level n has the basis (S, j): generator j of the copy indexed by S
-    bases = []
-    levels = []
-    for n in range(N + 1):
-        subsets = [S for k in range(n + 1)
-                   for S in combinations(range(1, n + 1), k)]
-        basis = [(S, j) for S in subsets for j in range(gens[len(S)])]
-        rels = [(S, r) for S in subsets for r in range(nrels[len(S)])]
-        bases.append(basis)
-        levels.append(PresentedModule(
-            coeff, len(basis), basis_matrix(coeff, rels, basis, rel_row)))
+    rel_rows = ([r.module.rels.sparse_rows() for r in reps.reps]
+                + [()] * (N - reps.N))
+    subsets = [[S for k in range(n + 1)
+                for S in combinations(range(1, n + 1), k)]
+               for n in range(N + 1)]
 
     def transposition(i):
         """s_i swaps the points i and i+1."""
@@ -356,16 +383,15 @@ def dold_kan_reconstruct(reps: SymRepList, N: int | None = None) -> FISharpModul
             return (((T, j), one),)
         return image
 
-    incl = [ModuleMap(levels[n], levels[n + 1], basis_matrix(
-                coeff, bases[n], bases[n + 1], lambda b: ((b, one),)))
-            for n in range(N)]
-    proj = [ModuleMap(levels[n + 1], levels[n], basis_matrix(
-                coeff, bases[n + 1], bases[n],
-                lambda b, n=n: () if n + 1 in b[0] else ((b, one),)))
-            for n in range(N)]
-    sym = [[basis_matrix(coeff, bases[n], bases[n], transposition(i))
-            for i in range(1, n)] for n in range(N + 1)]
-    return FISharpModule(coeff, levels, incl, sym, proj)
+    # level n has the basis (S, j): generator j of the copy indexed by S;
+    # the projection kills the copies whose S holds the point n + 1
+    return linearize(
+        coeff, [[(S, j) for S in Ss for j in range(gens[len(S)])]
+                for Ss in subsets],
+        transposition,
+        lambda n: lambda b: () if n + 1 in b[0] else ((b, one),),
+        lambda n: [[((S, j), x) for j, x in row]
+                   for S in subsets[n] for row in rel_rows[len(S)]])
 
 
 def dold_kan_witness(F: FISharpModule, reps: SymRepList | None = None) -> NatMap:

@@ -364,6 +364,39 @@ class TestSharpAndTilde:
         reps = self.decompose(capsys, tmp_path / "reps.json", str(module))
         assert hashlib.sha256(reps).hexdigest() == self.ALPHA_P2_DIGESTS[coeff]
 
+    # dk-reconstruct --out, at the list's own length and at N = 6, on the
+    # decompositions of alpha(P(2)) at N = 7, alpha(ex_upm_F) at N = 6 and
+    # free_sharp(2) at N = 4: representations with relations, laid out on
+    # the (subset, generator) bases
+    DECOMPOSED_SOURCES = (("alpha", "corpus:P(2)", "--N", "7"),
+                          ("alpha", "corpus:ex_upm_F", "--N", "6"),
+                          ("corpus", "emit", "free_sharp(2)", "--N", "4"))
+    RECONSTRUCT_DECOMPOSED_DIGESTS = {
+        "Z": "40ef286cce97e8c381278ceb300e0694d43a65c6b5eb69ad16399accd767e765",
+        "Q": "b0747959efe0812267c4b0a69e5ebef7e8fdfa357532454e633047695043a0d9",
+        "F2": "80fe4ddc6e161b8d1442ca932346c35e0b990ecd7f7069b137e8e9092acf50bf",
+        "F3": "85103fb69d84b980160ebe2642a65ac5422017536c45efa24908e90caa2d16d9",
+    }
+
+    @pytest.mark.parametrize("coeff", ["Z", "Q", "F2", "F3"])
+    def test_dk_reconstruct_decomposed_digest(self, capsys, tmp_path, coeff):
+        module = tmp_path / "module.json"
+        reps_path = tmp_path / "reps.json"
+        back_path = tmp_path / "back.json"
+        h = hashlib.sha256()
+        for source in self.DECOMPOSED_SOURCES:
+            code, _, _ = run(capsys, *source, "--coeff", coeff,
+                             "--out", str(module))
+            assert code == 0
+            self.decompose(capsys, reps_path, str(module))
+            for extra in ([], ["--N", "6"]):
+                code, out, err = run(capsys, "dk-reconstruct", str(reps_path),
+                                     *extra, "--out", str(back_path))
+                h.update(f"{code}\n{out}\n{err}\n".encode())
+                h.update(back_path.read_bytes())
+                back_path.unlink()
+        assert h.hexdigest() == self.RECONSTRUCT_DECOMPOSED_DIGESTS[coeff]
+
     def test_alpha(self, capsys, tmp_path):
         out_path = tmp_path / "a.json"
         code, _, err = run(capsys, "alpha", "corpus:P(1)", "--N", "6",
@@ -481,6 +514,13 @@ class TestJsonDigests:
                        for verb in ("diff", "kappa", "shift")],
         "emit": [["corpus", "emit", e, "--N", "5", "--out", "@out"]
                  for e in ENTRIES + ("free_sharp(1)", "free_sharp(2)")],
+        # the functors given on bases: a basis element missing from the
+        # next level (atomic, atomics_upto), several rank-one summands and
+        # the partial injections' projections
+        "emit-bases": [["corpus", "emit", e, "--N", str(N), "--out", "@out"]
+                       for e in ("atomic(1)", "zgeq(1)", "atomics_upto(3)",
+                                 "ex_upm_A", "free_sharp(3)")
+                       for N in (5, 7)],
         "alpha": [["alpha", "--json", f"corpus:P({d})", "--N", str(N)]
                   for d in (1, 2) for N in (5, 6)],
     }
@@ -509,6 +549,14 @@ class TestJsonDigests:
             "dc5a87fc1a2a75df7f4acbaccd0083028500761c145b91a83d44384ae94cd193",
         "dims:F3":
             "dc5a87fc1a2a75df7f4acbaccd0083028500761c145b91a83d44384ae94cd193",
+        "emit-bases:Z":
+            "c6f19a878d68c9abbe701fd431ba378b9c5bc25ddae26d2e0b5f77af7e1aad38",
+        "emit-bases:Q":
+            "58728efdce27f3a65d2b8fc0927a89091899af0195f8f7c532341f67246e4dd8",
+        "emit-bases:F2":
+            "200317cc8dbacb94e596af8b72fcbf411fe4a2fee1d4c58282c8e85e156b1a3c",
+        "emit-bases:F3":
+            "765550aa63ba2c20926f3a59d458ea4618328547104983906da33c8a2de6a4e2",
         "emit:Z":
             "d13cd20724aeeb19bd70f4a2da1eefd94b0a70df2e28e35657ec7686610d8028",
         "emit:Q":

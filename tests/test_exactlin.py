@@ -618,6 +618,10 @@ class TestIso:
         m = PresentedModule.free(Z, 1)
         f = ModuleMap(m, m, Mat.from_rows(Z, [[2]]))
         assert not is_isomorphism(f)
+        # equal invariants, but not onto: the identity does not lift
+        with pytest.raises(ExactLinError,
+                           match="map is not an isomorphism, cannot invert"):
+            invert_iso(f)
 
 
 class TestSerialization:

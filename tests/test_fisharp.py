@@ -7,7 +7,10 @@ import pytest
 
 from fcalc.corpus import build, build_sharp
 from fcalc.exactlin import Coeff, Mat, ModuleMap, PresentedModule
-from fcalc.fimod import NEG_INF, NatMap, diff, shift, strong_degree
+from fcalc.fimod import (
+    NEG_INF, NatMap, WindowError, diff, dim_profile, shift, strong_degree,
+    weak_degree,
+)
 from fcalc.fisharp import (
     FISharpModule, SymRep, SymRepList, alpha, cross_effect,
     dold_kan_decompose, dold_kan_reconstruct, dold_kan_witness, epsilon_idem,
@@ -543,3 +546,55 @@ class TestAlpha:
         u = alpha(build("const", "Z", 5), 2).unit
         for f in u.maps:
             assert f.mat == Mat.identity(Z, 1)
+
+
+class TestClassification:
+    """The paper's classification as a differential oracle: the top piece
+    of a polynomial functor, computed by the difference calculus (the weak
+    degree, the finite differences of the dimensions) and by the
+    idempotent calculus (the cross-effects of alpha(F)), must agree."""
+
+    # the entries whose alpha certifies a window at N = 8, margin 2
+    ENTRIES = ("const", "atomic(2)", "zgeq(3)", "P(1)", "P(2)", "P(3)",
+               "augmentation_kernel", "ex_upm_A", "ex_upm_F")
+    # the corpus entries left out: alpha does not stabilize on them there
+    SKIPPED = ("atomics_upto(6)", "sum_zgeq")
+
+    @staticmethod
+    def mismatches(entry, ring):
+        F = build(entry, ring, 9 if entry == "P(3)" else 8)
+        A = alpha(F, 2).module
+        # the largest k with a nonzero cross-effect, searched from the top
+        # down: the lower ones, on the levels with the most relations, are
+        # most of the cost and decide nothing here
+        top, dim = NEG_INF, 0
+        for k in range(A.N, -1, -1):
+            dim = cross_effect(A, k).module.dimension()
+            if dim:
+                top = k
+                break
+        out = []
+        weak = weak_degree(F, 2)
+        if weak.value != top:
+            out.append(f"weak degree {weak}, top cross-effect {top} of {A.N}")
+        if top != NEG_INF and dim != dim_profile(F).diffs[top][-1]:
+            out.append(f"top cross-effect dim {dim} is not the top "
+                       f"difference {dim_profile(F).diffs[top]}")
+        return out
+
+    @pytest.mark.parametrize("ring", ["Q", "F2", "F3"])
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_top_cross_effect_is_the_top_difference(self, entry, ring):
+        assert self.mismatches(entry, ring) == []
+
+    @pytest.mark.parametrize("entry", SKIPPED)
+    def test_skipped_entries_do_not_stabilize(self, entry):
+        with pytest.raises(WindowError):
+            alpha(build(entry, "Q", 8), 2)
+
+    def test_fails_under_a_wrong_idempotent(self, monkeypatch):
+        # epsilon_{1..k} is the identity of level k, so every level would
+        # count as a cross-effect
+        import fcalc.fisharp as fisharp
+        monkeypatch.setattr(fisharp, "moebius_idem", fisharp.epsilon_idem)
+        assert self.mismatches("P(2)", "Q")
