@@ -9,9 +9,12 @@ The free functors move their basis elements (injections from a fixed set,
 unordered pairs, partial injections) by point maps, so all structure
 matrices are permutation-like and exact over any coefficient ring.  The
 atomic functors, the ``zgeq`` subfunctors of the constants and their sums
-``atomics_upto`` and ``sum_zgeq`` fix their basis elements.  Every other
-matrix given on bases (the norm map, the extension maps and the
-shift-kernel witness) is written by ``exactlin.basis_matrix``.
+``atomics_upto`` and ``sum_zgeq`` fix their basis elements.  Every natural
+map given on bases (the augmentation, the norm map, the glue map of
+``ex_upm_F`` and the maps of the two extensions) comes from one builder,
+``fisharp.linearize_map``, from the image of each basis element.  The
+shift-kernel witness, which goes up one level and then through a kernel,
+is written by ``exactlin.basis_matrix``.
 
 One registry, ``ENTRIES``, names every entry, the FI# ones included:
 ``build`` makes any of them at a requested N and ring, and ``build_sharp``
@@ -20,6 +23,7 @@ emit``) carries its own N and ring from then on.
 """
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -36,7 +40,7 @@ from .fimod import (
 from . import fimod
 from .fisharp import (
     FISharpModule, alpha, dold_kan_decompose, eta_restrict, linearize,
-    moebius_idem,
+    linearize_map, moebius_idem,
 )
 
 
@@ -101,20 +105,12 @@ def _fixed(coeff: Coeff, N: int, basis) -> TruncFIModule:
                      _moved(lambda phi, b: b))
 
 
-def summing_map(F: TruncFIModule) -> NatMap:
-    """The map from a linearized functor to the constants sending every
-    basis element to 1."""
-    C = _injections(F.coeff, 0, F.N)
-    one = F.coeff.one()
-    maps = [ModuleMap(m, C.levels[n],
-                      Mat.from_sparse(F.coeff, m.gens, 1, (((0, one),),) * m.gens))
-            for n, m in enumerate(F.levels)]
-    return NatMap(F, C, maps)
-
-
 def augmentation_map(coeff: Coeff, N: int) -> NatMap:
-    """The summing map from the free rank functor to the constants."""
-    return summing_map(_injections(coeff, 1, N))
+    """The augmentation: the free rank functor to the constants, every
+    basis element to 1."""
+    return linearize_map(_injections(coeff, 1, N), _injections(coeff, 0, N),
+                         partial(_injection_basis, 1),
+                         partial(_injection_basis, 0), lambda x: (((), 1),))
 
 
 def build_augmentation_kernel(coeff: Coeff, N: int) -> TruncFIModule:
@@ -126,40 +122,37 @@ def augmentation_sequence(coeff: Coeff, N: int) -> tuple[NatMap, NatMap]:
     """The short exact sequence kernel >-> P_1 ->> (constants on nonempty
     sets), as two natural maps."""
     aug = augmentation_map(coeff, N)
-    K, incl = kernel_nat(aug)
-    Zgeq1 = _fixed(coeff, N, lambda n: [0] if n >= 1 else [])
-    maps = [ModuleMap(aug.src.levels[n], Zgeq1.levels[n], aug.maps[n].mat
-                      if n >= 1 else Mat.zero(coeff, 0, 0))
-            for n in range(N + 1)]
-    proj = NatMap(aug.src, Zgeq1, maps)
+    _, incl = kernel_nat(aug)
+
+    def nonempty(n):
+        return [0] if n >= 1 else []
+
+    proj = linearize_map(aug.src, _fixed(coeff, N, nonempty),
+                         partial(_injection_basis, 1), nonempty,
+                         lambda x: ((0, 1),))
     return incl, proj
 
 
 def norm_map(coeff: Coeff, N: int) -> NatMap:
     """Unordered pairs into ordered pairs: {a,b} -> (a,b) + (b,a)."""
-    A = _pairs(coeff, N)
-    P2 = _injections(coeff, 2, N)
-    one = coeff.one()
-    maps = [ModuleMap(A.levels[n], P2.levels[n], basis_matrix(
-                coeff, _pair_basis(n), _injection_basis(2, n),
-                lambda p: ((p, one), (p[::-1], one))))
-            for n in range(N + 1)]
-    return NatMap(A, P2, maps)
+    return linearize_map(_pairs(coeff, N), _injections(coeff, 2, N),
+                         _pair_basis, partial(_injection_basis, 2),
+                         lambda p: ((p, 1), (p[::-1], 1)))
+
+
+def _glued_basis(n: int) -> list[tuple[int, ...]]:
+    """The generators of ex_upm_F at level n: the ordered pairs, then the
+    empty injection () that spans the constants."""
+    return _injection_basis(2, n) + [()]
 
 
 def build_ex_upm_F(coeff: Coeff, N: int) -> TruncFIModule:
     """Pushout of the norm inclusion (pairs into ordered pairs) and the
     augmentation to the constants: the amalgamated sum functor."""
-    nu = norm_map(coeff, N)
-    aug = summing_map(nu.src)
-    P2, C = nu.dst, aug.dst
-    target = direct_sum(P2, C)
-    maps = []
-    for n in range(N + 1):
-        maps.append(ModuleMap(
-            nu.src.levels[n], target.levels[n],
-            nu.maps[n].mat.hjoin(aug.maps[n].mat.scale(-1))))
-    glue = NatMap(nu.src, target, maps)
+    target = direct_sum(_injections(coeff, 2, N), _injections(coeff, 0, N))
+    minus_one = coeff.normalize(-1)
+    glue = linearize_map(_pairs(coeff, N), target, _pair_basis, _glued_basis,
+                         lambda p: ((p, 1), (p[::-1], 1), ((), minus_one)))
     F, _ = cokernel_nat(glue)
     return F
 
@@ -171,20 +164,12 @@ def ex_upm_sequence(coeff: Coeff, N: int) -> tuple[NatMap, NatMap]:
         raise FunctorError("ex_upm_sequence is an extension over F2 only, "
                            f"not over {coeff.code}")
     F = build_ex_upm_F(coeff, N)
-    C = _injections(coeff, 0, N)
-    A = _pairs(coeff, N)
-    one = coeff.one()
-    incl_maps = []
-    proj_maps = []
-    for n in range(N + 1):
-        # the generators of F(n): the ordered pairs, then the constant
-        gens = _injection_basis(2, n) + [None]
-        incl_maps.append(ModuleMap(C.levels[n], F.levels[n], basis_matrix(
-            coeff, _injection_basis(0, n), gens, lambda b: ((None, one),))))
-        proj_maps.append(ModuleMap(F.levels[n], A.levels[n], basis_matrix(
-            coeff, gens, _pair_basis(n),
-            lambda u: () if u is None else ((tuple(sorted(u)), one),))))
-    return NatMap(C, F, incl_maps), NatMap(F, A, proj_maps)
+    incl = linearize_map(_injections(coeff, 0, N), F,
+                         partial(_injection_basis, 0), _glued_basis,
+                         lambda b: (((), 1),))
+    proj = linearize_map(F, _pairs(coeff, N), _glued_basis, _pair_basis,
+                         lambda u: ((tuple(sorted(u)), 1),) if u else ())
+    return incl, proj
 
 
 # -- name parsing and the registry -----------------------------------------
@@ -236,6 +221,10 @@ def _build_entry(token: str, coeff, N: int):
     if len(args) != arity:
         raise FunctorError(f"corpus entry {head!r} takes {arity} "
                            f"argument(s), got {len(args)}")
+    for a in args:
+        if a < 0:
+            raise FunctorError(f"corpus entry {head!r} takes non-negative "
+                               f"arguments, got {a}")
     return builder(coeff, N, *args)
 
 

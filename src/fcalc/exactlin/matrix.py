@@ -148,13 +148,6 @@ class Mat:
             rows.append(finish_row(coeff, acc))
         return Mat.from_sparse(coeff, self.nrows, self.ncols, tuple(rows))
 
-    def scale(self, c) -> "Mat":
-        coeff = self.coeff
-        c = coeff.normalize(c)
-        rows = tuple([canonical_pairs(coeff, [(j, c * x) for j, x in row])
-                      for row in self._sparse])
-        return Mat.from_sparse(coeff, self.nrows, self.ncols, rows)
-
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.coeff != other.coeff:
             raise ValueError("coefficient mismatch")
@@ -181,20 +174,6 @@ class Mat:
             self.coeff, self.nrows + other.nrows, self.ncols,
             self._sparse + other._sparse,
         )
-
-    def hjoin(self, other: "Mat") -> "Mat":
-        """Columns of self followed by columns of other (same height)."""
-        if self.coeff != other.coeff or self.nrows != other.nrows:
-            raise ValueError("hjoin mismatch")
-        w = self.ncols
-        rows = tuple([ra + tuple([(w + j, x) for j, x in rb])
-                      for ra, rb in zip(self._sparse, other._sparse)])
-        return Mat.from_sparse(self.coeff, self.nrows, w + other.ncols, rows)
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Mat":
-        dense = self.rows
-        rows = [[dense[i][j] for j in col_idx] for i in row_idx]
-        return Mat(self.coeff, len(row_idx), len(col_idx), rows)
 
     def block_diag(self, other: "Mat") -> "Mat":
         if self.coeff != other.coeff:

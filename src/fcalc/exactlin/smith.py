@@ -144,8 +144,7 @@ class RowBasis:
             _gcd_merge(row, v, x, y, ag, bg)
             if c is not None:
                 _gcd_merge(combo_at[j], c, x, y, ag, bg)
-            self._reduce_above(bisect_left(self.pivots, j), self._rows,
-                               self._combos)
+            self._reduce_above(bisect_left(self.pivots, j))
             grew = True
         return grew
 
@@ -167,12 +166,14 @@ class RowBasis:
         if c is not None:
             self._combos.insert(pos, c)
             self._combo_at[j] = c
-        self._reduce_above(pos, self._rows, self._combos)
+        self._reduce_above(pos)
 
-    def _reduce_above(self, pos: int, rows: list, combos):
-        """Reduce rows[:pos] at the pivot column of rows[pos] by the pivot
-        quotient: into [0, pivot) over Z, to zero over a field.  combos,
-        when not empty, take the same moves."""
+    def _reduce_above(self, pos: int):
+        """Reduce the basis rows above position pos at the pivot column of
+        the row there by the pivot quotient: into [0, pivot) over Z, to
+        zero over a field.  The combos, when tracked, take the same
+        moves."""
+        rows, combos = self._rows, self._combos
         j = self.pivots[pos]
         row = rows[pos]
         piv = row[j]
@@ -272,15 +273,6 @@ class RowBasis:
             self.coeff, len(self._rows), self.width,
             tuple([tuple(sorted(r.items())) for r in self._rows]),
         )
-
-    def snapshot(self) -> tuple:
-        """Canonical form of the current span (for equality tests): the
-        basis with every row reduced at every later pivot, which over Z is
-        the HNF and over a field the basis as kept."""
-        rows = [dict(r) for r in self._rows]
-        for pos in range(len(rows)):
-            self._reduce_above(pos, rows, None)
-        return tuple(tuple(_dense(r, self.width)) for r in rows)
 
 
 def _as_map(vec) -> dict:

@@ -9,7 +9,10 @@ reconstruction canonical.
 ``linearize`` is the one builder of a functor given on bases (an FI- or
 FI#-module, free or presented): the corpus's free and rank-one functors
 and ``dold_kan_reconstruct`` give it their bases and the images of basis
-elements under the transpositions and projections.
+elements under the transpositions and projections.  ``linearize_map`` is
+the one builder of a natural map given on bases: the corpus's
+augmentation, norm and extension maps give it the image of each basis
+element.
 
 On top of the raw structure live the commuting idempotents ``epsilon_I``,
 their Moebius inversion ``e_I`` (a complete orthogonal family), the
@@ -131,6 +134,26 @@ def linearize(coeff: Coeff, bases, act, drop=None, rels=None) -> TruncFIModule:
                       basis_matrix(coeff, bases[n + 1], bases[n], drop(n)))
             for n in range(N)]
     return FISharpModule(coeff, levels, incl, sym, proj)
+
+
+def linearize_map(F: TruncFIModule, G: TruncFIModule, src, dst, image) -> NatMap:
+    """The natural map F -> G given on bases: its level-n component sends
+    each element b of the basis src(n) of F to the combination image(b) of
+    the basis dst(n) of G, as (element, value) pairs, as ``basis_matrix``
+    takes them.
+
+    >>> from .exactlin import Z
+    >>> fixed = lambda i: lambda b: ((b, 1),)
+    >>> F = linearize(Z, [["a"], ["a"]], fixed)
+    >>> G = linearize(Z, [["x", "y"], ["x", "y"]], fixed)
+    >>> f = linearize_map(F, G, lambda n: ["a"], lambda n: ["x", "y"],
+    ...                   lambda b: (("x", 1), ("y", -1)))
+    >>> [g.mat.rows for g in f.maps], f.is_natural()
+    ([((1, -1),), ((1, -1),)], True)
+    """
+    return NatMap(F, G, [ModuleMap(F.levels[n], G.levels[n],
+                                   basis_matrix(F.coeff, src(n), dst(n), image))
+                         for n in range(F.N + 1)])
 
 
 def _down_up(F: FISharpModule, n: int, k: int) -> Mat:

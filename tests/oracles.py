@@ -4,7 +4,7 @@ type-free text form of outputs for digests."""
 from itertools import accumulate, combinations, permutations
 
 from fcalc.cattilde import CatError, TildeHom, _normal_form
-from fcalc.exactlin import Coeff, Mat, PresentedModule
+from fcalc.exactlin import Coeff, Mat, PresentedModule, RowBasis
 from fcalc.fimod import TruncFIModule, insertion_map, perm_word
 from fcalc.fisharp import FISharpModule, SymRep, epsilon_idem
 
@@ -235,6 +235,31 @@ def random_symrep(rng, coeff, k, max_blocks=2) -> SymRep:
     return SymRep(k, module, sym)
 
 
+def snapshot(b: RowBasis) -> tuple:
+    """The canonical form of the span of b, for equality tests: its basis
+    with every row reduced at every later pivot by the pivot quotient
+    (floor division over Z, the entry itself over a field), which over Z
+    is the HNF and over a field the basis as kept.  Dense rows."""
+    coeff = b.coeff
+    rows = [list(r) for r in b.basis_mat().rows]
+    for pos, j in enumerate(b.pivots):
+        pivot_row = rows[pos]
+        for row in rows[:pos]:
+            q = row[j] if coeff.is_field else row[j] // pivot_row[j]
+            if q:
+                row[:] = [coeff.normalize(x - q * y)
+                          for x, y in zip(row, pivot_row)]
+    return tuple(map(tuple, rows))
+
+
+def submatrix(m: Mat, row_idx, col_idx) -> Mat:
+    """The rows row_idx and columns col_idx of m, in the given orders:
+    the minors the determinant oracles take."""
+    dense = m.rows
+    return Mat(m.coeff, len(row_idx), len(col_idx),
+               [[dense[i][j] for j in col_idx] for i in row_idx])
+
+
 class DenseRef:
     """Reference matrix arithmetic on dense rows (tuples of tuples), every
     entry computed the schoolbook way and passed through
@@ -271,12 +296,6 @@ class DenseRef:
     def add(self, a, b, sign=1):
         return tuple(tuple(self.norm(x + sign * y) for x, y in zip(ra, rb))
                      for ra, rb in zip(a, b))
-
-    def scale(self, a, c):
-        return tuple(tuple(self.norm(c * x) for x in row) for row in a)
-
-    def hjoin(self, a, b):
-        return tuple(ra + rb for ra, rb in zip(a, b))
 
     def block_diag(self, a, acols, b, bcols):
         return (tuple(ra + (0,) * bcols for ra in a)

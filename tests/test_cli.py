@@ -667,6 +667,20 @@ class TestCorpusCommands:
         assert out == ""
         assert "argument(s), got" in err
 
+    @pytest.mark.parametrize("head, arg, argv", [
+        ("zgeq", -2, ("degree", "--strong", "corpus:zgeq(-2)", "--N", "4")),
+        ("atomic", -3, ("corpus", "emit", "atomic(-3)", "--N", "4")),
+        ("atomics_upto", -1, ("corpus", "emit", "atomics_upto(-1)", "--N", "4")),
+        ("free_sharp", -1, ("corpus", "emit", "free_sharp(-1)", "--N", "2")),
+        ("P", -2, ("corpus", "emit", "P(-2)", "--N", "4")),
+    ], ids=["zgeq", "atomic", "atomics_upto", "free_sharp", "P"])
+    def test_negative_argument(self, capsys, head, arg, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert (f"corpus entry {head!r} takes non-negative arguments, "
+                f"got {arg}") in err
+
 
 class TestSixTerm:
     def test_pass(self, capsys):

@@ -16,7 +16,9 @@ from fcalc.exactlin import (
 )
 from fcalc.corpus import build
 from fcalc.fisharp import alpha
-from oracles import DenseRef, as_text, mod_p, uct_dimension
+from oracles import (
+    DenseRef, as_text, mod_p, snapshot, submatrix, uct_dimension,
+)
 
 Z = Coeff.Z()
 Q = Coeff.Q()
@@ -30,7 +32,7 @@ def minors_gcd(m: Mat, k: int) -> int:
     g = 0
     for rows in itertools.combinations(range(m.nrows), k):
         for cols in itertools.combinations(range(m.ncols), k):
-            g = math.gcd(g, det(m.submatrix(rows, cols)))
+            g = math.gcd(g, det(submatrix(m, rows, cols)))
     return g
 
 
@@ -277,7 +279,7 @@ class TestRowBasis:
                 b1.add(r)
             for r in reversed(rows):
                 b2.add(r)
-            assert b1.snapshot() == b2.snapshot()
+            assert snapshot(b1) == snapshot(b2)
 
     def test_solve_tracks_inputs(self):
         rng = random.Random(13)
@@ -320,7 +322,7 @@ class TestRowBasis:
                 h.update(repr(as_text((
                     grew, b.rows, b.pivots, b.combos, b.is_full(),
                     [b.reduce(v) for v in probes], [b.solve(v) for v in probes],
-                    b.snapshot(), left_kernel(m).rows,
+                    snapshot(b), left_kernel(m).rows,
                 ))).encode())
         assert h.hexdigest() == ("bde0913824bdef3b59dcdaa717336ab2"
                                  "64154563a7fb03119651af1d692ef143")
@@ -881,8 +883,6 @@ class TestMatStorage:
         check_mat(a + c, coeff, (n, k), ref.add(ra, rc))
         check_mat(a - c, coeff, (n, k), ref.add(ra, rc, -1))
         check_mat(a - a, coeff, (n, k), ref.zero(n, k))
-        x = 0 if rng.random() < 0.2 else random_entry(rng, coeff)
-        check_mat(a.scale(x), coeff, (n, k), ref.scale(ra, x))
 
     @PROPERTY
     @given(RING, RNG)
@@ -895,14 +895,14 @@ class TestMatStorage:
         a, b, c = (Mat(coeff, r, cols, rows) for r, cols, rows in
                    ((n, k, ra), (n2, k, rb), (n, k2, rc)))
         check_mat(a.stack(b), coeff, (n + n2, k), ra + rb)
-        check_mat(a.hjoin(c), coeff, (n, k + k2), ref.hjoin(ra, rc))
         check_mat(a.block_diag(c), coeff, (2 * n, k + k2),
                   ref.block_diag(ra, k, rc, k2))
         check_mat(a.kron(b), coeff, (n * n2, k * k), ref.kron(ra, rb))
         check_mat(a.transpose(), coeff, (k, n), ref.transpose(ra, k))
+        # the minors oracle of the determinant tests
         rows = [rng.randrange(n) for _ in range(rng.randint(0, 3))] if n else []
         cols = [rng.randrange(k) for _ in range(rng.randint(0, 3))] if k else []
-        check_mat(a.submatrix(rows, cols), coeff, (len(rows), len(cols)),
+        check_mat(submatrix(a, rows, cols), coeff, (len(rows), len(cols)),
                   ref.submatrix(ra, rows, cols))
 
     def test_stack_mismatch_raises(self):
@@ -960,7 +960,7 @@ class TestRowBasisSparse:
             assert b.combos == [[2, -1], [3, -2]]
             assert b.solve([1, -1]) == [-1, 1]
             assert b.solve([0, 1]) is None
-            assert b.snapshot() == ((1, 2), (0, 3))
+            assert snapshot(b) == ((1, 2), (0, 3))
             assert left_kernel(Mat.from_rows(Z, [[2, 1], [3, 0]])).nrows == 0
 
     def test_solve_zero_vector(self):

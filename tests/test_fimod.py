@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from fcalc import fimod
 from fcalc.corpus import (
-    augmentation_sequence, build, build_sharp, ex_upm_sequence,
-    shift_kernel_witness,
+    augmentation_map, augmentation_sequence, build, build_sharp,
+    ex_upm_sequence, norm_map, shift_kernel_witness,
 )
 from fcalc.exactlin import Coeff, Mat, ModuleMap, PresentedModule, det
 from fcalc.fimod import (
@@ -26,7 +26,7 @@ from fcalc.fimod import (
 )
 from fcalc.fimod import _power_mat
 from fcalc.fisharp import alpha, cross_effect
-from oracles import mod_p, uct_dimension, word_product
+from oracles import mod_p, submatrix, uct_dimension, word_product
 
 Z, Q, F2 = Coeff.Z(), Coeff.Q(), Coeff.GF(2)
 
@@ -717,7 +717,7 @@ class TestPowerMatrices:
         ext = _power_mat(a, "L", k)
         rows, cols = (list(combinations(range(x), k)) for x in (n, m))
         assert ext.shape == (len(rows), len(cols))
-        assert ext.rows == tuple(tuple(det(a.submatrix(I, J)) for J in cols)
+        assert ext.rows == tuple(tuple(det(submatrix(a, I, J)) for J in cols)
                                  for I in rows)
         for kind in "TSL":  # for L this is Cauchy-Binet
             assert _power_mat(a @ b, kind, k) == \
@@ -782,6 +782,12 @@ class TestExactnessTransfer:
         assert all(f.is_well_defined() for f in incl.maps + proj.maps)
         assert incl.is_natural() and proj.is_natural()
         assert exactness_transfer(incl, proj, 1)
+
+    @pytest.mark.parametrize("coeff", [Z, Q, F2, Coeff.GF(3)],
+                             ids=["Z", "Q", "F2", "F3"])
+    def test_norm_and_augmentation_are_natural(self, coeff):
+        for f in (norm_map(coeff, 6), augmentation_map(coeff, 6)):
+            assert f.is_natural()
 
     @pytest.mark.parametrize("coeff", [Z, Q, Coeff.GF(3)],
                              ids=["Z", "Q", "F3"])
