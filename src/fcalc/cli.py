@@ -89,17 +89,35 @@ def load_functor(ref: str, N: int | None, coeff: str | None):
 _escape = json.encoder.encode_basestring_ascii
 _int_repr = int.__repr__
 _SEQUENCES = (list, tuple)
+# the characters that json writes as themselves inside a string: printable
+# ASCII but the quote and the backslash
+_PLAIN = bytes(range(0x20, 0x7f)).translate(None, b'"\\')
 
 
-def _write(o, nl: str, out: list):
+@functools.cache
+def _quoted_row(nl: str) -> tuple[str, str, str]:
+    """The opening, separator and closing of a row of plain strings
+    whose lines are continued by ``nl``: one per indent, made once."""
+    inner = nl + " "
+    return "[" + inner + '"', '",' + inner + '"', '"' + nl + "]"
+
+
+def _write(o, nl: str, out: list, piece: bool = False):
     """Append to ``out`` the pieces of the text that the standard
     ``json`` module writes for ``o`` with an indent of 1, its lines
-    continued by ``nl`` (a newline and the current indent).  Strings go
-    through json's C escaper, and a list of only strings or only ints is
-    one join, made by the dict that holds it when it is a list of ints.
-    ``o`` is what fcalc builds: str keys; str, int, bool and
-    None values; lists, tuples and dicts.  Anything else, a float or a
-    non-str key among them, raises TypeError."""
+    continued by ``nl`` (a newline and the current indent).
+
+    A list of strings that json's escaper would only wrap in quotes, as
+    every row of ``Mat.to_json`` is, is one join with a quoted separator;
+    other strings go through json's C escaper, and a list of only strings
+    is one join over it.  A list of only ints is one join, made by the
+    dict that holds it when it is a value there.  A list or dict that is
+    an item of a list, such as a level, a class or one level's matrices,
+    is joined into one piece; what it holds is written into that piece
+    (``piece`` true) and not joined again.  ``o`` is what fcalc builds:
+    str keys; str, int, bool and None values; lists, tuples and dicts.
+    Anything else, a float or a non-str key among them, raises
+    TypeError."""
     if isinstance(o, str):
         out.append(_escape(o))
     elif o is None:
@@ -119,21 +137,34 @@ def _write(o, nl: str, out: list):
         first = type(o[0])
         if first is str:
             try:
-                out += ("[", inner, sep.join(map(_escape, o)), nl, "]")
-                return
-            except TypeError:
+                text = "".join(o)
+            except TypeError:  # not only strings
                 pass
+            else:
+                # when json's escaper would only quote each string
+                if text.isascii() and not text.encode().translate(None,
+                                                                  _PLAIN):
+                    start, quoted_sep, end = _quoted_row(nl)
+                    out += (start, quoted_sep.join(o), end)
+                else:
+                    out += ("[", inner, sep.join(map(_escape, o)), nl, "]")
+                return
         elif first is int and bool not in map(type, o):
             try:
                 out += ("[", inner, sep.join(map(_int_repr, o)), nl, "]")
                 return
             except TypeError:
                 pass
-        out.append("[" + inner)
-        _write(o[0], inner, out)
-        for x in o[1:]:
-            out.append(sep)
-            _write(x, inner, out)
+        lead = "[" + inner
+        for x in o:
+            if piece or not isinstance(x, (list, tuple, dict)):
+                out.append(lead)
+                _write(x, inner, out, piece)
+            else:
+                part = [lead]
+                _write(x, inner, part, True)
+                out.append("".join(part))
+            lead = sep
         out.append(nl + "]")
     elif isinstance(o, dict):
         if not o:
@@ -156,7 +187,7 @@ def _write(o, nl: str, out: list):
                     continue
                 except TypeError:
                     pass
-            _write(v, inner, out)
+            _write(v, inner, out, piece)
         out.append(nl + "}")
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} "
@@ -164,14 +195,19 @@ def _write(o, nl: str, out: list):
 
 
 def emit(data: dict, out: str | None):
+    """Write the text of ``json.dumps(data, indent=1)`` and a newline to
+    the file ``out``, or to stdout when it is None.  The pieces of
+    ``_write`` go to the stream's ``writelines`` as they are, so the whole
+    text is never one string; a TypeError is raised before anything is
+    written."""
     parts = []
     _write(data, "\n", parts)
-    text = "".join(parts)
+    parts.append("\n")
     if out:
         with open(out, "w") as fh:
-            fh.write(text + "\n")
+            fh.writelines(parts)
     else:
-        print(text)
+        sys.stdout.writelines(parts)
 
 
 def as_fi(module) -> TruncFIModule:

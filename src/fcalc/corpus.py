@@ -209,6 +209,11 @@ ENTRIES = {
     "free_sharp": (1, _free_sharp),
 }
 
+# the entries that are zero below the level their argument names: with the
+# argument above N only the zero truncation is built, and no window on
+# [0, N] tells it from the zero functor
+_ZERO_BELOW = ("atomic", "zgeq", "P", "free_sharp")
+
 
 def _build_entry(token: str, coeff, N: int):
     """The entry that token names, built on its arguments."""
@@ -225,6 +230,9 @@ def _build_entry(token: str, coeff, N: int):
         if a < 0:
             raise FunctorError(f"corpus entry {head!r} takes non-negative "
                                f"arguments, got {a}")
+    if head in _ZERO_BELOW and args[0] > N:
+        raise FunctorError(f"corpus entry {token.strip()!r} is zero on "
+                           f"[0, {N}]: its argument must be at most N")
     return builder(coeff, N, *args)
 
 

@@ -8,13 +8,15 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fcalc.cli
 from fcalc.cli import emit, main
+from fcalc.corpus import build
 from fcalc.fimod import TruncFIModule
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -328,8 +330,8 @@ class TestSharpAndTilde:
     # dk-decompose --out on the free FI#-modules and on alpha(P(2)) at N = 7,
     # whose levels carry 126-252 relations: the bytes, not only the
     # representations they present, are outputs, pinned as SHA-256 digests.
-    FREE_SHARP_DIGEST = ("4ee102028f06e764d1bb9b93183a8422"
-                         "6772e94df608a7a5723b1c2952030465")
+    FREE_SHARP_DIGEST = ("268c4dc05b7950cffe2dc34886e7cbde"
+                         "64b3278614ef03fb29cbfe8b124ca5a0")
     ALPHA_P2_DIGESTS = {
         "Z": "f33b0fb8c35449d925043d7bb37f20dd9140de82d951076eb1c3b0e1db59922f",
         "Q": "abf10ec2158eb36af9e74116a30714fb993b3e6fde81d0ce6550bd757101a034",
@@ -347,7 +349,8 @@ class TestSharpAndTilde:
     def test_dk_decompose_free_sharp_digest(self, capsys, tmp_path):
         h = hashlib.sha256()
         for d in range(4):
-            for N in range(6):
+            # free_sharp(d) with d above N exits 2 (test_argument_above_N)
+            for N in range(d, 6):
                 for coeff in ("F2", "Q"):
                     h.update(self.decompose(
                         capsys, tmp_path / "reps.json",
@@ -681,6 +684,20 @@ class TestCorpusCommands:
         assert (f"corpus entry {head!r} takes non-negative arguments, "
                 f"got {arg}") in err
 
+    @pytest.mark.parametrize("entry, argv", [
+        ("P(5)", ("degree", "--strong", "corpus:P(5)", "--N", "4")),
+        ("zgeq(5)", ("degree", "--strong", "corpus:zgeq(5)", "--N", "4")),
+        ("atomic(9)", ("degree", "--strong", "corpus:atomic(9)", "--N", "4")),
+        ("atomic(9)", ("dims", "corpus:P(1)+atomic(9)", "--N", "4")),
+        ("free_sharp(3)", ("corpus", "emit", "free_sharp(3)", "--N", "2")),
+    ])
+    def test_argument_above_N(self, capsys, entry, argv):
+        # zero on the whole window, where the strong degree would read
+        # -inf: P(5) has strong degree 5
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"corpus entry {entry!r} is zero on [0, " in err
+
 
 class TestSixTerm:
     def test_pass(self, capsys):
@@ -739,8 +756,52 @@ _TREE = st.recursive(
     max_leaves=12)
 
 
+# Matrices as Mat.to_json writes them over Z, Q and F_p: dense rows of "0",
+# negatives, big integers and "a/b"; some rows also hold one string that
+# json's escaper changes, which sends that row down the escaping path.
+_ENTRY = st.one_of(
+    st.just("0"), st.integers(-10 ** 30, 10 ** 30).map(str),
+    st.builds("{}/{}".format, st.integers(-999, 999), st.integers(2, 999)))
+_ESCAPED = st.sampled_from(
+    ['"', "\\", "\x7f", "-1\x7f", "\u00e9", "\U0001d11e", "\ud800", "1\\2",
+     "\n", "\x1f"])
+_ROW = st.one_of(
+    st.lists(_ENTRY, min_size=1, max_size=8),
+    st.builds(lambda row, i, x: row[:i] + [x] + row[i:],
+              st.lists(_ENTRY, max_size=8), st.integers(0, 8), _ESCAPED))
+_MATRIX = st.lists(_ROW, max_size=5)
+_PRESENTATION = st.fixed_dictionaries({
+    "coeff": st.sampled_from(["Z", "Q", "F2", "F3", "F5"]),
+    "N": st.integers(0, 9),
+    "levels": st.lists(st.fixed_dictionaries(
+        {"gens": st.integers(0, 9), "rels": _MATRIX}), max_size=3),
+    "incl": st.lists(_MATRIX, max_size=3),
+    "sym": st.lists(st.lists(_MATRIX, max_size=2), max_size=3)})
+# Lists of dicts, as tilde-hom's classes and a functor's levels are, nested
+# and mixed with other items.
+_DICTS = st.recursive(
+    st.lists(st.fixed_dictionaries({"domain": st.lists(st.integers()),
+                                    "values": st.lists(st.integers())}),
+             max_size=4),
+    lambda children: st.lists(st.one_of(
+        st.dictionaries(_TEXT, st.one_of(children, _SCALAR, _FLAT),
+                        max_size=3),
+        children, _SCALAR, _ROW), max_size=4),
+    max_leaves=10)
+
+
 class TestWriter:
     """``emit`` writes the bytes of ``json.dumps(data, indent=1)``."""
+
+    @staticmethod
+    def assert_same_bytes(data, path):
+        expected = json.dumps(data, indent=1) + "\n"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            emit(data, None)
+        assert out.getvalue() == expected
+        emit(data, str(path))
+        assert path.read_bytes() == expected.encode()
 
     @settings(max_examples=150, deadline=None, derandomize=True,
               database=None)
@@ -750,6 +811,33 @@ class TestWriter:
         with contextlib.redirect_stdout(out):
             emit(data, None)
         assert out.getvalue() == json.dumps(data, indent=1) + "\n"
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_PRESENTATION)
+    def test_matrix_rows(self, tmp_path, data):
+        self.assert_same_bytes(data, tmp_path / "out.json")
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_DICTS)
+    def test_lists_of_dicts(self, tmp_path, data):
+        self.assert_same_bytes({"classes": data}, tmp_path / "out.json")
+
+    def test_peak_memory_under_twice_the_text(self, tmp_path):
+        # the pieces are the one whole copy of the text; besides them only
+        # one item of a top-level list is joined at a time
+        data = build("P(3)", "Z", 7).to_json()
+        path = tmp_path / "p3.json"
+        tracemalloc.start()
+        try:
+            emit(data, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * path.stat().st_size
 
     def test_out_file(self, tmp_path):
         data = {"levels": [{"gens": 2, "rels": [["0", "-1"]]}], "x": []}

@@ -64,6 +64,17 @@ def test_wrong_argument_count_rejected():
         build_sharp("free_sharp(1,2)", "F2", 2)
 
 
+def test_argument_above_N_rejected():
+    from fcalc.fimod import FunctorError
+    for name in ("atomic(4)", "zgeq(4)", "P(4)", "free_sharp(4)",
+                 "const+zgeq(9)"):
+        with pytest.raises(FunctorError, match="is zero on \\[0, 3\\]"):
+            build(name, "Z", 3)
+    for name in ("atomic(3)", "zgeq(3)", "P(3)", "free_sharp(3)",
+                 "atomics_upto(9)"):
+        assert not build(name, "Z", 3).is_zero_functor()
+
+
 def test_outputs_match_recorded_digest():
     # The matrices the basis-matrix builder and the calculus above it emit,
     # as text, hashed and compared with a recorded digest: the rows

@@ -359,7 +359,7 @@ class TestDegrees:
         assert strong_degree(build("augmentation_kernel", "Z", 7)).value == 2
 
     def test_strong_degree_zero_functor(self):
-        assert strong_degree(build("zgeq(9)", "Z", 5)).value == NEG_INF
+        assert strong_degree(diff(build("const", "Z", 6))).value == NEG_INF
 
     def test_strong_degree_window_exhaustion(self):
         assert strong_degree(build("zgeq(4)", "Z", 4)).value == NOT_CERTIFIED
@@ -486,7 +486,7 @@ class TestSums:
 
     def test_sum_with_zero(self):
         F = build("P(1)", "Z", 5)
-        Zero = build("zgeq(9)", "Z", 5)
+        Zero = diff(build("const", "Z", 6))
         S = direct_sum(F, Zero)
         assert S.profile_eq(F)
 
