@@ -55,7 +55,9 @@ def build_entry(name: str, N: int | None, coeff: str | None):
 
 def load_functor(ref: str, N: int | None, coeff: str | None):
     """A file path, or corpus:NAME built at the requested size.  A file
-    carries its own N and ring, so N and coeff must be None for one."""
+    carries its own N and ring, so N and coeff must be None for one.  A
+    representation list is checked to hold actions of the symmetric
+    groups (``SymRep.verify``)."""
     if ref.startswith("corpus:"):
         return build_entry(ref[len("corpus:"):], N, coeff)
     try:
@@ -80,10 +82,18 @@ def load_functor(ref: str, N: int | None, coeff: str | None):
         if "proj" in data:
             return FISharpModule.from_json(data)
         if "reps" in data:
-            return SymRepList.from_json(data)
-        return TruncFIModule.from_json(data)
+            reps = SymRepList.from_json(data)
+        else:
+            return TruncFIModule.from_json(data)
     except (FunctorError, KeyError, ValueError) as exc:
         raise InputError(f"invalid functor data in {ref}: {exc}")
+    # a representation list must hold actions of the symmetric groups
+    for rep in reps.reps:
+        bad = rep.verify()
+        if bad:
+            raise InputError(f"invalid representation list in {ref}: "
+                             f"degree {rep.degree}: {'; '.join(bad)}")
+    return reps
 
 
 _escape = json.encoder.encode_basestring_ascii
@@ -194,18 +204,40 @@ def _write(o, nl: str, out: list, piece: bool = False):
                         f"is not JSON serializable")
 
 
+# the characters of pieces joined into one write to a line-buffered stream
+_CHUNK = 1 << 16
+
+
+def _chunks(parts: list):
+    """The pieces joined in order into strings of at least _CHUNK
+    characters each, but the last: a line-buffered stream flushes on every
+    write that holds a newline, so it gets one write per chunk."""
+    chunk, size = [], 0
+    for part in parts:
+        chunk.append(part)
+        size += len(part)
+        if size >= _CHUNK:
+            yield "".join(chunk)
+            chunk, size = [], 0
+    if chunk:
+        yield "".join(chunk)
+
+
 def emit(data: dict, out: str | None):
     """Write the text of ``json.dumps(data, indent=1)`` and a newline to
     the file ``out``, or to stdout when it is None.  The pieces of
     ``_write`` go to the stream's ``writelines`` as they are, so the whole
-    text is never one string; a TypeError is raised before anything is
-    written."""
+    text is never one string; a line-buffered stdout, a terminal, gets
+    them joined into chunks (``_chunks``).  A TypeError is raised before
+    anything is written."""
     parts = []
     _write(data, "\n", parts)
     parts.append("\n")
     if out:
         with open(out, "w") as fh:
             fh.writelines(parts)
+    elif getattr(sys.stdout, "line_buffering", False):
+        sys.stdout.writelines(_chunks(parts))
     else:
         sys.stdout.writelines(parts)
 

@@ -7,13 +7,18 @@ evaluates every fact and reports pass/fail with the certified windows.
 Every entry given on bases comes from one builder, ``fisharp.linearize``.
 The free functors move their basis elements (injections from a fixed set,
 unordered pairs, partial injections) by point maps, so all structure
-matrices are permutation-like and exact over any coefficient ring.  The
-atomic functors, the ``zgeq`` subfunctors of the constants and their sums
-``atomics_upto`` and ``sum_zgeq`` fix their basis elements.  Every natural
-map given on bases (the augmentation, the norm map, the glue map of
-``ex_upm_F`` and the maps of the two extensions) comes from one builder,
-``fisharp.linearize_map``, from the image of each basis element.  The
-shift-kernel witness, which goes up one level and then through a kernel,
+matrices are permutation-like and exact over any coefficient ring.  Each
+free basis is enumerated from its points in an order that depends on
+positions only, so a level's images under s_i are one enumeration from
+the points with i and i + 1 swapped (``_points``): ``permutations`` for
+injections, ``combinations`` sorted per pair for unordered pairs, and
+relabelled values for partial injections.  The atomic functors, the
+``zgeq`` subfunctors of the constants and their sums ``atomics_upto`` and
+``sum_zgeq`` fix their basis elements, so each basis is its own image.
+Every natural map given on bases (the augmentation, the norm map, the glue
+map of ``ex_upm_F`` and the maps of the two extensions) comes from one
+builder, ``fisharp.linearize_map``, from the image of each basis element.
+The shift-kernel witness, which goes up one level and then through a kernel,
 is written by ``exactlin.basis_matrix``.
 
 One registry, ``ENTRIES``, names every entry, the FI# ones included:
@@ -24,7 +29,7 @@ emit``) carries its own N and ring from then on.
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 from math import comb, factorial
 
 from .exactlin import (
@@ -46,45 +51,64 @@ from .fisharp import (
 
 # -- free functors on set-valued bases -------------------------------------
 
-def _injection_basis(d: int, n: int) -> list[tuple[int, ...]]:
-    """Injections of {1..d} into {1..n} as value tuples."""
-    return list(permutations(range(1, n + 1), d))
+def _points(n: int, i: int | None = None) -> list[int]:
+    """The points 1..n, relabelled by s_i (i and i + 1 swapped) when i is
+    given.  The free bases below are enumerated from such values, in an
+    order that depends on positions only, so the basis enumerated from
+    the relabelled points is the image of the basis under s_i, element by
+    element."""
+    points = list(range(1, n + 1))
+    if i is not None:
+        points[i - 1], points[i] = i + 1, i
+    return points
 
 
-def _pair_basis(n: int) -> list[tuple[int, int]]:
-    return list(combinations(range(1, n + 1), 2))
+def _injection_basis(d: int, n: int,
+                     i: int | None = None) -> list[tuple[int, ...]]:
+    """Injections of {1..d} into {1..n} as value tuples; with i, their
+    images under s_i, in the same order."""
+    return list(permutations(_points(n, i), d))
 
 
-def _partial_basis(d: int, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Partial injections {1..d} -> {1..n}: (sorted domain, value tuple)."""
+def _pair_basis(n: int, i: int | None = None) -> list[tuple[int, int]]:
+    """Unordered pairs as sorted tuples; with i, their images under s_i,
+    in the same order."""
+    return list(map(tuple, map(sorted, combinations(_points(n, i), 2))))
+
+
+def _partial_basis(d: int, n: int, i: int | None = None
+                   ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Partial injections {1..d} -> {1..n}: (sorted domain, value tuple);
+    with i, their images under s_i, in the same order."""
+    points = _points(n, i)
     out = []
     for k in range(d + 1):
         for dom in combinations(range(1, d + 1), k):
-            for vals in permutations(range(1, n + 1), k):
-                out.append((dom, vals))
+            out += [(dom, vals) for vals in permutations(points, k)]
     return out
 
 
-def _moved(move):
-    """linearize's action from move(phi, b), the basis element b moved by
-    the point map phi: s_i swaps the points i and i + 1."""
-    def act(i):
-        def phi(x: int) -> int:
-            return i + 1 if x == i else i if x == i + 1 else x
-        return lambda b: ((move(phi, b), 1),)
-    return act
+def _unit(elements) -> tuple:
+    """Each element as the image made of it alone, with value 1."""
+    return tuple(zip(zip(elements, repeat(1))))
+
+
+def _relabelled(basis):
+    """linearize's action from basis(n, i), the images of level n's basis
+    under s_i in basis order: one relabelled enumeration per matrix."""
+    return lambda n, i: _unit(basis(n, i))
 
 
 def _injections(coeff: Coeff, d: int, N: int) -> TruncFIModule:
     """P_d: the free functor on injections from a d-element set."""
     return linearize(coeff, [_injection_basis(d, n) for n in range(N + 1)],
-                     _moved(lambda phi, u: tuple(map(phi, u))))
+                     _relabelled(partial(_injection_basis, d)))
 
 
 def _pairs(coeff: Coeff, N: int) -> TruncFIModule:
     """The free functor on unordered pairs (injections from 2 modulo swap)."""
     return linearize(coeff, [_pair_basis(n) for n in range(N + 1)],
-                     _moved(lambda phi, p: tuple(sorted(map(phi, p)))))
+                     _relabelled(_pair_basis))
 
 
 def _drop_point(n):
@@ -101,8 +125,8 @@ def _fixed(coeff: Coeff, N: int, basis) -> TruncFIModule:
     permutation fixes: one copy of the coefficients per basis element,
     included into the copy of the same element one level up, or sent to 0
     where that level lacks it."""
-    return linearize(coeff, [basis(n) for n in range(N + 1)],
-                     _moved(lambda phi, b: b))
+    bases = [list(basis(n)) for n in range(N + 1)]
+    return linearize(coeff, bases, lambda n, i: _unit(bases[n]))
 
 
 def augmentation_map(coeff: Coeff, N: int) -> NatMap:
@@ -187,8 +211,7 @@ def _parse_call(token: str) -> tuple[str, list[int]]:
 
 def _free_sharp(coeff: Coeff, N: int, d: int) -> FISharpModule:
     return linearize(coeff, [_partial_basis(d, n) for n in range(N + 1)],
-                     _moved(lambda phi, b: (b[0], tuple(map(phi, b[1])))),
-                     _drop_point)
+                     _relabelled(partial(_partial_basis, d)), _drop_point)
 
 
 # entry name -> (number of arguments, builder(coeff, N, *arguments))

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 from .coeff import Coeff
 
+_key = itemgetter(0)
 _value = itemgetter(1)
 
 
@@ -296,9 +297,31 @@ def basis_matrix(coeff: Coeff, src, dst, image) -> Mat:
     Mat(Z, 2x3, [[1, 0, -2], [0, 0, 0]])
     """
     index = {b: i for i, b in enumerate(dst)}
-    rows = tuple([tuple(sorted([(index[c], x) for c, x in image(b) if x]))
-                  for b in src])
+    rows = image_rows(index, list(map(image, src)))
     return Mat.from_sparse(coeff, len(rows), len(index), rows)
+
+
+def image_rows(index: dict, images) -> tuple:
+    """The sparse rows of the map sending the k-th source element to
+    images[k], a combination of the basis that index numbers ({element:
+    column}) given as (element, canonical value) pairs with distinct
+    elements.  A map whose every image is one pair with a nonzero value,
+    a permutation of a basis among them, is laid out at C speed; the
+    others row by row, with their zero values dropped.
+
+    >>> image_rows({"x": 0, "y": 1}, [(("y", 1),), (("x", 2),)])
+    (((1, 1),), ((0, 2),))
+    >>> image_rows({"x": 0, "y": 1}, [(("y", 1), ("x", 2)), ()])
+    (((0, 2), (1, 1)), ())
+    """
+    if set(map(len, images)) == {1}:
+        pairs = list(map(_key, images))
+        values = list(map(_value, pairs))
+        if all(values):
+            return tuple(zip(zip(map(index.__getitem__, map(_key, pairs)),
+                                 values)))
+    return tuple([tuple(sorted([(index[c], x) for c, x in image if x]))
+                  for image in images])
 
 
 def mul_row_mat(coeff: Coeff, row, sparse) -> tuple:

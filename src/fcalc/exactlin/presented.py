@@ -7,7 +7,11 @@ dst.gens) matrix acting on row vectors; it is well defined when every
 relation of src lands in the relation span of dst.
 
 Presentations are never normalized eagerly; profile queries (invariant
-factors / dimension) normalize on demand and cache.
+factors / dimension) normalize on demand and cache.  A quotient made by
+``cokernel`` or ``coinvariants`` has its parent's relations followed by
+the rows it appends, and grows its relation span from its parent's: the
+same ``RowBasis.add`` calls in the same order as from nothing, so the
+same basis.
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ class PresentedModule:
     [1, 2]
     """
 
-    __slots__ = ("coeff", "gens", "rels", "_rel_span", "_profile")
+    __slots__ = ("coeff", "gens", "rels", "_rel_span", "_profile", "_grown")
 
     def __init__(self, coeff: Coeff, gens: int, rels: Mat):
         if rels.ncols != gens:
@@ -43,6 +47,9 @@ class PresentedModule:
         object.__setattr__(self, "rels", rels)
         object.__setattr__(self, "_rel_span", None)
         object.__setattr__(self, "_profile", None)
+        # (parent, eager) for a quotient made by _quotient, until the span
+        # is built
+        object.__setattr__(self, "_grown", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PresentedModule is immutable")
@@ -61,25 +68,42 @@ class PresentedModule:
         return cls.free(coeff, 0)
 
     def rel_span(self) -> RowBasis:
+        """The echelon basis of the relation rows, built on first request
+        and kept.  A quotient whose parent's span is there, or that
+        ``coinvariants`` made, forks its parent's span and adds only the
+        rows it appended; otherwise the rows are added to a new basis.
+        Either way the rows go in the same order, so the basis is the
+        same.  Callers must not add to it."""
         span = self._rel_span
         if span is None:
-            span = RowBasis(self.coeff, self.gens)
-            span.add_mat(self.rels)
+            parent, eager = self._grown or (None, False)
+            if parent is not None and (eager or parent._rel_span is not None):
+                span = parent.rel_span().fork()
+                for row in self.rels.sparse_rows()[parent.rels.nrows:]:
+                    span.add(row)
+            else:
+                span = RowBasis(self.coeff, self.gens)
+                span.add_mat(self.rels)
             object.__setattr__(self, "_rel_span", span)
+            object.__setattr__(self, "_grown", None)
         return span
 
     def invariant_factors(self) -> list[int]:
         """Isomorphism profile.
 
         Over a field: ``[dimension]``.  Over Z: ``[free_rank, d1, d2, ...]``
-        with the torsion invariant factors > 1 in divisibility order.
+        with the torsion invariant factors > 1 in divisibility order.  When
+        every pivot of the relation span is 1, as over a field, the span is
+        a direct summand and the quotient is free of rank gens - rank;
+        only a span with a pivot above 1 goes through ``snf_diagonal``.
         """
         prof = self._profile
         if prof is None:
-            if self.coeff.is_field:
-                prof = [self.gens - self.rel_span().rank]
+            span = self.rel_span()
+            if span.unit_pivots():
+                prof = [self.gens - span.rank]
             else:
-                d = snf_diagonal(self.rel_span().basis_mat())
+                d = snf_diagonal(span.basis_mat())
                 prof = [self.gens - len(d)] + [x for x in d if x > 1]
             object.__setattr__(self, "_profile", prof)
         return list(prof)
@@ -231,9 +255,23 @@ def kernel(f: ModuleMap) -> tuple[PresentedModule, ModuleMap]:
     return k, ModuleMap(k, f.src, gens_mat)
 
 
+def _quotient(m: PresentedModule, rows: tuple, eager: bool) -> PresentedModule:
+    """m modulo the sparse relation rows appended after its own.  Its span
+    is a fork of m's grown by rows when m's span is built by then, or
+    always when eager is set."""
+    q = PresentedModule(m.coeff, m.gens, Mat.from_sparse(
+        m.coeff, m.rels.nrows + len(rows), m.gens,
+        m.rels.sparse_rows() + rows))
+    object.__setattr__(q, "_grown", (m, eager))
+    return q
+
+
 def cokernel(f: ModuleMap) -> tuple[PresentedModule, ModuleMap]:
-    """Cokernel of f: dst presented with the image rows added as relations."""
-    c = PresentedModule(f.dst.coeff, f.dst.gens, f.dst.rels.stack(f.mat))
+    """Cokernel of f: dst presented with the image rows added as relations.
+    Its span grows from dst's when dst's is built first, as
+    ``is_isomorphism``'s invariants build it; otherwise the cokernel
+    builds its own and never asks for dst's."""
+    c = _quotient(f.dst, f.mat.sparse_rows(), False)
     return c, ModuleMap(f.dst, c, Mat.identity(f.dst.coeff, f.dst.gens))
 
 
@@ -257,7 +295,9 @@ def image_in(dst: PresentedModule, rows: Mat) -> tuple[PresentedModule, ModuleMa
 
 def coinvariants(m: PresentedModule, actions) -> tuple[PresentedModule, ModuleMap]:
     """Quotient of m by the spans (g - id) v over the given endomorphism
-    matrices g.
+    matrices g: m's relations followed by the rows of each g - id in turn.
+    Its span always grows from m's, so a chain of coinvariants, each by
+    one more action, builds each span once, block by block.
 
     >>> from .coeff import Q
     >>> reg = PresentedModule.free(Q, 2)
@@ -269,7 +309,7 @@ def coinvariants(m: PresentedModule, actions) -> tuple[PresentedModule, ModuleMa
     ((-1, 1), (1, -1))
     """
     coeff = m.coeff
-    rows = list(m.rels.sparse_rows())
+    rows = []
     for g in actions:
         if g.shape != (m.gens, m.gens):
             raise ExactLinError("action matrix is not an endomorphism")
@@ -278,8 +318,7 @@ def coinvariants(m: PresentedModule, actions) -> tuple[PresentedModule, ModuleMa
             acc = dict(row)
             acc[i] = acc.get(i, 0) - 1
             rows.append(finish_row(coeff, acc))
-    q = PresentedModule(coeff, m.gens,
-                        Mat.from_sparse(coeff, len(rows), m.gens, tuple(rows)))
+    q = _quotient(m, tuple(rows), True)
     return q, ModuleMap(m, q, Mat.identity(m.coeff, m.gens))
 
 

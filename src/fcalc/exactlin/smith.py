@@ -4,8 +4,12 @@
 incremental echelon basis (Hermite-style over Z, reduced echelon over
 fields) used for span membership, left kernels, solving ``x @ A = v``,
 lattice saturation and the Smith normal form.  It is by far the hottest
-code path in the package.  Rows are {column: value} maps of their nonzero
-entries, so a move costs the nonzeros it touches, not the width.  Every
+code path in the package.  A column index names the basis rows nonzero
+in each column, so the back-reduction after a new pivot visits only the
+rows it moves, and ``fork`` copies a basis so that a quotient's span can
+grow from its parent's instead of being rebuilt.  Rows are {column:
+value} maps of their nonzero entries, so a move costs the nonzeros it
+touches, not the width.  Every
 row move is one primitive, ``v -= x * row`` over the nonzero entries of
 row, reduced mod p over F_p, and every reduction divides by one pivot
 quotient: floor division over Z, the entry itself over a field, whose
@@ -20,7 +24,9 @@ of Z, and only a result with denominator 1 is demoted from ``Fraction``.
 of a matrix and on those of its transpose until it is diagonal, then make
 the divisibility chain by a gcd/lcm sweep (R. Kannan and A. Bachem, SIAM
 J. Comput. 8 (1979) 499-507; H. Cohen, A Course in Computational
-Algebraic Number Theory, GTM 138, 2.4).  They read no dense row.
+Algebraic Number Theory, GTM 138, 2.4).  They read no dense row.  A
+Hermite basis whose pivots are all 1 spans a direct summand
+(``unit_pivots``), so a quotient by it is free and needs no Smith form.
 """
 from __future__ import annotations
 
@@ -78,6 +84,8 @@ class RowBasis:
         self._combos: list[dict] = []  # their expressions in the inputs
         self._row_at: dict = {}  # pivot column -> its basis row
         self._combo_at: dict = {}  # pivot column -> that row's combination
+        # column -> the pivots of the basis rows nonzero there
+        self._cols: dict = {}
         self._n_added = 0
         self._field = coeff.is_field
         self._p = coeff.p
@@ -98,6 +106,41 @@ class RowBasis:
                 dst[k] = y
             else:
                 del dst[k]
+
+    def _move(self, i: int, dst: dict, x, src: dict):
+        """``_sub`` on dst, the basis row with pivot i, keeping the column
+        index: i leaves the columns where dst becomes zero and joins those
+        where it becomes nonzero.  src is a basis row, so every column it
+        touches is in the index already."""
+        get, p, rational, cols = dst.get, self._p, self._rational, self._cols
+        for k, b in src.items():
+            a = get(k, 0)
+            y = a - x * b
+            if p is not None:
+                y %= p
+            elif rational and type(y) is not int and y.denominator == 1:
+                y = y.numerator
+            if y:
+                dst[k] = y
+                if not a:
+                    cols[k].add(i)
+            else:
+                del dst[k]
+                cols[k].discard(i)
+
+    def fork(self) -> "RowBasis":
+        """An independent copy: adds to either leave the other as it is,
+        and adding to the copy what was not yet added here gives the basis
+        of adding it all to a new ``RowBasis``."""
+        other = object.__new__(RowBasis)
+        other.__dict__.update(self.__dict__)
+        other.pivots = self.pivots.copy()
+        other._rows = [r.copy() for r in self._rows]
+        other._combos = [c.copy() for c in self._combos]
+        other._row_at = dict(zip(other.pivots, other._rows))
+        other._combo_at = dict(zip(other.pivots, other._combos))
+        other._cols = {k: s.copy() for k, s in self._cols.items()}
+        return other
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True iff the span/lattice grew."""
@@ -141,10 +184,16 @@ class RowBasis:
             ag, bg = a // g, b // g
             if g < 0:
                 x, y = -x, -y
+            before = set(row)
             _gcd_merge(row, v, x, y, ag, bg)
+            cols = self._cols
+            for k in before - row.keys():
+                cols[k].discard(j)
+            for k in row.keys() - before:
+                cols.setdefault(k, set()).add(j)
             if c is not None:
                 _gcd_merge(combo_at[j], c, x, y, ag, bg)
-            self._reduce_above(bisect_left(self.pivots, j))
+            self._reduce_above(j)
             grew = True
         return grew
 
@@ -163,28 +212,41 @@ class RowBasis:
         self._rows.insert(pos, v)
         self.pivots.insert(pos, j)
         self._row_at[j] = v
+        cols = self._cols
+        for k in v:
+            s = cols.get(k)
+            if s is None:
+                cols[k] = {j}
+            else:
+                s.add(j)
         if c is not None:
             self._combos.insert(pos, c)
             self._combo_at[j] = c
-        self._reduce_above(pos)
+        self._reduce_above(j)
 
-    def _reduce_above(self, pos: int):
-        """Reduce the basis rows above position pos at the pivot column of
-        the row there by the pivot quotient: into [0, pivot) over Z, to
-        zero over a field.  The combos, when tracked, take the same
-        moves."""
-        rows, combos = self._rows, self._combos
-        j = self.pivots[pos]
-        row = rows[pos]
+    def _reduce_above(self, j: int):
+        """Reduce the basis rows above the one with pivot j at column j by
+        the pivot quotient: into [0, pivot) over Z, to zero over a field.
+        The column index names the rows that are nonzero there, and the
+        moves on different rows are independent, so their order does not
+        matter.  The combos, when tracked, take the same moves."""
+        nonzero = self._cols[j]
+        if len(nonzero) == 1:  # the row with pivot j alone
+            return
+        row_at, combo_at = self._row_at, self._combo_at
+        row = row_at[j]
         piv = row[j]
-        for i in range(pos):
-            x = rows[i].get(j)
-            if x:
-                q = x if self._field else x // piv
-                if q:
-                    self._sub(rows[i], q, row)
-                    if combos:
-                        self._sub(combos[i], q, combos[pos])
+        for i in [i for i in nonzero if i < j]:
+            dst = row_at[i]
+            x = dst[j]
+            q = x if self._field else x // piv
+            if q:
+                self._move(i, dst, q, row)
+                if combo_at:
+                    self._sub(combo_at[i], q, combo_at[j])
+        # the moves emptied most of column j, and a set keeps its table
+        # when it shrinks: a copy holds what is left at its own size
+        self._cols[j] = set(nonzero)
 
     def _reduce(self, v: dict, c=None):
         """Reduce v at every pivot in increasing order by the pivot
@@ -263,10 +325,15 @@ class RowBasis:
         """Each basis row's expression in the inputs so far, dense."""
         return [_dense(c, self._n_added) for c in self._combos]
 
+    def unit_pivots(self) -> bool:
+        """True iff every pivot is 1: always over a field, and over Z
+        exactly when the lattice is a direct summand of Z^w (the standard
+        basis vectors off the pivots span a complement)."""
+        return all(row[j] == 1 for row, j in zip(self._rows, self.pivots))
+
     def is_full(self) -> bool:
         """True iff the span is the whole ambient module (Z^w or k^w)."""
-        return len(self._rows) == self.width and all(
-            row[j] == 1 for row, j in zip(self._rows, self.pivots))
+        return len(self._rows) == self.width and self.unit_pivots()
 
     def basis_mat(self) -> Mat:
         return Mat.from_sparse(

@@ -74,6 +74,14 @@ class DegreeReport:
 
     value is an int, "-inf" (stably null / zero), or "not certified";
     window is the inclusive level range on which the certificate holds.
+
+    For the weak degree d the window counts levels of G = δ^{d+1}F, the
+    first difference found stably null, not levels of F: it is
+    [0, G.N - margin].  Its upper certificate, G stably null there,
+    persists as N grows, since an element dead by one level is dead at
+    every later one.  The lower side, δ^d F not stably null within the
+    margin, holds for the truncation only, so the value can rise with N
+    at the same window and margin.
     """
 
     def __init__(self, value, window=None, margin=None):

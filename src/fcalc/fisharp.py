@@ -8,8 +8,9 @@ reconstruction canonical.
 
 ``linearize`` is the one builder of a functor given on bases (an FI- or
 FI#-module, free or presented): the corpus's free and rank-one functors
-and ``dold_kan_reconstruct`` give it their bases and the images of basis
-elements under the transpositions and projections.  ``linearize_map`` is
+and ``dold_kan_reconstruct`` give it their bases, the images of each
+level's basis under the transpositions and those of basis elements under
+the projections.  ``linearize_map`` is
 the one builder of a natural map given on bases: the corpus's
 augmentation, norm and extension maps give it the image of each basis
 element.
@@ -18,7 +19,10 @@ On top of the raw structure live the commuting idempotents ``epsilon_I``,
 their Moebius inversion ``e_I`` (a complete orthogonal family), the
 cross-effects, the decomposition into symmetric-group representations and
 its inverse, and the stabilized-translation left Kan extension ``alpha``
-from FI-modules with its adjunction unit.
+from FI-modules with its adjunction unit.  ``alpha``'s coinvariant stages
+over one level form a chain, each the coinvariants of the previous one by
+one more transposition, so each stage's relation span grows from the
+previous one's.
 
 The Moebius inversion is computed as a product, not as its alternating
 sum: e_I = epsilon_I * prod_{i in I} (epsilon_I - epsilon_{I - {i}}).
@@ -38,6 +42,7 @@ from .exactlin import (
     coinvariants, factor_through, freeify_module, image_in, invert_iso,
     is_isomorphism,
 )
+from .exactlin.matrix import image_rows
 from .fimod import (
     FunctorError, NatMap, TruncFIModule, WindowError, insertion_map,
     json_field, json_list, perm_action, truncate,
@@ -103,35 +108,44 @@ def linearize(coeff: Coeff, bases, act, drop=None, rels=None) -> TruncFIModule:
     free or carries the relation rows rels(n).
 
     The inclusion sends a basis element to itself in bases[n + 1], or to 0
-    where that basis lacks it.  act(i) gives each basis element's image
-    under s_i and, when drop is given, drop(n) its image under the
-    projection from level n + 1 to level n, which makes the result an
-    FI#-module.  Images and relation rows are (element, value) pairs, as
-    ``basis_matrix`` takes them.
+    where that basis lacks it.  act(n, i) gives the images of the whole
+    basis bases[n] under s_i, in basis order and, when drop is given,
+    drop(n) each element's image under the projection from level n + 1 to
+    level n, which makes the result an FI#-module.  Images and relation
+    rows are (element, value) pairs, as ``basis_matrix`` takes them; each
+    level's index is built once, and a level whose images are each one
+    pair, as under a permutation of the basis, is laid out at C speed
+    (``exactlin.matrix.image_rows``).
 
     >>> from .exactlin import Q
-    >>> F = linearize(Q, [["a"], ["a", "b"], ["b"]], lambda i: lambda b: ((b, 1),))
+    >>> bases = [["a"], ["a", "b"], ["b"]]
+    >>> F = linearize(Q, bases, lambda n, i: [((b, 1),) for b in bases[n]])
     >>> [f.mat.rows for f in F.incl]  # "a" is not in level 2: it maps to 0
     [((1, 0),), ((0,), (1,))]
     """
+    index = [{b: k for k, b in enumerate(basis)} for basis in bases]
+
+    def mat(m, images):
+        """The matrix of the images, combinations of the basis of level m."""
+        rows = image_rows(index[m], images)
+        return Mat.from_sparse(coeff, len(rows), len(index[m]), rows)
+
     def kept(n):
-        there = set(bases[n + 1])
-        return lambda b: ((b, 1),) if b in there else ()
+        """The inclusion's images of bases[n]."""
+        there = index[n + 1]
+        return [((b, 1),) if b in there else () for b in bases[n]]
 
     levels = [PresentedModule.free(coeff, len(basis)) if rels is None else
-              PresentedModule(coeff, len(basis),
-                              basis_matrix(coeff, rels(n), basis, tuple))
+              PresentedModule(coeff, len(basis), mat(n, rels(n)))
               for n, basis in enumerate(bases)]
     N = len(bases) - 1
-    incl = [ModuleMap(levels[n], levels[n + 1],
-                      basis_matrix(coeff, bases[n], bases[n + 1], kept(n)))
+    incl = [ModuleMap(levels[n], levels[n + 1], mat(n + 1, kept(n)))
             for n in range(N)]
-    sym = [[basis_matrix(coeff, basis, basis, act(i)) for i in range(1, n)]
-           for n, basis in enumerate(bases)]
+    sym = [[mat(n, act(n, i)) for i in range(1, n)] for n in range(N + 1)]
     if drop is None:
         return TruncFIModule(coeff, levels, incl, sym)
     proj = [ModuleMap(levels[n + 1], levels[n],
-                      basis_matrix(coeff, bases[n + 1], bases[n], drop(n)))
+                      mat(n, list(map(drop(n), bases[n + 1]))))
             for n in range(N)]
     return FISharpModule(coeff, levels, incl, sym, proj)
 
@@ -143,7 +157,7 @@ def linearize_map(F: TruncFIModule, G: TruncFIModule, src, dst, image) -> NatMap
     takes them.
 
     >>> from .exactlin import Z
-    >>> fixed = lambda i: lambda b: ((b, 1),)
+    >>> fixed = None  # levels 0 and 1 have no transpositions
     >>> F = linearize(Z, [["a"], ["a"]], fixed)
     >>> G = linearize(Z, [["x", "y"], ["x", "y"]], fixed)
     >>> f = linearize_map(F, G, lambda n: ["a"], lambda n: ["x", "y"],
@@ -241,6 +255,32 @@ class SymRep:
 
     def perm_matrix(self, perm) -> Mat:
         return perm_action(self.module.coeff, self.module.gens, self.sym, perm)
+
+    def verify(self) -> list[str]:
+        """The violations of the Coxeter presentation of the symmetric
+        group: each s_i must be a well-defined map of the module, and
+        s_i^2 = 1, (s_i s_{i+1})^3 = 1 and s_i s_j = s_j s_i for
+        |i - j| > 1 must hold as maps of the module."""
+        m = self.module
+        maps = [ModuleMap(m, m, s) for s in self.sym]
+        bad = [f"s_{i + 1} does not respect the relations"
+               for i, f in enumerate(maps) if not f.is_well_defined()]
+        if bad:
+            return bad
+        one = ModuleMap.identity(m)
+        for i, f in enumerate(maps):
+            if not f.then(f).equals(one):
+                bad.append(f"s_{i + 1} is not an involution")
+            for j in range(i + 1, len(maps)):
+                g = maps[j]
+                if j == i + 1:
+                    fg = f.then(g)
+                    if not fg.then(fg).then(fg).equals(one):
+                        bad.append(f"(s_{i + 1} s_{j + 1})^3 is not the "
+                                   f"identity")
+                elif not f.then(g).equals(g.then(f)):
+                    bad.append(f"s_{i + 1} and s_{j + 1} do not commute")
+        return bad
 
     def character(self) -> dict:
         """Trace of one permutation per cycle type, on a freeified copy
@@ -393,8 +433,12 @@ def dold_kan_reconstruct(reps: SymRepList, N: int | None = None) -> FISharpModul
     subsets = [[S for k in range(n + 1)
                 for S in combinations(range(1, n + 1), k)]
                for n in range(N + 1)]
+    # level n has the basis (S, j): generator j of the copy indexed by S;
+    # the projection kills the copies whose S holds the point n + 1
+    bases = [[(S, j) for S in Ss for j in range(gens[len(S)])]
+             for Ss in subsets]
 
-    def transposition(i):
+    def transposition(n, i):
         """s_i swaps the points i and i+1."""
         def image(b):
             S, j = b
@@ -404,14 +448,10 @@ def dold_kan_reconstruct(reps: SymRepList, N: int | None = None) -> FISharpModul
             T = tuple(sorted(i if x == i + 1 else i + 1 if x == i else x
                              for x in S))
             return (((T, j), one),)
-        return image
+        return list(map(image, bases[n]))
 
-    # level n has the basis (S, j): generator j of the copy indexed by S;
-    # the projection kills the copies whose S holds the point n + 1
     return linearize(
-        coeff, [[(S, j) for S in Ss for j in range(gens[len(S)])]
-                for Ss in subsets],
-        transposition,
+        coeff, bases, transposition,
         lambda n: lambda b: () if n + 1 in b[0] else ((b, one),),
         lambda n: [[((S, j), x) for j, x in row]
                    for S in subsets[n] for row in rel_rows[len(S)]])
@@ -479,9 +519,21 @@ class AlphaResult:
         self.unit = unit
 
 
-def _coinvariant_stage(F: TruncFIModule, n: int, m: int) -> PresentedModule:
-    """F(n+m) with the first m points coequalized (transposition spans)."""
-    return coinvariants(F.levels[n + m], F.sym[n + m][:max(m - 1, 0)])[0]
+def _coinvariant_stages(F: TruncFIModule) -> dict:
+    """Stage (n, m) for n + m <= F.N: F(n+m) with the first m points
+    coequalized, the coinvariants by s_1 .. s_{m-1}.  Over one level
+    L = n + m the stages form a chain: stage (n - 1, m + 1) is the
+    coinvariants of stage (n, m) by s_m alone (by nothing for m = 0), so
+    its relations are those of stage (n, m) followed by one block, and
+    its span grows from that stage's."""
+    stages = {}
+    for L in range(F.N + 1):
+        stage = coinvariants(F.levels[L], ())[0]
+        stages[(L, 0)] = stage
+        for m in range(1, L + 1):
+            stage = coinvariants(stage, F.sym[L][max(m - 2, 0):m - 1])[0]
+            stages[(L - m, m)] = stage
+    return stages
 
 
 def alpha(F: TruncFIModule, margin: int = 2) -> AlphaResult:
@@ -497,11 +549,9 @@ def alpha(F: TruncFIModule, margin: int = 2) -> AlphaResult:
     if margin < 1:
         raise FunctorError("margin must be at least 1")
     N = F.N
-    stages = {}       # (n, m) -> PresentedModule
+    stages = _coinvariant_stages(F)  # (n, m) -> PresentedModule
     transitions = {}  # (n, m) -> ModuleMap stage(n, m) -> stage(n, m+1)
     for n in range(N + 1):
-        for m in range(N - n + 1):
-            stages[(n, m)] = _coinvariant_stage(F, n, m)
         for m in range(N - n):
             transitions[(n, m)] = ModuleMap(
                 stages[(n, m)], stages[(n, m + 1)], insertion_map(F, m, n).mat)

@@ -263,6 +263,55 @@ class TestSharpAndTilde:
         assert "proj" in data
         assert [lvl["gens"] for lvl in data["levels"]] == [1, 2, 3, 4, 5]
 
+    @pytest.mark.parametrize("sym, relation", [
+        ([["2", "0"], ["0", "1"]], "s_1 is not an involution"),
+        ([["0", "1"], ["0", "1"]], "s_1 is not an involution"),
+    ])
+    def test_dk_reconstruct_refuses_a_non_action(self, capsys, tmp_path,
+                                                 sym, relation):
+        # a degree-2 matrix that is not an involution was reconstructed
+        # into a functor that verify rejects and degree answered on
+        reps_path = tmp_path / "reps.json"
+        back_path = tmp_path / "back.json"
+        code, _, _ = run(capsys, "dk-decompose", "corpus:free_sharp(2)",
+                         "--N", "4", "--coeff", "Q", "--out", str(reps_path))
+        assert code == 0
+        data = json.loads(reps_path.read_text())
+        data["reps"][2]["sym"][0] = sym
+        reps_path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "dk-reconstruct", str(reps_path),
+                             "--out", str(back_path))
+        assert (code, out) == (2, "")
+        assert err == (f"input error: invalid representation list in "
+                       f"{reps_path}: degree 2: {relation}\n")
+        assert not back_path.exists()
+
+    def test_symrep_verify_names_each_relation(self):
+        from fcalc.exactlin import Coeff, Mat, PresentedModule
+        from fcalc.fisharp import SymRep
+
+        Q = Coeff.Q()
+        swap = Mat.from_rows(Q, [[0, 1], [1, 0]])
+        one = Mat.identity(Q, 2)
+        free = PresentedModule.free(Q, 2)
+        assert SymRep(3, free, [swap, one]).verify() == [
+            "(s_1 s_2)^3 is not the identity"]
+        # both transpositions to the swap: the sign character, an action
+        assert SymRep(3, free, [swap, swap]).verify() == []
+        p, q = (Mat.from_rows(Q, r) for r in ([[1, 0, 0, 0], [0, 0, 1, 0],
+                                               [0, 1, 0, 0], [0, 0, 0, 1]],
+                                              [[1, 0, 0, 0], [0, 1, 0, 0],
+                                               [0, 0, 0, 1], [0, 0, 1, 0]]))
+        # s_1 and s_3 are involutions that do not commute
+        four = PresentedModule.free(Q, 4)
+        assert "s_1 and s_3 do not commute" in SymRep(
+            4, four, [p, Mat.identity(Q, 4), q @ p @ q]).verify()
+        # a matrix that does not preserve the relation (1, 1)
+        lined = PresentedModule.from_rel_rows(Q, 2, [[1, 1]])
+        assert SymRep(2, lined, [Mat.from_rows(Q, [[1, 0], [1, 1]])]).verify() \
+            == ["s_1 does not respect the relations"]
+        assert SymRep(2, lined, [swap]).verify() == []
+
     def test_dk_reconstruct_takes_no_coeff(self, capsys, tmp_path):
         # the ring is the representation list's own: --coeff is refused
         # rather than accepted and ignored
@@ -524,18 +573,20 @@ class TestJsonDigests:
                        for e in ("atomic(1)", "zgeq(1)", "atomics_upto(3)",
                                  "ex_upm_A", "free_sharp(3)")
                        for N in (5, 7)],
+        # P(3) at N = 6: stages whose spans grow through three blocks
         "alpha": [["alpha", "--json", f"corpus:P({d})", "--N", str(N)]
-                  for d in (1, 2) for N in (5, 6)],
+                  for d in (1, 2) for N in (5, 6)]
+                 + [["alpha", "--json", "corpus:P(3)", "--N", "6"]],
     }
     DIGESTS = {
         "alpha:Z":
-            "bd0a9b6f6d31c868affef9f9c625bc604cfd09172e9aa29e65b3261279a3ceb8",
+            "4c75f39371c76cab71b57094345d9d981b15189f57c80e26db0e9580f628bc10",
         "alpha:Q":
-            "1ab882a3fd3816f380bcbab76cb21e359597d0dab665042210cc3bc9d29e32ea",
+            "be64c1a0c96e9ef0db0f7b1598c738a40e024d7736f157419549d78c23593429",
         "alpha:F2":
-            "4854f3808316900eb5bb70e10156b1a035774e0b334c946a38465a04bcffe9e3",
+            "7c9e774e603c55341dd08db8c3cbd85316bf4704fe2c28476234af98df69fac1",
         "alpha:F3":
-            "de5eceb4d34636d6f9db7ce8f7843b2bb38384752e2071a82c8a7f9719e71b17",
+            "7cf928fe884cf2c96a4f69bbd13c1dd97940cecace0aeefc84e303f7fd1e7a7a",
         "degree:Z":
             "6ce66f08005cf8dee8ed404d1bf9b4a37d2c340720912778652f1f32ab82e606",
         "degree:Q":
@@ -838,6 +889,28 @@ class TestWriter:
         finally:
             tracemalloc.stop()
         assert peak < 2 * path.stat().st_size
+
+    def test_line_buffered_stdout_flushes_per_chunk(self, monkeypatch):
+        # a terminal's line-buffered stream flushes on every write that
+        # holds a newline: emit hands it one write per 64 KiB of text
+        class Counting(io.BytesIO):
+            flushes = 0
+
+            def flush(self):
+                Counting.flushes += 1
+                super().flush()
+
+        raw = Counting()
+        stream = io.TextIOWrapper(raw, encoding="ascii",
+                                  line_buffering=True)
+        monkeypatch.setattr(sys, "stdout", stream)
+        data = {"classes": [{"normal": [i, i + 1], "name": f"c{i}"}
+                            for i in range(6000)]}
+        emit(data, None)
+        monkeypatch.undo()
+        text = json.dumps(data, indent=1) + "\n"
+        assert raw.getvalue() == text.encode()
+        assert 0 < Counting.flushes <= len(text) // (1 << 16) + 1
 
     def test_out_file(self, tmp_path):
         data = {"levels": [{"gens": 2, "rels": [["0", "-1"]]}], "x": []}

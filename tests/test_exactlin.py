@@ -455,6 +455,27 @@ class TestKernelCokernel:
 
 
 class TestInvariantFactors:
+    def test_free_quotient_skips_the_smith_form(self, monkeypatch):
+        import fcalc.exactlin.presented as presented
+
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return snf_diagonal(m)
+
+        monkeypatch.setattr(presented, "snf_diagonal", counted)
+        # every pivot 1: Z^3 modulo a direct summand of rank 2
+        free = PresentedModule.from_rel_rows(Z, 3, [[1, 2, 3], [0, 1, 5],
+                                                    [1, 3, 8]])
+        assert free.invariant_factors() == [1] and calls == []
+        # Z/2 + Z: a pivot 2 still goes through the Smith form
+        torsion = PresentedModule.from_rel_rows(Z, 2, [[2, 0]])
+        assert torsion.invariant_factors() == [1, 2] and len(calls) == 1
+        # a pivot above 1 whose quotient is free all the same
+        hidden = PresentedModule.from_rel_rows(Z, 2, [[2, 3]])
+        assert hidden.invariant_factors() == [1] and len(calls) == 2
+
     def test_direct_sum_presentation(self):
         m = PresentedModule.from_rel_rows(Z, 2, [[2, 0]])
         assert m.invariant_factors() == [1, 2]
@@ -972,3 +993,112 @@ class TestRowBasisSparse:
             assert b.solve([0, 0, 0]) == [0, 0, 0]
             assert b.solve({}) == {}
             assert b.reduce([0, 0, 0]) == [0, 0, 0] and b.reduce({}) == {}
+
+
+def column_index(b: RowBasis) -> dict:
+    """The column index of b recomputed from its rows."""
+    index = {}
+    for row, j in zip(b._rows, b.pivots):
+        for k in row:
+            index.setdefault(k, set()).add(j)
+    return index
+
+
+def basis_state(b: RowBasis) -> tuple:
+    """Everything a RowBasis holds, as values."""
+    return (b.rows, b.combos, list(b.pivots),
+            {k: set(s) for k, s in b._cols.items() if s})
+
+
+def forced_merge(rng, coeff, w) -> list:
+    """Two rows that lead in column 0 with 2 and 3: over Z the second
+    merges into the first by gcd."""
+    return [[2] + random_rows(rng, coeff, 1, w - 1)[0],
+            [3] + random_rows(rng, coeff, 1, w - 1)[0]]
+
+
+class TestRowBasisIndex:
+    """The column index names exactly the basis rows nonzero in each
+    column, and a fork is an independent copy."""
+
+    RING = st.sampled_from(["Z", "Q", "F2", "F3"])
+    RNG = st.randoms(use_true_random=True)
+
+    @PROPERTY
+    @given(RING, RNG, st.booleans())
+    def test_index_matches_rows(self, code, rng, track):
+        coeff = RINGS[code]
+        w = rng.randint(1, 6)
+        b = RowBasis(coeff, w, track=track)
+        rows = forced_merge(rng, coeff, w) + random_rows(
+            rng, coeff, rng.randint(0, 8), w)
+        for row in Mat.from_rows(coeff, rows).sparse_rows():
+            b.add(row)
+            assert {k: s for k, s in b._cols.items() if s} \
+                == column_index(b)
+
+    @PROPERTY
+    @given(RING, RNG, st.booleans())
+    def test_fork_then_add(self, code, rng, track):
+        coeff = RINGS[code]
+        w = rng.randint(1, 6)
+        first = Mat.from_rows(coeff, forced_merge(rng, coeff, w)
+                              + random_rows(rng, coeff, rng.randint(0, 5), w))
+        then = Mat.from_rows(coeff, forced_merge(rng, coeff, w)
+                             + random_rows(rng, coeff, rng.randint(0, 5), w))
+        parent = RowBasis(coeff, w, track=track)
+        parent.add_mat(first)
+        before = basis_state(parent)
+        fork = parent.fork()
+        fork.add_mat(then)
+        assert basis_state(parent) == before
+        fresh = RowBasis(coeff, w, track=track)
+        fresh.add_mat(first.stack(then))
+        assert basis_state(fork) == basis_state(fresh)
+        assert {k: s for k, s in fork._cols.items() if s} \
+            == column_index(fork)
+        # and the other way round: adding to the parent leaves the fork
+        after = basis_state(fork)
+        parent.add_mat(then)
+        assert basis_state(fork) == after
+
+    def test_gcd_merges_are_drawn(self, monkeypatch):
+        # the Z examples above include gcd merges of basis rows
+        import fcalc.exactlin.smith as smith
+
+        merges = []
+
+        def counted(*args):
+            merges.append(1)
+            return _gcd_merge(*args)
+
+        _gcd_merge = smith._gcd_merge
+        monkeypatch.setattr(smith, "_gcd_merge", counted)
+        rng = random.Random(26)
+        b = RowBasis(Z, 3)
+        b.add_mat(Mat.from_rows(Z, forced_merge(rng, Z, 3)))
+        assert merges and column_index(b) == {
+            k: s for k, s in b._cols.items() if s}
+
+
+class TestImageRows:
+    INDEX = {"x": 0, "y": 1, "z": 2}
+
+    @pytest.mark.parametrize("images", [
+        # one pair each: the C-speed layout
+        [(("y", 1),), (("z", 2),), (("x", 1),)],
+        # one pair each, a zero value among them
+        [(("y", 0),), (("x", 1),), (("z", 1),)],
+        # combinations, an empty image and a zero value
+        [(("z", 1), ("x", 2)), (), (("y", 0), ("x", 1))],
+        [[("y", 1)], [("x", 1), ("z", 1)], [("z", 2)]],
+    ])
+    def test_same_rows_as_basis_matrix(self, images):
+        from fcalc.exactlin.matrix import image_rows
+
+        index = self.INDEX
+        want = tuple(tuple(sorted((index[c], x) for c, x in image if x))
+                     for image in images)
+        image = dict(zip("abc", images)).__getitem__
+        assert image_rows(index, images) == want
+        assert basis_matrix(Z, "abc", "xyz", image).sparse_rows() == want

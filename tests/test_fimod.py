@@ -428,6 +428,21 @@ DEGREE_PINS = {
     ("zgeq(4)", "F2", 4): (NC, [
         (NEG_INF, (0, 3)), (NEG_INF, (0, 2)), (NEG_INF, (0, 1)),
         (NEG_INF, (0, 0)), NC]),
+    # the weak window counts levels of the (d+1)-st difference, and its
+    # value can rise with N at the same window and margin: at margin 2
+    # ex_upm_F reads 0, not certified and 2 at N = 3, 4, 5, and zgeq(2)
+    # reads -inf and 0 on [0,1] at N = 3, 4
+    ("ex_upm_F", "F2", 3): ((2, (0, 0)), [
+        NC, (0, (0, 0)), NC, NC]),
+    ("ex_upm_F", "F2", 4): ((2, (0, 1)), [
+        (2, (0, 0)), NC, (0, (0, 0)), NC, NC]),
+    ("ex_upm_F", "F2", 5): ((2, (0, 2)), [
+        (2, (0, 1)), (2, (0, 0)), NC, (0, (0, 0)), NC, NC]),
+    ("zgeq(2)", "Q", 3): ((2, (0, 0)), [
+        (0, (0, 1)), (NEG_INF, (0, 1)), (NEG_INF, (0, 0)), NC]),
+    ("zgeq(2)", "Q", 4): ((2, (0, 1)), [
+        (0, (0, 2)), (0, (0, 1)), (NEG_INF, (0, 1)), (NEG_INF, (0, 0)),
+        NC]),
 }
 
 

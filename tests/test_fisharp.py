@@ -447,6 +447,33 @@ class TestCharacters:
 
 
 class TestAlpha:
+    @pytest.mark.parametrize("coeff", ["Z", "F2"])
+    def test_chained_stages_are_the_coinvariants(self, coeff):
+        # stage (n, m) is F(n + m) modulo s_1 .. s_{m-1}: the chain over
+        # one level gives the same relations, and the spans it grows by
+        # forks equal the spans of the relations built from nothing
+        from fcalc.exactlin import RowBasis, coinvariants
+        from fcalc.fisharp import _coinvariant_stages
+
+        for name in ("const", "atomic(1)", "zgeq(2)", "P(1)", "P(2)", "P(3)",
+                     "augmentation_kernel", "ex_upm_A", "ex_upm_F",
+                     "sum_zgeq", "free_sharp(2)"):
+            for N in (3, 6):
+                F = build(name, coeff, N)
+                stages = _coinvariant_stages(F)
+                assert len(stages) == (N + 1) * (N + 2) // 2
+                for (n, m), stage in stages.items():
+                    want = coinvariants(F.levels[n + m],
+                                        F.sym[n + m][:max(m - 1, 0)])[0]
+                    assert stage.same_presentation(want), (name, N, n, m)
+                # ask for the spans top stage first, as alpha does
+                for (n, m) in sorted(stages, key=lambda k: -k[1]):
+                    span = RowBasis(F.coeff, stages[(n, m)].gens)
+                    span.add_mat(stages[(n, m)].rels)
+                    got = stages[(n, m)].rel_span()
+                    assert (got.pivots, got.basis_mat()) == \
+                        (span.pivots, span.basis_mat()), (name, N, n, m)
+
     def test_alpha_constant(self):
         F = build("const", "Z", 6)
         res = alpha(F, 2)
