@@ -71,13 +71,16 @@ class Coeff:
 
     @classmethod
     def parse(cls, code: str) -> "Coeff":
-        """Parse the wire code "Z", "Q" or "F<p>"."""
+        """Parse the wire code "Z", "Q" or "F<p>", p in plain decimal: a
+        code is accepted only as ``code`` writes it, so "F03" is not F3."""
         if code == "Z":
             return cls.Z()
         if code == "Q":
             return cls.Q()
-        if isinstance(code, str) and code.startswith("F"):
-            return cls.GF(int(code[1:]))
+        if isinstance(code, str) and code[1:].isdecimal():
+            p = int(code[1:])
+            if code == f"F{p}":
+                return cls.GF(p)
         raise ValueError(f"unknown coefficient code {code!r}")
 
     @property

@@ -11,7 +11,9 @@ factors / dimension) normalize on demand and cache.  A quotient made by
 ``cokernel`` or ``coinvariants`` has its parent's relations followed by
 the rows it appends, and grows its relation span from its parent's: the
 same ``RowBasis.add`` calls in the same order as from nothing, so the
-same basis.
+same basis.  Every echelon of a module's relations is its ``rel_span()``
+or a fork of it; ``factor_through``, whose basis is tracked and starts
+from the map's rows, is the one exception.
 """
 from __future__ import annotations
 
@@ -281,8 +283,7 @@ def image_in(dst: PresentedModule, rows: Mat) -> tuple[PresentedModule, ModuleMa
     Redundant generators (zero in the quotient, or already generated by the
     earlier rows) are pruned, so the presentation stays small.
     """
-    span = RowBasis(dst.coeff, dst.gens)
-    span.add_mat(dst.rels)
+    span = dst.rel_span().fork()
     kept = []
     for row in rows.sparse_rows():
         if span.add(row):
@@ -406,7 +407,9 @@ def check_exact(seq: list[ModuleMap]) -> bool:
 
     At the joint (f, g) this demands image(f) = kernel(g) as submodules of
     the middle term: the composite is zero and every kernel generator lies
-    in the span of the image rows together with the middle relations.
+    in the relation span of ``cokernel(f)``, the middle relations followed
+    by the image rows, which forks the middle term's span when the
+    previous joint built it.
 
     >>> from .coeff import Z
     >>> z1 = PresentedModule.free(Z, 1)
@@ -424,10 +427,7 @@ def check_exact(seq: list[ModuleMap]) -> bool:
             raise ExactLinError("sequence is not composable")
         if not f.then(g).is_zero_map():
             return False
-        mid = f.dst
-        span = RowBasis(mid.coeff, mid.gens)
-        span.add_mat(f.mat)
-        span.add_mat(mid.rels)
+        span = cokernel(f)[0].rel_span()
         ker_gens = preimage_generators(g.mat, g.dst.rels)
         for row in ker_gens.sparse_rows():
             if not span.contains(row):

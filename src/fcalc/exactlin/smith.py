@@ -131,9 +131,12 @@ class RowBasis:
     def fork(self) -> "RowBasis":
         """An independent copy: adds to either leave the other as it is,
         and adding to the copy what was not yet added here gives the basis
-        of adding it all to a new ``RowBasis``."""
-        other = object.__new__(RowBasis)
-        other.__dict__.update(self.__dict__)
+        of adding it all to a new ``RowBasis``.  The copy is made through
+        ``__init__``: an instance whose ``__dict__`` is filled by hand
+        keeps it as a plain dict, and every attribute read in ``add`` is
+        then slower."""
+        other = RowBasis(self.coeff, self.width, self.track)
+        other._n_added = self._n_added
         other.pivots = self.pivots.copy()
         other._rows = [r.copy() for r in self._rows]
         other._combos = [c.copy() for c in self._combos]

@@ -35,7 +35,6 @@ from .exactlin import (
     is_isomorphism, kernel,
 )
 from .exactlin.matrix import mul_row_mat
-from .exactlin.smith import RowBasis
 
 
 class FunctorError(Exception):
@@ -203,28 +202,8 @@ class TruncFIModule:
 
     def verify(self) -> list[str]:
         """Check all structural invariants; returns a list of violations."""
-        bad = []
-        for n in range(self.N + 1):
-            lvl = self.levels[n]
-            for i, s in enumerate(self.sym[n]):
-                m = ModuleMap(lvl, lvl, s)
-                if not m.is_well_defined():
-                    bad.append(f"level {n}: s_{i+1} does not respect the relations")
-                    continue
-                if not m.then(m).equals(ModuleMap.identity(lvl)):
-                    bad.append(f"level {n}: s_{i+1} is not an involution")
-            for i in range(len(self.sym[n]) - 1):
-                a = self.sym_map(n, i)
-                b = self.sym_map(n, i + 1)
-                if not a.then(b).then(a).equals(b.then(a).then(b)):
-                    bad.append(f"level {n}: braid relation fails at s_{i+1}, s_{i+2}")
-            for i in range(len(self.sym[n])):
-                for j in range(i + 2, len(self.sym[n])):
-                    a, b = self.sym_map(n, i), self.sym_map(n, j)
-                    if not a.then(b).equals(b.then(a)):
-                        bad.append(
-                            f"level {n}: distant transpositions s_{i+1}, s_{j+1} "
-                            "do not commute")
+        bad = [f"level {n}: {v}" for n in range(self.N + 1)
+               for v in coxeter_violations(self.levels[n], self.sym[n])]
         for n in range(self.N):
             inc = self.incl[n]
             if not inc.is_well_defined():
@@ -332,6 +311,36 @@ def perm_action(coeff: Coeff, gens: int, sym, perm) -> Mat:
     return Mat.from_sparse(coeff, gens, gens, rows)
 
 
+def coxeter_violations(m: PresentedModule, sym) -> list[str]:
+    """The relations of the Coxeter presentation of the symmetric group
+    that the transposition matrices sym fail as maps of the module m:
+    each s_i must respect the relations and be an involution, adjacent
+    ones must satisfy the braid relation and distant ones commute.
+
+    >>> swap = Mat.from_rows(Coeff.Q(), [[0, 1], [1, 0]])
+    >>> one = Mat.identity(Coeff.Q(), 2)
+    >>> coxeter_violations(PresentedModule.free(Coeff.Q(), 2), [swap, one])
+    ['braid relation fails at s_1, s_2']
+    """
+    maps = [ModuleMap(m, m, s) for s in sym]
+    one = ModuleMap.identity(m)
+    bad = []
+    for i, a in enumerate(maps):
+        if not a.is_well_defined():
+            bad.append(f"s_{i+1} does not respect the relations")
+        elif not a.then(a).equals(one):
+            bad.append(f"s_{i+1} is not an involution")
+    for i, (a, b) in enumerate(zip(maps, maps[1:])):
+        if not a.then(b).then(a).equals(b.then(a).then(b)):
+            bad.append(f"braid relation fails at s_{i+1}, s_{i+2}")
+    for i, a in enumerate(maps):
+        for j, b in enumerate(maps[i + 2:], i + 2):
+            if not a.then(b).equals(b.then(a)):
+                bad.append(f"distant transpositions s_{i+1}, s_{j+1} "
+                           "do not commute")
+    return bad
+
+
 class NatMap:
     """A levelwise family of module maps between truncated functors."""
 
@@ -405,13 +414,8 @@ def unit_map(F: TruncFIModule, x: int) -> NatMap:
     if x < 0 or x > F.N:
         raise WindowError(f"unit map for x={x} exceeds the window [0, {F.N}]")
     M = F.N - x
-    src = truncate(F, M)
-    dst = shift(F, x)
-    maps = []
-    for n in range(M + 1):
-        comp = F.unit_to(n, n + x)
-        maps.append(ModuleMap(src.levels[n], dst.levels[n], comp.mat))
-    return NatMap(src, dst, maps)
+    return NatMap(truncate(F, M), shift(F, x),
+                  [F.unit_to(n, n + x) for n in range(M + 1)])
 
 
 def levelwise(levels, image, *functors) -> TruncFIModule:
@@ -444,17 +448,11 @@ def kernel_nat(u: NatMap) -> tuple[TruncFIModule, NatMap]:
 
 
 def cokernel_nat(u: NatMap) -> tuple[TruncFIModule, NatMap]:
-    """Levelwise cokernel with the induced functor structure."""
-    G = u.dst
-    levels, projs = [], []
-    for n in range(G.N + 1):
-        c, proj = cokernel(u.maps[n])
-        levels.append(c)
-        projs.append(proj)
-    new_incl = [ModuleMap(levels[n], levels[n + 1], G.incl[n].mat)
-                for n in range(G.N)]
-    C = TruncFIModule(G.coeff, levels, new_incl, G.sym)
-    return C, NatMap(G, C, projs)
+    """Levelwise cokernel with the induced functor structure: a quotient
+    keeps its target's matrices."""
+    levels, projs = zip(*map(cokernel, u.maps))
+    C = levelwise(levels, lambda n, m, a: a, u.dst)
+    return C, NatMap(u.dst, C, projs)
 
 
 def diff(F: TruncFIModule, x: int = 1) -> TruncFIModule:
@@ -545,13 +543,12 @@ def generation_degree(F: TruncFIModule) -> DegreeReport:
     needed = 0
     for n in range(1, F.N + 1):
         lvl = F.levels[n]
-        span = RowBasis(F.coeff, lvl.gens)
-        span.add_mat(lvl.rels)
-        gen_mats = [s.sparse_rows() for s in F.sym[n]]
         r_min = None
-        if span.is_full() or lvl.gens == 0:
+        if lvl.is_zero():
             r_min = 0
         else:
+            span = lvl.rel_span().fork()
+            gen_mats = [s.sparse_rows() for s in F.sym[n]]
             for r in range(0, n):
                 comp = F.unit_to(r, n)
                 queue = list(comp.mat.sparse_rows())

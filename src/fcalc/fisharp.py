@@ -44,8 +44,8 @@ from .exactlin import (
 )
 from .exactlin.matrix import image_rows
 from .fimod import (
-    FunctorError, NatMap, TruncFIModule, WindowError, insertion_map,
-    json_field, json_list, perm_action, truncate,
+    FunctorError, NatMap, TruncFIModule, WindowError, coxeter_violations,
+    insertion_map, json_field, json_list, perm_action, truncate,
 )
 
 
@@ -258,29 +258,8 @@ class SymRep:
 
     def verify(self) -> list[str]:
         """The violations of the Coxeter presentation of the symmetric
-        group: each s_i must be a well-defined map of the module, and
-        s_i^2 = 1, (s_i s_{i+1})^3 = 1 and s_i s_j = s_j s_i for
-        |i - j| > 1 must hold as maps of the module."""
-        m = self.module
-        maps = [ModuleMap(m, m, s) for s in self.sym]
-        bad = [f"s_{i + 1} does not respect the relations"
-               for i, f in enumerate(maps) if not f.is_well_defined()]
-        if bad:
-            return bad
-        one = ModuleMap.identity(m)
-        for i, f in enumerate(maps):
-            if not f.then(f).equals(one):
-                bad.append(f"s_{i + 1} is not an involution")
-            for j in range(i + 1, len(maps)):
-                g = maps[j]
-                if j == i + 1:
-                    fg = f.then(g)
-                    if not fg.then(fg).then(fg).equals(one):
-                        bad.append(f"(s_{i + 1} s_{j + 1})^3 is not the "
-                                   f"identity")
-                elif not f.then(g).equals(g.then(f)):
-                    bad.append(f"s_{i + 1} and s_{j + 1} do not commute")
-        return bad
+        group, as ``coxeter_violations`` names them."""
+        return coxeter_violations(self.module, self.sym)
 
     def character(self) -> dict:
         """Trace of one permutation per cycle type, on a freeified copy

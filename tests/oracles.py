@@ -41,18 +41,22 @@ def uct_dimension(M: PresentedModule, p: int) -> int:
     return free + sum(1 for d in torsion if d % p == 0)
 
 
-def cross_effect_cokernel_profile(F: FISharpModule, k: int) -> list[int]:
-    """The cross-effect computed by its cokernel description: level k
-    modulo the images of all the one-point-omitting injections."""
-    if k == 0:
-        return F.levels[0].invariant_factors()
-    lvl = F.levels[k]
+def difference_rep(F: TruncFIModule, d: int, n: int) -> SymRep:
+    """(delta^d F)(n) as a representation of the symmetric group on d
+    letters, from F's levels, inclusions and transpositions alone: F(n + d)
+    modulo the images of F(n + d - 1) under the d injections that miss one
+    of the last d points, with the group permuting those points by
+    s_{n+1} .. s_{n+d-1}.  At n = 0 on an FI#-module this is the
+    cross-effect by its cokernel description, with no idempotent."""
+    m = n + d
+    lvl = F.levels[m]
     rels = lvl.rels
-    for i in range(1, k + 1):
-        # injection [k-1] -> [k] missing i: standard inclusion then the
+    for i in range(n + 1, m + 1):
+        # injection [m-1] -> [m] missing i: standard inclusion then the
         # cycle moving the new last point down to position i
-        rels = rels.stack(insertion_map(F, i - 1, k - i).mat)
-    return PresentedModule(F.coeff, lvl.gens, rels).invariant_factors()
+        rels = rels.stack(insertion_map(F, i - 1, m - i).mat)
+    return SymRep(d, PresentedModule(F.coeff, lvl.gens, rels),
+                  F.sym[m][n:m - 1])
 
 
 def colimit_over_injections(F: TruncFIModule) -> PresentedModule:

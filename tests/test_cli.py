@@ -295,17 +295,20 @@ class TestSharpAndTilde:
         one = Mat.identity(Q, 2)
         free = PresentedModule.free(Q, 2)
         assert SymRep(3, free, [swap, one]).verify() == [
-            "(s_1 s_2)^3 is not the identity"]
+            "braid relation fails at s_1, s_2"]
         # both transpositions to the swap: the sign character, an action
         assert SymRep(3, free, [swap, swap]).verify() == []
         p, q = (Mat.from_rows(Q, r) for r in ([[1, 0, 0, 0], [0, 0, 1, 0],
                                                [0, 1, 0, 0], [0, 0, 0, 1]],
                                               [[1, 0, 0, 0], [0, 1, 0, 0],
                                                [0, 0, 0, 1], [0, 0, 1, 0]]))
-        # s_1 and s_3 are involutions that do not commute
+        # s_1 and s_3 are involutions that do not commute, and s_2 = 1
+        # makes each braid relation s_i = s_{i+1}
         four = PresentedModule.free(Q, 4)
-        assert "s_1 and s_3 do not commute" in SymRep(
-            4, four, [p, Mat.identity(Q, 4), q @ p @ q]).verify()
+        assert SymRep(4, four, [p, Mat.identity(Q, 4), q @ p @ q]).verify() \
+            == ["braid relation fails at s_1, s_2",
+                "braid relation fails at s_2, s_3",
+                "distant transpositions s_1, s_3 do not commute"]
         # a matrix that does not preserve the relation (1, 1)
         lined = PresentedModule.from_rel_rows(Q, 2, [[1, 1]])
         assert SymRep(2, lined, [Mat.from_rows(Q, [[1, 0], [1, 1]])]).verify() \
@@ -1020,6 +1023,29 @@ SHORT_SYM_REPS = {"coeff": "F2", "reps": [
 class TestMalformedInput:
     """Every malformed file exits 2 and names the field at fault; none of
     them may yield an answer."""
+
+    # F<p> with p as ``Coeff.code`` writes it and nothing else: int()
+    # alone would read the first five as F3 or F11
+    BAD_CODES = ("F03", "F 3", "F+3", "F1_1", "F\uff13", "F")
+
+    @pytest.mark.parametrize("code", BAD_CODES)
+    def test_malformed_coefficient_code(self, capsys, tmp_path, code):
+        rc, out, err = run(capsys, "degree", "--strong", "corpus:const",
+                           "--N", "3", "--coeff", code)
+        assert (rc, out) == (2, "")
+        assert err == (f"input error: cannot build corpus:const: unknown "
+                       f"coefficient code {code!r}\n")
+        path = tmp_path / "const.json"
+        rc, _, _ = run(capsys, "corpus", "emit", "const", "--N", "3",
+                       "--coeff", "F3", "--out", str(path))
+        assert rc == 0
+        data = json.loads(path.read_text())
+        data["coeff"] = code
+        path.write_text(json.dumps(data))
+        rc, out, err = run(capsys, "degree", "--strong", str(path))
+        assert (rc, out) == (2, "")
+        assert err == (f"input error: invalid functor data in {path}: coeff: "
+                       f"unknown coefficient code {code!r}\n")
 
     @pytest.mark.parametrize("verb, source, mutate, field", [
         ("degree", "P(1)", _cut_rows, "incl[2]"),

@@ -546,6 +546,16 @@ class TestExactness:
                ModuleMap.zero_map(z1, z1)]
         assert not check_exact(seq)
 
+    def test_exact_only_modulo_the_middle_relations(self):
+        # Z --2--> Z/3 --> 0: the kernel generator 1 is 2 * 2 - 3, in the
+        # image only once the relation 3 of the middle term is counted
+        z1 = PresentedModule.free(Z, 1)
+        zmod3 = PresentedModule.from_rel_rows(Z, 1, [[3]])
+        zero = PresentedModule.zero(Z)
+        seq = [ModuleMap(z1, zmod3, Mat.from_rows(Z, [[2]])),
+               ModuleMap.zero_map(zmod3, zero)]
+        assert check_exact(seq)
+
     def test_non_surjective_tail_detected(self):
         z1 = PresentedModule.free(Z, 1)
         zero = PresentedModule.zero(Z)

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,7 +26,7 @@ from fcalc.fimod import (
     unit_map, verify_six_term, weak_degree,
 )
 from fcalc.fimod import _power_mat
-from fcalc.fisharp import alpha, cross_effect
+from fcalc.fisharp import SymRep, alpha, cross_effect
 from oracles import mod_p, submatrix, uct_dimension, word_product
 
 Z, Q, F2 = Coeff.Z(), Coeff.Q(), Coeff.GF(2)
@@ -43,18 +44,41 @@ def corpus():
     return {(n, c): build(n, c, N) for n, c, N in CORPUS_NAMES}
 
 
+def not_an_involution():
+    """P(1) with a 3-cycle for s_1 at level 3."""
+    F = build("P(1)", "Z", 3)
+    sym = [list(s) for s in F.sym]
+    sym[3][0] = Mat.from_rows(Z, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    return TruncFIModule(Z, F.levels, F.incl, sym)
+
+
+def ill_defined_s1():
+    """P(1) with level 2 presented as Z^2 / (e_1): the swap sends the
+    relation to e_2, and the inclusion sends it to the free e_1."""
+    F = build("P(1)", "Z", 3)
+    levels = list(F.levels)
+    levels[2] = PresentedModule.from_rel_rows(Z, 2, [[1, 0]])
+    incl = [ModuleMap(levels[n], levels[n + 1], f.mat)
+            for n, f in enumerate(F.incl)]
+    return TruncFIModule(Z, levels, incl, F.sym)
+
+
+def non_commuting_s1_s3():
+    """P(1) with s_3 at level 4 replaced by s_2: s_1 and s_3 no longer
+    commute."""
+    F = build("P(1)", "Z", 4)
+    sym = [list(s) for s in F.sym]
+    sym[4][2] = sym[4][1]
+    return TruncFIModule(Z, F.levels, F.incl, sym)
+
+
 class TestStructure:
     def test_all_corpus_verify(self, corpus):
         for key, F in corpus.items():
             assert F.verify() == [], key
 
     def test_braid_violation_detected(self):
-        # a fake action at level 3 that is not an involution
-        F = build("P(1)", "Z", 3)
-        sym = [list(s) for s in F.sym]
-        sym[3][0] = Mat.from_rows(Z, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-        G = TruncFIModule(Z, F.levels, F.incl, sym)
-        bad = G.verify()
+        bad = not_an_involution().verify()
         assert any("involution" in msg and "level 3" in msg for msg in bad)
 
     def test_corrupted_inclusion_detected(self):
@@ -67,25 +91,27 @@ class TestStructure:
         assert G.verify() != []
 
     def test_maps_that_break_the_relations_detected(self):
-        # level 2 of P(1) presented as Z^2 / (e_1): the swap sends the
-        # relation to e_2, and the inclusion sends it to the free e_1
-        F = build("P(1)", "Z", 3)
-        levels = list(F.levels)
-        levels[2] = PresentedModule.from_rel_rows(Z, 2, [[1, 0]])
-        incl = [ModuleMap(levels[n], levels[n + 1], f.mat)
-                for n, f in enumerate(F.incl)]
-        bad = TruncFIModule(Z, levels, incl, F.sym).verify()
+        bad = ill_defined_s1().verify()
         assert "level 2: s_1 does not respect the relations" in bad
         assert "inclusion at level 2 does not respect the relations" in bad
 
     def test_distant_transpositions_that_do_not_commute_detected(self):
-        # s_3 at level 4 replaced by s_2: s_1 and s_3 no longer commute
-        F = build("P(1)", "Z", 4)
-        sym = [list(s) for s in F.sym]
-        sym[4][2] = sym[4][1]
-        bad = TruncFIModule(Z, F.levels, F.incl, sym).verify()
+        bad = non_commuting_s1_s3().verify()
         assert ("level 4: distant transpositions s_1, s_3 do not commute"
                 in bad)
+
+    @pytest.mark.parametrize("corrupted", [
+        not_an_involution, ill_defined_s1, non_commuting_s1_s3])
+    def test_one_coxeter_check_for_functors_and_representations(
+            self, corrupted):
+        # verify's per-level lines are the representation check of each
+        # level's transpositions, prefixed with the level
+        F = corrupted()
+        levels = [msg for msg in F.verify()
+                  if re.match(r"level \d+: ", msg)]
+        assert levels
+        assert levels == [f"level {n}: {msg}" for n in range(F.N + 1)
+                          for msg in SymRep(n, F.levels[n], F.sym[n]).verify()]
 
     def test_perm_word(self):
         rng = random.Random(3)
@@ -386,6 +412,17 @@ class TestDegrees:
                 continue
             g = generation_degree(F)
             assert g.value == s.value, key
+
+    @pytest.mark.parametrize("ring", ["Z", "Q", "F2"])
+    def test_generation_of_differences(self, ring):
+        # the levels of a difference carry relations, the images of the
+        # level below: only modulo them is delta P(d) generated in degree
+        # d - 1
+        for name, degrees in (("P(1)", [1, 0, 0]), ("P(2)", [2, 1, 0]),
+                              ("ex_upm_A", [2, 1, 0])):
+            F = build(name, ring, 6)
+            got = [generation_degree(G).value for G in (F, diff(F), diff(diff(F)))]
+            assert got == degrees, name
 
     def test_strong_zero_iff_surjections_from_zero(self, corpus):
         for key, F in corpus.items():

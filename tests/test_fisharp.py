@@ -17,8 +17,7 @@ from fcalc.fisharp import (
     eta_restrict, moebius_idem, sharp_natmap_ok,
 )
 from oracles import (
-    colimit_over_injections, cross_effect_cokernel_profile, moebius_sum,
-    random_symrep,
+    colimit_over_injections, difference_rep, moebius_sum, random_symrep,
 )
 
 Z, Q, F2 = Coeff.Z(), Coeff.Q(), Coeff.GF(2)
@@ -265,7 +264,7 @@ class TestCrossEffect:
             F = sharps[key]
             for k in range(F.N + 1):
                 img = cross_effect(F, k).module.invariant_factors()
-                cok = cross_effect_cokernel_profile(F, k)
+                cok = difference_rep(F, k, 0).module.invariant_factors()
                 assert img == cok, (key, k)
 
     def test_binomial_identity(self, sharps):
@@ -284,7 +283,7 @@ class TestCrossEffect:
             D = diff(eta_restrict(F))
             for k in range(F.N - 1):
                 left = cross_effect(F, k + 1).module.invariant_factors()
-                right = cross_effect_cokernel_profile(D, k)
+                right = difference_rep(D, k, 0).module.invariant_factors()
                 assert left == right, (key, k)
 
     def test_degree_iff_vanishing(self, sharps):
@@ -607,6 +606,15 @@ class TestClassification:
         if top != NEG_INF and dim != dim_profile(F).diffs[top][-1]:
             out.append(f"top cross-effect dim {dim} is not the top "
                        f"difference {dim_profile(F).diffs[top]}")
+        if top != NEG_INF:
+            # the same Sigma_top-module by the second route, at the top
+            # level of the window of delta^top F
+            n = F.N - top
+            want = difference_rep(F, top, n).character()
+            got = cross_effect(A, top).character()
+            if got != want:
+                out.append(f"top cross-effect character {got} is not that "
+                           f"of (delta^{top} F)({n}), {want}")
         return out
 
     @pytest.mark.parametrize("ring", ["Q", "F2", "F3"])
@@ -624,4 +632,20 @@ class TestClassification:
         # count as a cross-effect
         import fcalc.fisharp as fisharp
         monkeypatch.setattr(fisharp, "moebius_idem", fisharp.epsilon_idem)
-        assert self.mismatches("P(2)", "Q")
+        bad = self.mismatches("P(2)", "Q")
+        assert any(msg.startswith("top cross-effect character") for msg in bad)
+
+    def test_fails_under_a_sign_twist(self, monkeypatch):
+        # the top cross-effect of ex_upm_A over Q is the trivial character
+        # of the symmetric group on 2 letters: twisted by the sign it keeps
+        # its dimension and turns into that of ex_upm_F
+        untwisted = cross_effect
+
+        def twisted(F, k):
+            rep = untwisted(F, k)
+            zero = Mat.zero(F.coeff, rep.module.gens, rep.module.gens)
+            return SymRep(k, rep.module, [zero - s for s in rep.sym])
+        monkeypatch.setitem(globals(), "cross_effect", twisted)
+        bad = self.mismatches("ex_upm_A", "Q")
+        assert bad and all(msg.startswith("top cross-effect character")
+                           for msg in bad)
