@@ -14,6 +14,8 @@ out of the copy, since every mutant breaks its own anchor.
 
     python3 mutants/run.py            # every mutant
     python3 mutants/run.py braid      # the mutants whose reason says "braid"
+    python3 mutants/run.py writer -- tests/test_cli.py::TestWriter
+                                      # ... against the named tests only
 
 It prints one line per mutant, killed or survived, with its time and the
 first test that failed, and exits 1 if any mutant survived.  Standard
@@ -32,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 ANCHOR_TEST = "test_mutants.py"
 
+CLI = "src/fcalc/cli.py"
 FIMOD = "src/fcalc/fimod.py"
 PRESENTED = "src/fcalc/exactlin/presented.py"
 
@@ -78,6 +81,22 @@ MUTANTS = [
      "    return all(F.unit_to(n, F.N).is_zero_map() for n in range(top + 1))",
      "    return all(F.unit_to(n, F.N).is_zero_map() for n in range(top + 2))",
      "is_stably_null checks one level more than its margin allows"),
+    (CLI,
+     "                cut = first + j * step",
+     "                cut = first + j * step + 1",
+     "the writer splices a matrix entry one character late"),
+    (CLI,
+     "        if row:\n            parts = [lead]",
+     "        if False:\n            parts = [lead]",
+     "the writer writes a nonzero matrix row as the zero row"),
+    (CLI,
+     "    if not m.nrows:\n",
+     "    if not m.nrows or not m.ncols:\n",
+     "the writer writes a k x 0 matrix as []"),
+    ("src/fcalc/cattilde.py",
+     "        return _partial(self.rep_map, self.b)",
+     "        return _partial(self.rep_map, self.b)[::-1]",
+     "the writer swaps a sigma class's domain and values"),
 ]
 
 
@@ -99,8 +118,10 @@ def _skipped(folder: str, names: list[str]) -> set[str]:
     return skip.intersection(names)
 
 
-def run_mutant(file: str, old: str, new: str) -> tuple[bool, float, str]:
-    """(killed, seconds, first failing test) for one mutant."""
+def run_mutant(file: str, old: str, new: str,
+               tests: list[str]) -> tuple[bool, float, str]:
+    """(killed, seconds, first failing test) for one mutant, run against
+    the given pytest arguments (the whole suite when there are none)."""
     with tempfile.TemporaryDirectory(prefix="fcalc-mutant-") as tmp:
         tmp = Path(tmp)
         shutil.copytree(ROOT, tmp, ignore=_skipped, dirs_exist_ok=True)
@@ -110,7 +131,7 @@ def run_mutant(file: str, old: str, new: str) -> tuple[bool, float, str]:
         start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p",
-             "no:cacheprovider"],
+             "no:cacheprovider", *tests],
             cwd=tmp, env=env, capture_output=True, text=True)
         took = time.perf_counter() - start
     first = next((line for line in proc.stdout.splitlines()
@@ -119,10 +140,14 @@ def run_mutant(file: str, old: str, new: str) -> tuple[bool, float, str]:
 
 
 def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if all(a in m[3] for a in argv)]
+    """Run the mutants whose reason holds every word before ``--``, each
+    against the pytest arguments after it."""
+    words, tests = (argv[:argv.index("--")], argv[argv.index("--") + 1:]) \
+        if "--" in argv else (argv, [])
+    chosen = [m for m in MUTANTS if all(a in m[3] for a in words)]
     survived = 0
     for file, old, new, reason in chosen:
-        killed, took, first = run_mutant(file, old, new)
+        killed, took, first = run_mutant(file, old, new, tests)
         survived += not killed
         verdict = "killed  " if killed else "SURVIVED"
         print(f"{verdict} {took:6.1f} s  {reason}", flush=True)

@@ -137,14 +137,12 @@ class TildeHom:
         return f"TildeHom({self.cat.name}, {self.a}->{self.b}, {self.normal})"
 
     def as_partial(self):
-        """For theta: the pair (defined domain, values)."""
+        """The part of the representative landing in the b block, as the
+        pair (defined domain, values): theta's normal form, or read off
+        sigma's representative."""
+        if self.cat.name == "theta":
+            return self.normal
         return _partial(self.rep_map, self.b)
-
-    def to_json(self) -> dict:
-        # theta's normal form is already the partial injection
-        dom, vals = (self.normal if self.cat.name == "theta"
-                     else self.as_partial())
-        return {"domain": list(dom), "values": list(vals)}
 
 
 def _partial(f, b: int) -> tuple:

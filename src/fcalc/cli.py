@@ -15,9 +15,9 @@ import json
 import os
 import sys
 
-from .cattilde import CatError, category, tilde_hom, verify_axioms
+from .cattilde import CatError, TildeHom, category, tilde_hom, verify_axioms
 from .corpus import ORACLES, build, list_entries, run_oracles
-from .exactlin import ExactLinError
+from .exactlin import ExactLinError, Mat
 from .fimod import (
     FunctorError, TruncFIModule, WindowError, diff, dim_profile, kappa,
     generation_degree, shift, strong_degree, verify_six_term, weak_degree,
@@ -98,18 +98,8 @@ def load_functor(ref: str, N: int | None, coeff: str | None):
 
 _escape = json.encoder.encode_basestring_ascii
 _int_repr = int.__repr__
-_SEQUENCES = (list, tuple)
-# the characters that json writes as themselves inside a string: printable
-# ASCII but the quote and the backslash
-_PLAIN = bytes(range(0x20, 0x7f)).translate(None, b'"\\')
-
-
-@functools.cache
-def _quoted_row(nl: str) -> tuple[str, str, str]:
-    """The opening, separator and closing of a row of plain strings
-    whose lines are continued by ``nl``: one per indent, made once."""
-    inner = nl + " "
-    return "[" + inner + '"', '",' + inner + '"', '"' + nl + "]"
+# the items of a list that are joined into one piece each
+_NESTED = (list, tuple, dict, Mat)
 
 
 def _write(o, nl: str, out: list, piece: bool = False):
@@ -117,17 +107,18 @@ def _write(o, nl: str, out: list, piece: bool = False):
     ``json`` module writes for ``o`` with an indent of 1, its lines
     continued by ``nl`` (a newline and the current indent).
 
-    A list of strings that json's escaper would only wrap in quotes, as
-    every row of ``Mat.to_json`` is, is one join with a quoted separator;
-    other strings go through json's C escaper, and a list of only strings
-    is one join over it.  A list of only ints is one join, made by the
-    dict that holds it when it is a value there.  A list or dict that is
-    an item of a list, such as a level, a class or one level's matrices,
-    is joined into one piece; what it holds is written into that piece
-    (``piece`` true) and not joined again.  ``o`` is what fcalc builds:
-    str keys; str, int, bool and None values; lists, tuples and dicts.
-    Anything else, a float or a non-str key among them, raises
-    TypeError."""
+    A ``Mat`` is written as its dense rows of scalar strings would be,
+    from its sparse rows (``_write_mat``), and a ``TildeHom`` as the dict
+    ``{"domain": [..], "values": [..]}`` of its partial map, in one piece
+    (``_class_text``).  A list of only strings is one join over json's C
+    escaper, and a list of only ints one join too.  A list, dict, ``Mat``
+    or ``TildeHom`` that is an item of a list, such as a level, a matrix,
+    one level's matrices or a class, is joined into one piece; what it
+    holds is written into that piece (``piece`` true) and not joined
+    again.  ``o`` is what fcalc builds:
+    str keys; str, int, bool and None values; lists, tuples, dicts,
+    matrices and classes.  Anything else, a float or a non-str key among
+    them, raises TypeError."""
     if isinstance(o, str):
         out.append(_escape(o))
     elif o is None:
@@ -147,27 +138,21 @@ def _write(o, nl: str, out: list, piece: bool = False):
         first = type(o[0])
         if first is str:
             try:
-                text = "".join(o)
+                out += ("[", inner, sep.join(map(_escape, o)), nl, "]")
+                return
             except TypeError:  # not only strings
                 pass
-            else:
-                # when json's escaper would only quote each string
-                if text.isascii() and not text.encode().translate(None,
-                                                                  _PLAIN):
-                    start, quoted_sep, end = _quoted_row(nl)
-                    out += (start, quoted_sep.join(o), end)
-                else:
-                    out += ("[", inner, sep.join(map(_escape, o)), nl, "]")
-                return
         elif first is int and bool not in map(type, o):
             try:
-                out += ("[", inner, sep.join(map(_int_repr, o)), nl, "]")
+                out.append(_int_list(o, nl))
                 return
             except TypeError:
                 pass
         lead = "[" + inner
         for x in o:
-            if piece or not isinstance(x, (list, tuple, dict)):
+            if type(x) is TildeHom:  # one piece, with no list to join
+                out.append(lead + _class_text(x, inner))
+            elif piece or not isinstance(x, _NESTED):
                 out.append(lead)
                 _write(x, inner, out, piece)
             else:
@@ -182,26 +167,67 @@ def _write(o, nl: str, out: list, piece: bool = False):
             return
         inner = nl + " "
         lead = "{" + inner
-        item = inner + " "
-        sep = "," + item
         for k, v in o.items():
             out += (lead, _escape(k), ": ")
             lead = "," + inner
-            # a value that is a list of ints, the usual leaf, is joined
-            # here rather than in a call of its own
-            if type(v) in _SEQUENCES and v and type(v[0]) is int \
-                    and bool not in map(type, v):
-                try:
-                    out += ("[", item, sep.join(map(_int_repr, v)), inner,
-                            "]")
-                    continue
-                except TypeError:
-                    pass
             _write(v, inner, out, piece)
         out.append(nl + "}")
+    elif isinstance(o, Mat):
+        _write_mat(o, nl, out)
+    elif isinstance(o, TildeHom):
+        out.append(_class_text(o, nl))
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} "
                         f"is not JSON serializable")
+
+
+def _write_mat(m: Mat, nl: str, out: list):
+    """Append the text json writes for the dense rows of ``m``, each
+    entry its ``scalar_str`` (``"0"`` for a zero), one string per row.
+    The text of an all-``"0"`` row of m's width is made once; a row is
+    that text with its nonzero entries spliced in.  Every ``"0"`` has the
+    same width, so the j-th sits at a fixed offset, ``first + j * step``."""
+    if not m.nrows:
+        out.append("[]")
+        return
+    inner = nl + " "
+    entry = inner + " "
+    zero = ("[" + entry + '"0"' + ("," + entry + '"0"') * (m.ncols - 1)
+            + inner + "]") if m.ncols else "[]"
+    first, step = len(entry) + 2, len(entry) + 4
+    s = m.coeff.scalar_str
+    lead, sep = "[" + inner, "," + inner
+    for row in m.sparse_rows():
+        if row:
+            parts = [lead]
+            at = 0
+            for j, x in row:
+                cut = first + j * step
+                parts += (zero[at:cut], s(x))
+                at = cut + 1
+            parts.append(zero[at:])
+            out.append("".join(parts))
+        else:
+            out += (lead, zero)
+        lead = sep
+    out.append(nl + "]")
+
+
+def _class_text(h: TildeHom, nl: str) -> str:
+    """The text json writes for ``{"domain": [..], "values": [..]}``,
+    the partial map of the class ``h`` (``TildeHom.as_partial``)."""
+    dom, vals = h.as_partial()
+    inner = nl + " "
+    return (f'{{{inner}"domain": {_int_list(dom, inner)},'
+            f'{inner}"values": {_int_list(vals, inner)}{nl}}}')
+
+
+def _int_list(v, nl: str) -> str:
+    """The text json writes for the list of ints ``v``."""
+    if not v:
+        return "[]"
+    inner = nl + " "
+    return "[" + inner + ("," + inner).join(map(_int_repr, v)) + nl + "]"
 
 
 # the characters of pieces joined into one write to a line-buffered stream
@@ -229,13 +255,16 @@ def emit(data: dict, out: str | None):
     ``_write`` go to the stream's ``writelines`` as they are, so the whole
     text is never one string; a line-buffered stdout, a terminal, gets
     them joined into chunks (``_chunks``).  A TypeError is raised before
-    anything is written."""
+    anything is written; a file that cannot be written is an InputError."""
     parts = []
     _write(data, "\n", parts)
     parts.append("\n")
     if out:
-        with open(out, "w") as fh:
-            fh.writelines(parts)
+        try:
+            with open(out, "w") as fh:
+                fh.writelines(parts)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc.strerror}")
     elif getattr(sys.stdout, "line_buffering", False):
         sys.stdout.writelines(_chunks(parts))
     else:
@@ -360,7 +389,7 @@ def cmd_tilde_hom(args) -> int:
     classes = tilde_hom(cat, args.a, args.b)
     if args.json or args.out:
         emit({"cat": cat.name, "a": args.a, "b": args.b,
-              "classes": [h.to_json() for h in classes]}, args.out)
+              "classes": classes}, args.out)
         return 0
     print(f"{len(classes)} classes in {cat.name}-tilde({args.a}, {args.b}):")
     for h in classes:

@@ -207,17 +207,6 @@ class Mat:
         if self.coeff != other.coeff or self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
-    def to_json(self) -> list[list[str]]:
-        s = self.coeff.scalar_str
-        blank = ["0"] * self.ncols
-        out = []
-        for srow in self._sparse:
-            row = blank.copy()
-            for j, x in srow:
-                row[j] = s(x)
-            out.append(row)
-        return out
-
     @classmethod
     def from_json(cls, coeff: Coeff, data, shape: tuple[int | None, int]) -> "Mat":
         """Parse a list of rows of exactly the given (rows, cols) shape;

@@ -141,11 +141,9 @@ class PresentedModule:
         )
 
     def to_json(self) -> dict:
-        return {
-            "coeff": self.coeff.code,
-            "gens": self.gens,
-            "rels": self.rels.to_json(),
-        }
+        """The JSON form, for ``cli.emit``: the relations are the ``Mat``
+        itself, which the writer prints as dense rows of scalar strings."""
+        return {"coeff": self.coeff.code, "gens": self.gens, "rels": self.rels}
 
     @classmethod
     def from_json(cls, data: dict, coeff: Coeff | None = None) -> "PresentedModule":

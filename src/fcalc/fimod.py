@@ -226,13 +226,14 @@ class TruncFIModule:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
+        """The JSON form, for ``cli.emit``, with every matrix a ``Mat``
+        leaf, which the writer prints as dense rows of scalar strings."""
         return {
             "coeff": self.coeff.code,
             "N": self.N,
-            "levels": [{"gens": m.gens, "rels": m.rels.to_json()}
-                       for m in self.levels],
-            "incl": [f.mat.to_json() for f in self.incl],
-            "sym": [[s.to_json() for s in mats] for mats in self.sym],
+            "levels": [{"gens": m.gens, "rels": m.rels} for m in self.levels],
+            "incl": [f.mat for f in self.incl],
+            "sym": [list(mats) for mats in self.sym],
         }
 
     @classmethod

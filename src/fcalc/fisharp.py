@@ -83,7 +83,7 @@ class FISharpModule(TruncFIModule):
 
     def to_json(self) -> dict:
         data = super().to_json()
-        data["proj"] = [f.mat.to_json() for f in self.proj]
+        data["proj"] = [f.mat for f in self.proj]
         return data
 
     @classmethod
@@ -287,8 +287,8 @@ class SymRep:
     def to_json(self) -> dict:
         return {
             "gens": self.module.gens,
-            "rels": self.module.rels.to_json(),
-            "sym": [s.to_json() for s in self.sym],
+            "rels": self.module.rels,
+            "sym": self.sym,
         }
 
     @classmethod

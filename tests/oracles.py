@@ -1,6 +1,6 @@
 """Reference computations that only the tests use: brute-force oracles
-for the library's strategies, random representation lists, and a
-type-free text form of outputs for digests."""
+for the library's strategies, random representation lists, the plain
+JSON data of outputs, and a type-free text form of it for digests."""
 from itertools import accumulate, combinations, permutations
 
 from fcalc.cattilde import CatError, TildeHom, _normal_form
@@ -21,6 +21,40 @@ def as_text(x):
     if x is None or isinstance(x, bool):
         return x
     return str(x)
+
+
+def mat_json(m: Mat) -> list[list[str]]:
+    """The dense rows of m, each entry its ``scalar_str``: the form in
+    which ``cli.emit`` writes a matrix, built entry by entry."""
+    s = m.coeff.scalar_str
+    blank = ["0"] * m.ncols
+    out = []
+    for srow in m.sparse_rows():
+        row = blank.copy()
+        for j, x in srow:
+            row[j] = s(x)
+        out.append(row)
+    return out
+
+
+def plain(x):
+    """The plain JSON data that ``cli.emit`` writes for x, a ``to_json()``
+    form or a list of classes: each ``Mat`` leaf as its dense rows
+    (``mat_json``) and each ``TildeHom`` as ``{"domain": [..], "values":
+    [..]}``, the part of its representative landing in the b block,
+    through dicts, lists and tuples (both become lists)."""
+    if isinstance(x, Mat):
+        return mat_json(x)
+    if isinstance(x, TildeHom):
+        # read off the representative, not through as_partial
+        f, b = x.rep_map, x.b
+        return {"domain": [i for i, v in enumerate(f, 1) if v <= b],
+                "values": [v for v in f if v <= b]}
+    if isinstance(x, (list, tuple)):
+        return [plain(y) for y in x]
+    if isinstance(x, dict):
+        return {k: plain(v) for k, v in x.items()}
+    return x
 
 
 def mod_p(M: PresentedModule, p: int) -> PresentedModule:

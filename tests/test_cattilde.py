@@ -9,7 +9,7 @@ from fcalc.cattilde import (
     CatError, SIGMA, THETA, category, theta_tilde_count,
     tilde_compose, tilde_from_partial, tilde_hom, verify_axioms,
 )
-from oracles import compose_partial, tilde_hom_adjacent
+from oracles import compose_partial, plain, tilde_hom_adjacent
 
 
 def brute_force_partial_injections(a: int, b: int):
@@ -363,4 +363,4 @@ class TestAxioms:
 class TestSerialization:
     def test_class_json(self):
         h = tilde_from_partial(3, 2, (1, 3), (2, 1))
-        assert h.to_json() == {"domain": [1, 3], "values": [2, 1]}
+        assert plain(h) == {"domain": [1, 3], "values": [2, 1]}

@@ -9,15 +9,19 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fcalc.cli
+from fcalc.cattilde import category, tilde_hom
 from fcalc.cli import emit, main
 from fcalc.corpus import build
+from fcalc.exactlin import Coeff, Mat
 from fcalc.fimod import TruncFIModule
+from oracles import plain
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -140,7 +144,7 @@ class TestVerify:
         from fcalc.corpus import build
         from fcalc.exactlin import Mat, Coeff
         F = build("P(1)", "Z", 3)
-        data = F.to_json()
+        data = plain(F.to_json())
         # corrupt a transposition at level 3: no longer an involution
         data["sym"][3][0] = [["0", "1", "0"], ["0", "0", "1"], ["1", "0", "0"]]
         path = tmp_path / "bad.json"
@@ -193,7 +197,7 @@ class TestVerify:
         # well shaped, but the inclusion at level 2 is not equivariant, so
         # kappa's factorization has no solution
         from fcalc.corpus import build
-        data = build("P(1)", "Z", 4).to_json()
+        data = plain(build("P(1)", "Z", 4).to_json())
         data["incl"][2] = [["1", "0", "0"], ["0", "0", "0"]]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
@@ -214,7 +218,8 @@ class TestTransforms:
         assert F.N == 5
         assert [m.gens for m in F.levels] == [1, 2, 3, 4, 5, 6]
         # emitted JSON re-ingests to a structurally equal value
-        assert TruncFIModule.from_json(F.to_json()).structurally_equal(F)
+        assert TruncFIModule.from_json(
+            plain(F.to_json())).structurally_equal(F)
 
     def test_shift_pipe(self, capsys, tmp_path):
         mid = tmp_path / "s.json"
@@ -371,7 +376,8 @@ class TestSharpAndTilde:
                     rep = SymRep(k, PresentedModule.from_rel_rows(
                         ring, g, [[c] * g]), rep.sym)
                 reps.append(rep)
-            reps_path.write_text(json.dumps(SymRepList(ring, reps).to_json()))
+            reps_path.write_text(
+                json.dumps(plain(SymRepList(ring, reps).to_json())))
             for extra in ([], ["--N", str(len(reps))]):
                 code, out, _ = run(capsys, "dk-reconstruct", str(reps_path),
                                    *extra, "--out", str(back_path))
@@ -844,12 +850,50 @@ _DICTS = st.recursive(
     max_leaves=10)
 
 
+# Mat leaves over Z, Q, F2 and F3 as to_json() holds them, of every shape
+# from 0 x k and k x 0 up: mostly zeros, with negatives, big integers and
+# a/b over Q, so rows are empty, full or end in the last column.
+_RINGS = [Coeff.parse(code) for code in ("Z", "Q", "F2", "F3")]
+
+
+def _mats(coeff):
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                      st.integers(-10 ** 30, 10 ** 30),
+                      *([st.fractions(max_denominator=999)]
+                        if coeff.kind == Coeff.RATIONALS else []))
+    return st.integers(0, 6).flatmap(lambda ncols: st.lists(
+        st.lists(entry.map(coeff.normalize), min_size=ncols,
+                 max_size=ncols), max_size=5).map(
+        lambda rows: Mat(coeff, len(rows), ncols, rows)))
+
+
+# theta's and sigma's classes as tilde-hom hands them to the writer
+_CLASSES = st.sampled_from([
+    ("theta", 2, 2), ("theta", 3, 1), ("theta", 0, 2), ("theta", 2, 0),
+    ("sigma", 3, 2), ("sigma", 3, 3), ("sigma", 4, 1), ("sigma", 1, 3),
+]).map(lambda t: tilde_hom(category(t[0]), t[1], t[2]))
+_CLASS = _CLASSES.filter(bool).flatmap(st.sampled_from)
+_LEAVES = st.sampled_from(_RINGS).flatmap(lambda c: st.fixed_dictionaries({
+    "coeff": st.just(c.code),
+    "rels": _mats(c),
+    "levels": st.lists(st.fixed_dictionaries(
+        {"gens": st.integers(0, 9), "rels": _mats(c)}), max_size=3),
+    "incl": st.lists(_mats(c), max_size=3),
+    "sym": st.lists(st.lists(_mats(c), max_size=2), max_size=3),
+    "classes": _CLASSES,
+    "class": _CLASS,
+    "mixed": st.lists(st.one_of(_mats(c), _CLASS, _CLASSES, _SCALAR),
+                      max_size=4),
+}))
+
+
 class TestWriter:
-    """``emit`` writes the bytes of ``json.dumps(data, indent=1)``."""
+    """``emit`` writes the bytes of ``json.dumps(data, indent=1)``, with
+    each ``Mat`` and ``TildeHom`` leaf in its plain form (``plain``)."""
 
     @staticmethod
     def assert_same_bytes(data, path):
-        expected = json.dumps(data, indent=1) + "\n"
+        expected = json.dumps(plain(data), indent=1) + "\n"
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             emit(data, None)
@@ -879,6 +923,45 @@ class TestWriter:
     @given(_DICTS)
     def test_lists_of_dicts(self, tmp_path, data):
         self.assert_same_bytes({"classes": data}, tmp_path / "out.json")
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_LEAVES)
+    def test_matrices_and_classes(self, tmp_path, data):
+        self.assert_same_bytes(data, tmp_path / "out.json")
+
+    @pytest.mark.parametrize("coeff", _RINGS, ids=lambda c: c.code)
+    def test_matrix_shapes(self, tmp_path, coeff):
+        # 0 x k, k x 0 and 0 x 0, an empty row, entries in the first and
+        # the last column, a big negative and a/b over Q
+        x = Fraction(-3, 7) if coeff.kind == Coeff.RATIONALS else -10 ** 40
+        mats = [Mat.zero(coeff, 0, 3), Mat.zero(coeff, 3, 0),
+                Mat.zero(coeff, 0, 0), Mat.zero(coeff, 2, 4),
+                Mat.from_rows(coeff, [[0, 0, 0, x], [x, 0, 0, 0],
+                                      [0, 0, 0, 0], [1, x, 2, x]])]
+        self.assert_same_bytes(
+            {"rels": mats[-1], "incl": mats,
+             "levels": [{"gens": m.ncols, "rels": m} for m in mats]},
+            tmp_path / "out.json")
+
+    def test_type_error_before_the_file_is_opened(self, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(TypeError):
+            emit({"rels": Mat.identity(Coeff.Z(), 2), "x": 0.5}, str(path))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("where, reason", [
+        ("nodir/x.json", "No such file or directory"),
+        (".", "Is a directory")])
+    def test_out_that_cannot_be_written(self, capsys, tmp_path, where,
+                                        reason):
+        target = tmp_path / where
+        code, out, err = run(capsys, "corpus", "emit", "P(1)", "--N", "3",
+                             "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"input error: cannot write {target}: {reason}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_peak_memory_under_twice_the_text(self, tmp_path):
         # the pieces are the one whole copy of the text; besides them only

@@ -27,7 +27,9 @@ from fcalc.fimod import (
 )
 from fcalc.fimod import _power_mat
 from fcalc.fisharp import SymRep, alpha, cross_effect
-from oracles import mod_p, submatrix, uct_dimension, word_product
+from oracles import (
+    mat_json, mod_p, plain, submatrix, uct_dimension, word_product,
+)
 
 Z, Q, F2 = Coeff.Z(), Coeff.Q(), Coeff.GF(2)
 
@@ -498,6 +500,76 @@ class TestDegreePins:
             weak_degree(build("const", "Z", 3), 0)
 
 
+def _rank(value):
+    """The order of degree values: -inf below every number."""
+    return -1 if value == NEG_INF else value
+
+
+class TestAcrossN:
+    """The verdicts on one corpus entry at truncations M < N.  A certified
+    strong degree does not depend on N, and alpha's certified profiles
+    agree on the levels both reach.  A certified weak degree d may rise
+    with N but never falls, and its certificate at M is a fact about
+    levels that F_N shares: the levels of its window die in the (d+1)-st
+    difference by that difference's top level at M, and so by its top
+    level at N; and for a number d, some level within the margin of the
+    d-th difference does not die by that difference's top level at M."""
+
+    ENTRIES = [("const", "Z"), ("zgeq(2)", "Q"), ("zgeq(3)", "F2"),
+               ("P(1)", "F3"), ("P(2)", "Z"), ("augmentation_kernel", "Q"),
+               ("ex_upm_A", "F3"), ("ex_upm_F", "F2"), ("sum_zgeq", "Z"),
+               ("atomics_upto(2)", "F2"), ("atomic(0)+atomic(3)", "Q")]
+    TRUNCATIONS = range(2, 8)
+    MARGINS = (1, 2, 3)
+
+    @pytest.mark.parametrize("name, code", ENTRIES)
+    def test_verdicts_agree(self, name, code):
+        functors = {}
+        for N in self.TRUNCATIONS:
+            with contextlib.suppress(FunctorError):  # an argument above N
+                functors[N] = build(name, code, N)
+        # differences[N][k] is the k-th difference of F at truncation N
+        differences = {}
+        for N, F in functors.items():
+            chain = [F]
+            while chain[-1].N >= 1:
+                chain.append(diff(chain[-1]))
+            differences[N] = chain
+        strong = {N: strong_degree(F) for N, F in functors.items()}
+        weak = {(N, m): weak_degree(F, m)
+                for N, F in functors.items() for m in self.MARGINS}
+        profiles = {}
+        for N, F in functors.items():
+            for m in self.MARGINS:
+                with contextlib.suppress(WindowError):  # nothing certified
+                    profiles[N, m] = [lvl.invariant_factors()
+                                      for lvl in alpha(F, m).module.levels]
+        for M, N in combinations(sorted(functors), 2):
+            if strong[M].certified and strong[N].certified:
+                assert strong[M].value == strong[N].value, (M, N)
+            for m in self.MARGINS:
+                if (M, m) in profiles and (N, m) in profiles:
+                    low, high = profiles[M, m], profiles[N, m]
+                    shared = min(len(low), len(high))
+                    assert low[:shared] == high[:shared], (M, N, m)
+                rep = weak[M, m]
+                if not rep.certified:
+                    continue
+                d = _rank(rep.value)
+                if weak[N, m].certified:
+                    assert _rank(weak[N, m].value) >= d, (M, N, m)
+                # the (d+1)-st difference at M has top level M - d - 1
+                top = M - d - 1
+                G = differences[N][d + 1]
+                for by in (top, G.N):
+                    assert all(G.unit_to(n, by).is_zero_map()
+                               for n in range(rep.window[1] + 1)), (M, N, m)
+                if d >= 0:
+                    G = differences[N][d]
+                    assert not all(G.unit_to(n, top + 1).is_zero_map()
+                                   for n in range(top + 2 - m)), (M, N, m)
+
+
 class TestDimProfile:
     def test_P1_over_Q(self):
         prof = dim_profile(build("P(1)", "Q", 7))
@@ -875,12 +947,12 @@ class TestSerialization:
     def test_round_trip(self, corpus):
         for key in [("P(2)", "Z"), ("augmentation_kernel", "Z"), ("ex_upm_F", "F2")]:
             F = corpus[key]
-            G = TruncFIModule.from_json(F.to_json())
+            G = TruncFIModule.from_json(plain(F.to_json()))
             assert F.structurally_equal(G), key
 
     def test_entries_are_strings(self):
         F = build("P(1)", "Z", 3)
-        data = F.to_json()
+        data = plain(F.to_json())
         assert data["incl"][1][0][0] == "1"
 
 
@@ -941,7 +1013,7 @@ def _structure_pieces(code):
         yield tensor(P1, P2).to_json()
         G, witness = freeify(D)
         yield G.to_json()
-        yield [f.mat.to_json() for f in witness.maps]
+        yield [mat_json(f.mat) for f in witness.maps]
     A = alpha(build("P(2)", coeff, 7)).module
     for k in range(A.N + 1):
         yield cross_effect(A, k).to_json()
@@ -967,5 +1039,5 @@ class TestStructureDigests:
     def test_digest(self, code):
         h = hashlib.sha256()
         for piece in _structure_pieces(code):
-            h.update(json.dumps(piece).encode() + b"\n")
+            h.update(json.dumps(plain(piece)).encode() + b"\n")
         assert h.hexdigest() == self.DIGESTS[code]
