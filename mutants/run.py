@@ -6,9 +6,11 @@ exactly once in ``file`` (a path from the repository root), and replacing
 it by ``new`` makes the program wrong in the way ``reason`` says.  For
 every entry the gate copies the repository, without ``.git`` and this
 directory, to a temporary directory, applies the edit there and runs
-``pytest -x -q`` in it.  A failing run
-kills the mutant; a passing one lets it survive, which means a missing
-test, or an equivalent mutant whose entry should say why.
+``pytest -x -q`` in it, with the hypothesis profile ``mutants`` of
+``tests/conftest.py``, which skips shrinking: a failing property test
+fails on the first example it finds.  A failing run kills the mutant; a
+passing one lets it survive, which means a missing test, or an
+equivalent mutant whose entry should say why.
 ``tests/test_mutants.py``, which checks the anchors in Tier-1, is left
 out of the copy, since every mutant breaks its own anchor.
 
@@ -37,6 +39,7 @@ ANCHOR_TEST = "test_mutants.py"
 CLI = "src/fcalc/cli.py"
 FIMOD = "src/fcalc/fimod.py"
 PRESENTED = "src/fcalc/exactlin/presented.py"
+FISHARP = "src/fcalc/fisharp.py"
 
 MUTANTS = [
     (FIMOD,
@@ -97,6 +100,18 @@ MUTANTS = [
      "        return _partial(self.rep_map, self.b)",
      "        return _partial(self.rep_map, self.b)[::-1]",
      "the writer swaps a sigma class's domain and values"),
+    (FISHARP,
+     "        t = F.sym[n][a - 1] if b == a + 1 else",
+     "        t = F.sym[n][a - 2] if b == a + 1 else",
+     "moebius_idem conjugates by the wrong generator"),
+    (FISHARP,
+     "    E = epsilon_idem(F, n, I[:-1]).mat",
+     "    E = epsilon_idem(F, n, I[1:]).mat",
+     "moebius_idem starts from the wrong idempotent"),
+    (FIMOD,
+     "    rows = start.sparse_rows()",
+     "    rows = Mat.identity(coeff, gens).sparse_rows()",
+     "perm_action ignores its start rows"),
 ]
 
 
@@ -131,7 +146,7 @@ def run_mutant(file: str, old: str, new: str,
         start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p",
-             "no:cacheprovider", *tests],
+             "no:cacheprovider", "--hypothesis-profile", "mutants", *tests],
             cwd=tmp, env=env, capture_output=True, text=True)
         took = time.perf_counter() - start
     first = next((line for line in proc.stdout.splitlines()

@@ -321,28 +321,40 @@ def coinvariants(m: PresentedModule, actions) -> tuple[PresentedModule, ModuleMa
     return q, ModuleMap(m, q, Mat.identity(m.coeff, m.gens))
 
 
-def factor_through(f: ModuleMap, through: ModuleMap) -> ModuleMap:
+def factor_through(f, through: ModuleMap):
     """A map g with g.then(through) == f: the factorization through a
-    monomorphism (then unique) or a lift through an epimorphism.
+    monomorphism (then unique) or a lift through an epimorphism.  f may
+    also be a list of maps into through's target; then the list of their
+    factorizations, from one tracked basis of through's rows and its
+    target's relations, which solving leaves as it was, so each is the
+    one a call of its own would give.
 
     Raises if some generator image does not factor.
     """
-    if f.dst is not through.dst and not f.dst.same_presentation(through.dst):
-        raise ExactLinError("factor_through: targets differ")
+    maps = f if isinstance(f, list) else [f]
+    dst = through.dst
+    for g in maps:
+        if g.dst is not dst and not g.dst.same_presentation(dst):
+            raise ExactLinError("factor_through: targets differ")
+    if not maps:
+        return []
     # the map's rows first, so that a solution's leading coefficients are
     # the factorization and the relation coefficients come after
-    basis = RowBasis(f.mat.coeff, through.dst.gens, track=True)
+    basis = RowBasis(through.mat.coeff, dst.gens, track=True)
     basis.add_mat(through.mat)
-    basis.add_mat(through.dst.rels)
+    basis.add_mat(dst.rels)
     n = through.src.gens
-    rows = []
-    for row in f.mat.sparse_rows():
-        sol = basis.solve(dict(row))
-        if sol is None:
-            raise ExactLinError("map does not factor through the given map")
-        rows.append(tuple(sorted([e for e in sol.items() if e[0] < n])))
-    mat = Mat.from_sparse(f.mat.coeff, f.src.gens, n, tuple(rows))
-    return ModuleMap(f.src, through.src, mat)
+    lifts = []
+    for g in maps:
+        rows = []
+        for row in g.mat.sparse_rows():
+            sol = basis.solve(dict(row))
+            if sol is None:
+                raise ExactLinError("map does not factor through the given map")
+            rows.append(tuple(sorted([e for e in sol.items() if e[0] < n])))
+        mat = Mat.from_sparse(g.mat.coeff, g.src.gens, n, tuple(rows))
+        lifts.append(ModuleMap(g.src, through.src, mat))
+    return lifts if isinstance(f, list) else lifts[0]
 
 
 def freeify_module(m: PresentedModule):

@@ -8,9 +8,10 @@ and kernel operations and the degree computations.
 
 ``levelwise`` is the one place that spells out this layout for a derived
 functor (one inclusion per level n -> n + 1, the transpositions
-s_1 .. s_{n-1} at level n): sub-objects, sums, tensor and Schur powers and
+s_1 .. s_{n-1} at level n): quotients, sums, tensor and Schur powers and
 the free normalization each give it only the image of one structure
-matrix.
+matrix.  A sub-object (``induced_structure``) factors all the maps into a
+level through one basis, so it lays out its levels itself.
 
 Truncation discipline: translation and difference consume window, so every
 degree answer carries the window on which it is certified.  A "true" or a
@@ -168,12 +169,14 @@ class TruncFIModule:
             f = f.then(self.incl[k])
         return f
 
-    def perm_matrix(self, n: int, perm) -> Mat:
-        """Matrix of the action of a permutation on level n.
+    def perm_matrix(self, n: int, perm, start: Mat | None = None) -> Mat:
+        """Matrix of the action of a permutation on level n; with start,
+        start @ that matrix, as ``perm_action`` computes it.
 
         perm is a sequence with perm[i] = image of point i+1 (1-indexed).
         """
-        return perm_action(self.coeff, self.levels[n].gens, self.sym[n], perm)
+        return perm_action(self.coeff, self.levels[n].gens, self.sym[n],
+                           perm, start)
 
     def is_zero_functor(self) -> bool:
         return all(m.is_zero() for m in self.levels)
@@ -290,26 +293,37 @@ def perm_word(perm) -> list[int]:
     return word[::-1]
 
 
-def perm_action(coeff: Coeff, gens: int, sym, perm) -> Mat:
+def perm_action(coeff: Coeff, gens: int, sym, perm,
+                start: Mat | None = None) -> Mat:
     """Matrix of a permutation acting on a module with the given number of
-    generators, where sym[i] is the action of s_{i+1}.
+    generators, where sym[i] is the action of s_{i+1}; with start, the
+    product start @ that matrix, the permutation applied to start's rows
+    alone.
 
     perm is a sequence with perm[i] = image of point i+1 (1-indexed).
 
     The running product is kept as sparse rows, so a letter of the word
-    costs the nonzero entries it touches: O(gens) for a permutation matrix.
+    costs the nonzero entries it touches: O(gens) for a permutation matrix,
+    and for start only its own rows' entries.  Exact products are
+    associative, so start's rows pushed through the word letter by letter
+    give start @ perm_action(coeff, gens, sym, perm) entry for entry.
 
     >>> swap = Mat.from_rows(Coeff.Z(), [[0, 1], [1, 0]])
     >>> perm_action(Coeff.Z(), 2, [swap], (2, 1)) == swap
     True
+    >>> three = Mat.from_rows(Coeff.Z(), [[3, 0]])
+    >>> perm_action(Coeff.Z(), 2, [swap], (2, 1), three).rows
+    ((0, 3),)
     """
-    rows = Mat.identity(coeff, gens).sparse_rows()
+    if start is None:
+        start = Mat.identity(coeff, gens)
+    rows = start.sparse_rows()
     # sigma = s_{w1} o s_{w2} o ... applied right-to-left, so the
     # row-convention matrix multiplies left-to-right in reversed order
     for i in reversed(perm_word(perm)):
         letter = sym[i].sparse_rows()
         rows = tuple([mul_row_mat(coeff, row, letter) for row in rows])
-    return Mat.from_sparse(coeff, gens, gens, rows)
+    return Mat.from_sparse(coeff, start.nrows, gens, rows)
 
 
 def coxeter_violations(m: PresentedModule, sym) -> list[str]:
@@ -434,11 +448,23 @@ def levelwise(levels, image, *functors) -> TruncFIModule:
 def induced_structure(F: TruncFIModule, incls) -> TruncFIModule:
     """The subfunctor of F on the levels 0..len(incls)-1 carried by the
     levelwise inclusions incls[n]: K(n) -> F(n), with the inclusion maps
-    and transpositions of F factored through them."""
-    def image(n, m, a):
-        return factor_through(ModuleMap(incls[n].src, F.levels[m],
-                                        incls[n].mat @ a), incls[m]).mat
-    return levelwise([inc.src for inc in incls], image, F)
+    and transpositions of F factored through them.  The maps into one
+    level are factored together, through one tracked basis of its
+    inclusion, so each level's structure is laid out here and not by
+    ``levelwise``, which asks for one matrix at a time."""
+    levels = [inc.src for inc in incls]
+    incl, sym = [], []
+    for m, inc in enumerate(incls):
+        into = [ModuleMap(levels[m], F.levels[m], inc.mat @ s)
+                for s in F.sym[m]]
+        if m:
+            into.append(ModuleMap(levels[m - 1], F.levels[m],
+                                  incls[m - 1].mat @ F.incl[m - 1].mat))
+        lifts = factor_through(into, inc)
+        if m:
+            incl.append(lifts.pop())
+        sym.append([g.mat for g in lifts])
+    return TruncFIModule(F.coeff, levels, incl, sym)
 
 
 def kernel_nat(u: NatMap) -> tuple[TruncFIModule, NatMap]:

@@ -28,10 +28,11 @@ The Moebius inversion is computed as a product, not as its alternating
 sum: e_I = epsilon_I * prod_{i in I} (epsilon_I - epsilon_{I - {i}}).
 Expanding the product and using epsilon_J epsilon_K = epsilon_{J cap K}
 gives back the sum over J in I of (-1)^{|I - J|} epsilon_J, so |I| + 1
-idempotents and |I| products stand in for 2^|I| idempotents.  Each
-cross-effect inclusion, the image of e_{1..k} at level k, is computed
-once per module and k, and the decomposition and the Dold-Kan witness
-share it.
+idempotents and |I| products stand in for 2^|I| idempotents; all but two
+of those idempotents are conjugates of a neighbour by one transposition.
+Each cross-effect inclusion, the image of e_{1..k} at level k, is
+computed once per module and k, and the decomposition and the Dold-Kan
+witness share it.
 """
 from __future__ import annotations
 
@@ -204,7 +205,11 @@ def epsilon_idem(F: FISharpModule, n: int, subset) -> ModuleMap:
     {1..n} and undefined elsewhere.
 
     epsilon_{full} is the identity, epsilon_{empty} factors through level 0,
-    and epsilon_I epsilon_J = epsilon_{I cap J}.
+    and epsilon_I epsilon_J = epsilon_{I cap J}.  For I = {1..k} it is
+    ``_down_up(F, n, k)``; any other I is carried onto {1..k} by its
+    sorting permutation sigma, and the matrix is
+    sigma @ _down_up(F, n, k) @ sigma^-1, with sigma^-1 applied to the
+    rows of the product before it (``perm_action``'s start).
     """
     I = tuple(sorted(set(subset)))
     if n > F.N:
@@ -215,10 +220,11 @@ def epsilon_idem(F: FISharpModule, n: int, subset) -> ModuleMap:
     lvl = F.levels[n]
     if k == n:
         return ModuleMap.identity(lvl)
-    sigma = _sorting_perm(n, I)
-    m_sigma = F.perm_matrix(n, sigma)
-    m_inv = F.perm_matrix(n, _inverse_perm(sigma))
-    mat = m_sigma @ _down_up(F, n, k) @ m_inv
+    mat = _down_up(F, n, k)
+    if I != tuple(range(1, k + 1)):
+        sigma = _sorting_perm(n, I)
+        mat = F.perm_matrix(n, _inverse_perm(sigma),
+                            F.perm_matrix(n, sigma) @ mat)
     return ModuleMap(lvl, lvl, mat)
 
 
@@ -226,18 +232,37 @@ def moebius_idem(F: FISharpModule, n: int, subset) -> ModuleMap:
     """Moebius inversion of the epsilon family, e_I = sum over J in I of
     (-1)^{|I - J|} epsilon_J.  The e_I form a complete orthogonal family.
 
-    It is computed as epsilon_I * prod_{i in I} (epsilon_I - epsilon_{I - {i}}),
-    which expands to that sum because epsilon_J epsilon_K = epsilon_{J cap K};
-    for I empty it is epsilon_empty.  On a free level the matrix is the
-    sum's; where the level has relations the two may differ by relation
-    rows and are equal as maps.
+    It is computed as epsilon_I (epsilon_I - E_1) ... (epsilon_I - E_k)
+    over I = (a_1 < ... < a_k), E_j = epsilon_{I - a_j}, which expands to
+    that sum because epsilon_J epsilon_K = epsilon_{J cap K}; for I empty
+    it is epsilon_empty.  The factors are built walking down I: E_k is
+    ``epsilon_idem``'s, and E_j is t E_{j+1} t for the transposition t of
+    a_j and a_{j+1}, which carries I - a_{j+1} onto I - a_j.  The product
+    is taken from the right, each step mat - E_j @ mat.
+
+    For I = {1..n}, every cross-effect's, this is the matrix of the
+    factors epsilon_idem(F, n, I - j) multiplied from the left, entry for
+    entry: epsilon_I is the identity, so each step is (Id - E_j) @ mat;
+    E_n is ``_down_up(F, n, n - 1)``; t is the level's own s_j; and
+    ``perm_action`` builds the sorting permutation of I - j as the word
+    s_j s_{j+1} .. s_{n-1} and its inverse as the reverse word, so
+    s_j E_{j+1} s_j is E_j's matrix, exact products being associative.
+    For other I, and against the alternating sum on levels with
+    relations, the matrices may differ by relation rows and are equal as
+    maps.
     """
     I = tuple(sorted(set(subset)))
     lvl = F.levels[n]
     eps = epsilon_idem(F, n, I).mat
-    mat = eps
-    for i in I:
-        mat = mat @ (eps - epsilon_idem(F, n, [x for x in I if x != i]).mat)
+    if not I:
+        return ModuleMap(lvl, lvl, eps)
+    E = epsilon_idem(F, n, I[:-1]).mat
+    mat = eps - E
+    for a, b in zip(I[-2::-1], I[:0:-1]):
+        t = F.sym[n][a - 1] if b == a + 1 else F.perm_matrix(
+            n, [b if x == a else a if x == b else x for x in range(1, n + 1)])
+        E = t @ E @ t
+        mat = mat - E @ mat
     return ModuleMap(lvl, lvl, mat)
 
 
@@ -253,8 +278,11 @@ class SymRep:
             raise FunctorError(
                 f"degree {degree} needs {max(degree - 1, 0)} transpositions")
 
-    def perm_matrix(self, perm) -> Mat:
-        return perm_action(self.module.coeff, self.module.gens, self.sym, perm)
+    def perm_matrix(self, perm, start: Mat | None = None) -> Mat:
+        """The matrix of a permutation; with start, start @ that matrix,
+        as ``perm_action`` computes it."""
+        return perm_action(self.module.coeff, self.module.gens, self.sym,
+                           perm, start)
 
     def verify(self) -> list[str]:
         """The violations of the Coxeter presentation of the symmetric
@@ -263,14 +291,16 @@ class SymRep:
 
     def character(self) -> dict:
         """Trace of one permutation per cycle type, on a freeified copy
-        (fields only)."""
+        (fields only): from_free @ perm @ to_free, the permutation applied
+        to from_free's rows alone, which is the same matrix as exact
+        products are associative."""
         if not self.module.coeff.is_field:
             raise FunctorError("characters are computed over fields only")
         free, to_free, from_free = freeify_module(self.module)
         out = {}
         for lam in _partitions(self.degree):
             perm = _cycle_type_rep(lam)
-            mat = from_free.mat @ self.perm_matrix(perm) @ to_free.mat
+            mat = self.perm_matrix(perm, from_free.mat) @ to_free.mat
             out[lam] = self.module.coeff.normalize(sum(mat.diagonal()))
         return out
 
@@ -373,9 +403,9 @@ def cross_effect(F: FISharpModule, k: int) -> SymRep:
     if k > F.N:
         raise WindowError(f"cross-effect {k} beyond the truncation {F.N}")
     incl = cross_effect_inclusion(F, k)
-    return SymRep(k, incl.src,
-                  [factor_through(incl.then(F.sym_map(k, i)), incl).mat
-                   for i in range(max(k - 1, 0))])
+    lifts = factor_through([incl.then(F.sym_map(k, i))
+                            for i in range(max(k - 1, 0))], incl)
+    return SymRep(k, incl.src, [g.mat for g in lifts])
 
 
 def cross_effect_inclusion(F: FISharpModule, k: int) -> ModuleMap:
@@ -439,7 +469,10 @@ def dold_kan_reconstruct(reps: SymRepList, N: int | None = None) -> FISharpModul
 def dold_kan_witness(F: FISharpModule, reps: SymRepList | None = None) -> NatMap:
     """The natural isomorphism reconstruct(decompose(F)) -> F: on the copy
     indexed by S it includes the cross-effect and pushes along the
-    injection onto S."""
+    injection onto S.  The push is the inverse sorting permutation of S
+    applied to the few rows of that inclusion alone (``perm_matrix``'s
+    start), the same matrix as the product with the permutation's matrix,
+    since exact products are associative."""
     if reps is None:
         reps = dold_kan_decompose(F)
     R = dold_kan_reconstruct(reps, F.N)
@@ -456,7 +489,7 @@ def dold_kan_witness(F: FISharpModule, reps: SymRepList | None = None) -> NatMap
                 # injection [k] -> [n] onto S: standard inclusion composed
                 # with the inverse of the sorting permutation
                 sigma = _sorting_perm(n, S)
-                up = base @ F.perm_matrix(n, _inverse_perm(sigma))
+                up = F.perm_matrix(n, _inverse_perm(sigma), base)
                 rows.extend(up.sparse_rows())
         mat = Mat.from_sparse(coeff, R.levels[n].gens, F.levels[n].gens,
                               tuple(rows))

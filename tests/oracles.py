@@ -244,6 +244,67 @@ def word_product(coeff, gens: int, sym, perm) -> Mat:
     return mat
 
 
+def injection_perm(n: int, S) -> tuple[int, ...]:
+    """The permutation of {1..n} whose restriction to {1..k}, k = |S|, is
+    the increasing injection onto S, the rest going onto the complement
+    in order: the injection [k] -> [n] onto S after the standard
+    inclusion, in one-line form."""
+    return tuple(S) + tuple(x for x in range(1, n + 1) if x not in S)
+
+
+def epsilon_words(F: FISharpModule, n: int, subset) -> Mat:
+    """epsilon_I at level n, k = |I| < n, as the product
+    sigma @ (proj .. proj incl .. incl) @ sigma^-1 taken from the left,
+    where sigma^-1 is ``injection_perm(n, I)`` and each permutation is its
+    ``word_product``."""
+    I = tuple(sorted(subset))
+    k, coeff, gens = len(I), F.coeff, F.levels[n].gens
+    down_up = Mat.identity(coeff, gens)
+    for m in range(n - 1, k - 1, -1):
+        down_up = down_up @ F.proj[m].mat
+    for m in range(k, n):
+        down_up = down_up @ F.incl[m].mat
+    inv = injection_perm(n, I)
+    sigma = tuple(inv.index(x) + 1 for x in range(1, n + 1))
+    return (word_product(coeff, gens, F.sym[n], sigma) @ down_up
+            @ word_product(coeff, gens, F.sym[n], inv))
+
+
+def moebius_words(F: FISharpModule, n: int) -> Mat:
+    """e_{1..n} at level n as the product of its factors from the left,
+    Id (Id - epsilon_{I - 1}) (Id - epsilon_{I - 2}) .. (Id - epsilon_{I - n}),
+    each epsilon by ``epsilon_words``: the matrix ``moebius_idem`` keeps
+    entry for entry, relation rows included."""
+    ident = Mat.identity(F.coeff, F.levels[n].gens)
+    mat = ident
+    for i in range(1, n + 1):
+        I = [x for x in range(1, n + 1) if x != i]
+        mat = mat @ (ident - epsilon_words(F, n, I))
+    return mat
+
+
+def witness_words(F: FISharpModule, incl_cr) -> list[Mat]:
+    """The level maps of ``dold_kan_witness`` from the cross-effect
+    inclusions incl_cr[k]: at level n, for k = 0..n and S a k-subset in
+    lexicographic order, the rows of incl_cr[k] pushed up to level n by
+    the inclusions and then multiplied by the ``word_product`` of
+    ``injection_perm(n, S)``."""
+    coeff, out = F.coeff, []
+    for n in range(F.N + 1):
+        gens, blocks = F.levels[n].gens, []
+        for k in range(n + 1):
+            base = incl_cr[k].mat
+            for m in range(k, n):
+                base = base @ F.incl[m].mat
+            for S in combinations(range(1, n + 1), k):
+                blocks.append(base @ word_product(
+                    coeff, gens, F.sym[n], injection_perm(n, S)))
+        out.append(Mat.from_sparse(
+            coeff, sum(b.nrows for b in blocks), gens,
+            tuple(r for b in blocks for r in b.sparse_rows())))
+    return out
+
+
 def random_symrep(rng, coeff, k, max_blocks=2) -> SymRep:
     """A representation of the symmetric group on k letters: a direct sum
     of up to max_blocks trivial and permutation (on max(k, 1) points)

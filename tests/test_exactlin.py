@@ -442,6 +442,34 @@ class TestKernelCokernel:
                 lifted = factor_through(g, incl)
                 assert lifted.then(incl).equals(g)
 
+    def test_factor_through_a_list_lifts_each_map_as_alone(self):
+        # one tracked basis serves the whole list: solving must leave it
+        # as it was, so each lift keeps the entries of its own call
+        from fcalc.exactlin import factor_through
+        rng = random.Random(31)
+        for coeff in (Z, Q, F2):
+            for _ in range(15):
+                gs, gd = rng.randint(1, 4), rng.randint(1, 4)
+                src = PresentedModule.from_rel_rows(
+                    coeff, gs, [[rng.randint(-3, 3) for _ in range(gs)]
+                                for _ in range(rng.randint(0, 2))])
+                dst = PresentedModule.free(coeff, gd)
+                k, incl = kernel(ModuleMap(
+                    src, dst, rand_mat(rng, coeff, gs, gd, -3, 3)))
+                maps = []
+                for _ in range(rng.randint(1, 4)):
+                    probe = PresentedModule.free(coeff, rng.randint(0, 3))
+                    maps.append(ModuleMap(probe, src, rand_mat(
+                        rng, coeff, probe.gens, k.gens, -2, 2) @ incl.mat))
+                lifts = factor_through(maps, incl)
+                assert [g.mat for g in lifts] == \
+                    [factor_through(g, incl).mat for g in maps]
+                assert factor_through([], incl) == []
+                other = PresentedModule.free(coeff, gs + 1)
+                with pytest.raises(ExactLinError):
+                    factor_through([maps[0], ModuleMap.zero_map(k, other)],
+                                   incl)
+
     def test_kernel_of_zero_is_src_profile(self):
         rng = random.Random(17)
         for _ in range(20):

@@ -174,6 +174,20 @@ class TestPermAction:
         assert got.shape == (gens, gens)
         assert repr(got.rows) == repr(word_product(coeff, gens, sym, perm).rows)
 
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(actions(), st.data())
+    def test_start_rows_are_multiplied_on_the_left(self, action, data):
+        coeff, gens, sym, perm = action
+        rows = data.draw(st.lists(st.lists(
+            st.integers(-3, 3), min_size=gens, max_size=gens), max_size=4))
+        start = Mat(coeff, len(rows), gens,
+                    [[coeff.normalize(x) for x in row] for row in rows])
+        got = perm_action(coeff, gens, sym, perm, start)
+        assert got.shape == (start.nrows, gens)
+        assert repr(got.rows) == \
+            repr((start @ perm_action(coeff, gens, sym, perm)).rows)
+
     def test_no_generators_and_identity_permutation(self):
         for coeff in (Z, Q, F2):
             swap = Mat.from_rows(coeff, [[0, 1], [1, 0]])

@@ -13,12 +13,13 @@ from fcalc.fimod import (
 )
 from fcalc.fisharp import (
     FISharpModule, SymRep, SymRepList, alpha, cross_effect,
-    dold_kan_decompose, dold_kan_reconstruct, dold_kan_witness, epsilon_idem,
-    eta_restrict, moebius_idem, sharp_natmap_ok,
+    cross_effect_inclusion, dold_kan_decompose, dold_kan_reconstruct,
+    dold_kan_witness, epsilon_idem, eta_restrict, moebius_idem,
+    sharp_natmap_ok,
 )
 from oracles import (
-    colimit_over_injections, difference_rep, moebius_sum, plain,
-    random_symrep,
+    colimit_over_injections, difference_rep, moebius_sum, moebius_words,
+    plain, random_symrep, witness_words,
 )
 
 Z, Q, F2 = Coeff.Z(), Coeff.Q(), Coeff.GF(2)
@@ -221,6 +222,24 @@ class TestMoebius:
                     assert moebius_idem(F, n, I).equals(
                         ModuleMap(lvl, lvl, moebius_sum(F, n, I))), (n, I)
 
+    @pytest.mark.parametrize("code", ["Z", "Q", "F2", "F3"])
+    def test_full_set_keeps_the_product_of_the_factors(self, code):
+        # on levels with relations a matrix is more than its map: the
+        # factors conjugated down {1..n} must give the very entries of
+        # the factors built from words and multiplied from the left
+        coeff = Coeff.parse(code)
+        modules = [alpha(build(entry, code, 7)).module
+                   for entry in ("P(2)", "ex_upm_F")]
+        rng = random.Random(31)
+        for _ in range(3):
+            reps = [random_symrep(rng, coeff, k)
+                    for k in range(rng.randint(1, 4) + 1)]
+            modules.append(dold_kan_reconstruct(SymRepList(coeff, reps)))
+        for F in modules:
+            for n in range(F.N + 1):
+                assert moebius_idem(F, n, range(1, n + 1)).mat == \
+                    moebius_words(F, n), (F.levels[n].gens, n)
+
 
 class TestCrossEffect:
     def test_idempotent_computed_once_per_k(self, monkeypatch):
@@ -368,6 +387,17 @@ class TestDoldKan:
             assert w.is_natural(), key
             assert w.is_levelwise_iso(), key
             assert sharp_natmap_ok(R, F, w), key
+
+    def test_witness_maps_are_the_word_products(self, sharps):
+        rng = random.Random(32)
+        modules = [sharps["free2"], alpha(build("ex_upm_F", "F3", 7)).module]
+        for coeff in (Z, Q, F2):
+            reps = [random_symrep(rng, coeff, k) for k in range(4)]
+            modules.append(dold_kan_reconstruct(SymRepList(coeff, reps)))
+        for F in modules:
+            incl_cr = [cross_effect_inclusion(F, k) for k in range(F.N + 1)]
+            assert [f.mat for f in dold_kan_witness(F).maps] == \
+                witness_words(F, incl_cr)
 
     def test_random_round_trips(self):
         rng = random.Random(20250808)
