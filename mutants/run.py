@@ -40,6 +40,7 @@ CLI = "src/fcalc/cli.py"
 FIMOD = "src/fcalc/fimod.py"
 PRESENTED = "src/fcalc/exactlin/presented.py"
 FISHARP = "src/fcalc/fisharp.py"
+CATTILDE = "src/fcalc/cattilde.py"
 
 MUTANTS = [
     (FIMOD,
@@ -96,7 +97,33 @@ MUTANTS = [
      "    if not m.nrows:\n",
      "    if not m.nrows or not m.ncols:\n",
      "the writer writes a k x 0 matrix as []"),
-    ("src/fcalc/cattilde.py",
+    (CATTILDE,
+     "        self.has_step = bool(self.hom(0, 1))",
+     "        self.has_step = True",
+     "every category claims a map 0 -> 1: sigma takes theta's stage bound "
+     "and inclusions"),
+    (CATTILDE,
+     'SIGMA = ConcreteSMC("sigma", _bijections, _preimages)',
+     'SIGMA = ConcreteSMC("sigma", _bijections, _partial)',
+     "sigma is built with theta's class invariant"),
+    (CATTILDE,
+     "            if unit is None or row[unit] != i:",
+     "            if unit is None:",
+     "verify_axioms drops the left-unit lookup"),
+    (CATTILDE,
+     "            if tilde_compose(f, ident[a]) != f:",
+     "            if tilde_compose(f, ident[a]) is None:",
+     "verify_axioms drops the right-unit comparison"),
+    (PRESENTED,
+     "        if not f.then(g).is_zero_map():",
+     "        if False:",
+     "check_exact drops the zero-composite test"),
+    (FISHARP,
+     "                and all(a.mat == b.mat for a, b in zip(self.proj, "
+     "other.proj)))",
+     "                )",
+     "FI#-module equality ignores the projections"),
+    (CATTILDE,
      "        return _partial(self.rep_map, self.b)",
      "        return _partial(self.rep_map, self.b)[::-1]",
      "the writer swaps a sigma class's domain and values"),

@@ -4,13 +4,15 @@ For a skeletal symmetric monoidal category whose objects are the counts
 0, 1, 2, ... (sum = addition), the nullified category has the same objects
 and hom-set from a to b the colimit over t of the maps a -> b + t, two
 maps being identified when post-composition with something fixing the b
-block connects them.  The two instances implemented are finite sets with
-injections (theta) and with bijections (sigma).
+block connects them.  A category is data: its hom-set enumerator and the
+class invariant of a map a -> b + t.  The two instances are finite sets
+with injections (theta) and with bijections (sigma).
 
-For theta the classes are exactly the partial injections a -> b; for sigma
-the classes correspond to injections b -> a (reading off the preimage of
-the b block).  Both normal forms are computed, and the colimit is also
-saturated directly as a union-find cross-check.
+For theta the classes are exactly the partial injections a -> b, the
+invariant the part of a map landing in the b block; for sigma the classes
+correspond to injections b -> a, the invariant the preimage of the b
+block.  The colimit is saturated directly by a union-find, and the
+invariant cross-checks it.
 
 tilde_hom enumerates each stage hom(a, b + t) once, in increasing order,
 and runs the union-find on integer indices of the stage elements, so the
@@ -54,12 +56,16 @@ class ConcreteSMC:
     Morphisms a -> b are value tuples (f(1), ..., f(a)) with entries in
     1..b; sum places blocks side by side.  maps(a, b, values) yields the
     morphisms a -> b followed by v -> values[v - 1], in increasing order
-    of the morphisms.
+    of the morphisms.  normal(f, b) is the class invariant of
+    f: a -> b + t in the nullified category.  has_step says whether the
+    category has a map 0 -> 1, and so the inclusions t -> t + 1.
     """
 
-    def __init__(self, name: str, maps):
+    def __init__(self, name: str, maps, normal):
         self.name = name
         self._maps = maps
+        self.normal = normal
+        self.has_step = bool(self.hom(0, 1))
 
     def hom(self, a: int, b: int) -> list[tuple[int, ...]]:
         """The morphisms a -> b, in increasing order."""
@@ -96,8 +102,21 @@ def _bijections(a: int, b: int, values):
     return permutations(values) if a == b else iter(())
 
 
-THETA = ConcreteSMC("theta", _injections)
-SIGMA = ConcreteSMC("sigma", _bijections)
+def _partial(f, b: int) -> tuple:
+    """The part of f: a -> b + t landing in the b block, as the pair
+    (defined domain, values)."""
+    return (tuple([i for i, v in enumerate(f, 1) if v <= b]),
+            tuple([v for v in f if v <= b]))
+
+
+def _preimages(f, b: int) -> tuple:
+    """The preimage tuple of the b block of the bijection f: a -> b + t,
+    an injection b -> a."""
+    return tuple([f.index(j) + 1 for j in range(1, b + 1)])
+
+
+THETA = ConcreteSMC("theta", _injections, _partial)
+SIGMA = ConcreteSMC("sigma", _bijections, _preimages)
 
 
 def category(name: str) -> ConcreteSMC:
@@ -126,7 +145,7 @@ class TildeHom:
     def __eq__(self, other):
         return (
             isinstance(other, TildeHom)
-            and self.cat.name == other.cat.name
+            and self.cat is other.cat
             and (self.a, self.b, self.normal) == (other.a, other.b, other.normal)
         )
 
@@ -138,29 +157,20 @@ class TildeHom:
 
     def as_partial(self):
         """The part of the representative landing in the b block, as the
-        pair (defined domain, values): theta's normal form, or read off
-        sigma's representative."""
-        if self.cat.name == "theta":
+        pair (defined domain, values): the normal form where that is the
+        category's invariant, or read off the representative."""
+        if self.cat.normal is _partial:
             return self.normal
         return _partial(self.rep_map, self.b)
 
-
-def _partial(f, b: int) -> tuple:
-    """The part of f: a -> b + t landing in the b block, as the pair
-    (defined domain, values)."""
-    return (tuple([i for i, v in enumerate(f, 1) if v <= b]),
-            tuple([v for v in f if v <= b]))
-
-
-def _normal_form(cat: ConcreteSMC, a: int, b: int, f) -> tuple:
-    """Class invariant of a representative f: a -> b + t.
-
-    theta: the partial injection (the part of f landing in the b block).
-    sigma: the preimage tuple of the b block (an injection b -> a).
-    """
-    if cat.name == "theta":
-        return _partial(f, b)
-    return tuple([f.index(j) + 1 for j in range(1, b + 1)])
+    def listing(self) -> str:
+        """The class's line in the tilde-hom listing: its partial map
+        where that is the invariant, or else the invariant, the preimages
+        of the b block."""
+        if self.cat.normal is not _partial:
+            return f"  preimages of target: {self.normal}"
+        body = ", ".join(f"{i}->{v}" for i, v in zip(*self.normal))
+        return f"  [{body or 'nowhere defined'}]"
 
 
 def tilde_hom(cat: ConcreteSMC, a: int, b: int, max_extra: int | None = None,
@@ -200,7 +210,7 @@ def tilde_hom(cat: ConcreteSMC, a: int, b: int, max_extra: int | None = None,
     if a < 0 or b < 0:
         raise CatError("objects are non-negative counts")
     if max_extra is None:
-        max_extra = a + 2 if cat.name == "theta" else max(a - b, 0) + 2
+        max_extra = (a if cat.has_step else max(a - b, 0)) + 2
     stages = [cat.hom(a, b + t) for t in range(max_extra + 1)]
     start = list(accumulate(map(len, stages), initial=0))
     parent = list(range(start[-1]))
@@ -234,15 +244,14 @@ def tilde_hom(cat: ConcreteSMC, a: int, b: int, max_extra: int | None = None,
     # stage relabelled by the values of id_b + u.  (1 2) pairs the
     # elements of its stage both ways and is joined once, from the smaller
     # index; the cycle is joined wherever it moves an element.
-    has_step = bool(cat.hom(0, 1))
     head = range(1, b + 1)
     index = {}
     for t in range(max_extra + 1):
         lo, hi = start[t], start[t + 1]
         prev, index = index, dict(zip(stages[t], range(lo, hi)))
-        if has_step and t > 0:
+        if cat.has_step and t > 0:
             parent[lo:hi] = map(prev.get, stages[t], range(lo, hi))
-        if t < 2 or (has_step and t < max_extra):
+        if t < 2 or (cat.has_step and t < max_extra):
             continue
         swap = (*head, b + 2, b + 1, *range(b + 3, b + t + 1))
         images = map(index.__getitem__, cat.relabelled(a, b + t, swap))
@@ -271,7 +280,7 @@ def tilde_hom(cat: ConcreteSMC, a: int, b: int, max_extra: int | None = None,
                for t in range(first, max_extra - 1)):
         raise CatError(
             f"hom colimit {cat.name}({a},{b}) did not stabilize by t={max_extra}")
-    classes = [TildeHom(cat, a, b, t, f, _normal_form(cat, a, b, f))
+    classes = [TildeHom(cat, a, b, t, f, cat.normal(f, b))
                for t, maps in enumerate(stages)
                for f in compress(maps, roots[start[t]:start[t + 1]])]
     if len({h.normal for h in classes}) != len(classes):
@@ -292,17 +301,14 @@ def tilde_hom(cat: ConcreteSMC, a: int, b: int, max_extra: int | None = None,
 
 def tilde_from_partial(a: int, b: int, domain, values) -> TildeHom:
     """The theta-tilde class of a partial injection given by its data."""
-    domain = tuple(domain)
-    values = tuple(values)
-    undefined = [i for i in range(1, a + 1) if i not in set(domain)]
     f = [0] * a
     for i, v in zip(domain, values):
         f[i - 1] = v
-    for k, i in enumerate(undefined):
-        f[i - 1] = b + k + 1
-    t = len(undefined)
+    undefined = [i for i, v in enumerate(f) if not v]
+    for k, i in enumerate(undefined, b + 1):
+        f[i] = k
     f = tuple(f)
-    return TildeHom(THETA, a, b, t, f, _normal_form(THETA, a, b, f))
+    return TildeHom(THETA, a, b, len(undefined), f, THETA.normal(f, b))
 
 
 def tilde_compose(g: TildeHom, f: TildeHom) -> TildeHom:
@@ -316,13 +322,12 @@ def tilde_compose(g: TildeHom, f: TildeHom) -> TildeHom:
     >>> tilde_compose(h, h).normal
     ((), ())
     """
-    if f.cat.name != g.cat.name or f.b != g.a:
+    if f.cat is not g.cat or f.b != g.a:
         raise CatError("classes are not composable")
     t, u, c = f.rep_t, g.rep_t, g.b
     glue = (0, *g.rep_map, *range(c + u + 1, c + u + t + 1))
     comp = tuple([glue[x] for x in f.rep_map])
-    return TildeHom(f.cat, f.a, c, u + t, comp,
-                    _normal_form(f.cat, f.a, c, comp))
+    return TildeHom(f.cat, f.a, c, u + t, comp, f.cat.normal(comp, c))
 
 
 def theta_tilde_count(a: int, b: int) -> int:
@@ -427,7 +432,7 @@ def verify_axioms(cat: ConcreteSMC, bound: int) -> AxiomReport:
     ident = {}
     for a in objs:
         f = cat.identity(a)
-        ident[a] = TildeHom(cat, a, a, 0, f, _normal_form(cat, a, a, f))
+        ident[a] = TildeHom(cat, a, a, 0, f, cat.normal(f, a))
     for (a, b), fs in homs.items():
         unit = index[(b, b)].get(ident[b].normal)
         for i, (f, row) in enumerate(zip(fs, after[(a, b, b)])):
@@ -511,5 +516,4 @@ def _tilde_sum(f: TildeHom, g: TildeHom) -> TildeHom:
         return b + d + t + (x - b - t - d)
     h = tuple(retarget(x) for x in cat.sum(f.rep_map, (a, b + t), g.rep_map,
                                            (c, d + u)))
-    return TildeHom(cat, a + c, b + d, t + u, h,
-                    _normal_form(cat, a + c, b + d, h))
+    return TildeHom(cat, a + c, b + d, t + u, h, cat.normal(h, b + d))

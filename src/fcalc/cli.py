@@ -393,12 +393,7 @@ def cmd_tilde_hom(args) -> int:
         return 0
     print(f"{len(classes)} classes in {cat.name}-tilde({args.a}, {args.b}):")
     for h in classes:
-        if cat.name == "theta":
-            dom, vals = h.as_partial()
-            body = ", ".join(f"{i}->{v}" for i, v in zip(dom, vals)) or "nowhere defined"
-            print(f"  [{body}]")
-        else:
-            print(f"  preimages of target: {h.normal}")
+        print(h.listing())
     return 0
 
 

@@ -82,6 +82,11 @@ class FISharpModule(TruncFIModule):
                     bad.append(f"projection at level {n+1} not equivariant for s_{i+1}")
         return bad
 
+    def structurally_equal(self, other: TruncFIModule) -> bool:
+        return (super().structurally_equal(other)
+                and isinstance(other, FISharpModule)
+                and all(a.mat == b.mat for a, b in zip(self.proj, other.proj)))
+
     def to_json(self) -> dict:
         data = super().to_json()
         data["proj"] = [f.mat for f in self.proj]

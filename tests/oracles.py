@@ -3,7 +3,7 @@ for the library's strategies, random representation lists, the plain
 JSON data of outputs, and a type-free text form of it for digests."""
 from itertools import accumulate, combinations, permutations
 
-from fcalc.cattilde import CatError, TildeHom, _normal_form
+from fcalc.cattilde import CatError, TildeHom
 from fcalc.exactlin import Coeff, Mat, PresentedModule, RowBasis
 from fcalc.fimod import TruncFIModule, insertion_map, perm_word
 from fcalc.fisharp import FISharpModule, SymRep, epsilon_idem
@@ -155,8 +155,9 @@ def tilde_hom_adjacent(cat, a, b, max_extra=None, *, members=None):
     representatives, counts, stopping rule, members) is tilde_hom's."""
     if a < 0 or b < 0:
         raise CatError("objects are non-negative counts")
+    has_step = bool(cat.hom(0, 1))
     if max_extra is None:
-        max_extra = a + 2 if cat.name == "theta" else max(a - b, 0) + 2
+        max_extra = (a if has_step else max(a - b, 0)) + 2
     stages = [sorted(cat.hom(a, b + t)) for t in range(max_extra + 1)]
     start = list(accumulate(map(len, stages), initial=0))
     parent = list(range(start[-1]))
@@ -174,7 +175,6 @@ def tilde_hom_adjacent(cat, a, b, max_extra=None, *, members=None):
         elif ry < rx:
             parent[rx] = ry
 
-    has_step = bool(cat.hom(0, 1))
     head = tuple(range(b + 1))
     for t2 in range(max_extra + 1):
         # the arrows into stage t2, as (source stage, u)
@@ -203,7 +203,7 @@ def tilde_hom_adjacent(cat, a, b, max_extra=None, *, members=None):
                for t in range(first, max_extra - 1)):
         raise CatError(
             f"hom colimit {cat.name}({a},{b}) did not stabilize by t={max_extra}")
-    classes = [TildeHom(cat, a, b, t, f, _normal_form(cat, a, b, f))
+    classes = [TildeHom(cat, a, b, t, f, cat.normal(f, b))
                for t, maps in enumerate(stages)
                for i, f in enumerate(maps, start[t]) if parent[i] == i]
     if len({h.normal for h in classes}) != len(classes):

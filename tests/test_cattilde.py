@@ -131,8 +131,7 @@ class TestHomSets:
                         for t in range(h.rep_t + 1):
                             for f in cat.hom(a, b + t):
                                 if (t, f) < (h.rep_t, h.rep_map):
-                                    assert cattilde._normal_form(
-                                        cat, a, b, f) != h.normal
+                                    assert cat.normal(f, b) != h.normal
 
     def test_same_saturation_as_every_adjacent_transposition(self,
                                                              monkeypatch):
@@ -334,6 +333,31 @@ class TestAxioms:
         assert len(calls) == units + pairs + members
 
     @pytest.mark.parametrize("cat, bound", [(THETA, 2), (SIGMA, 3)])
+    def test_composition_with_an_identity_that_moves_a_class_fails(
+            self, monkeypatch, cat, bound):
+        # composing with an identity, on either side, gives the next class
+        # of the hom-set: both unit checks must notice
+        true_compose = cattilde.tilde_compose
+        homs = {(a, b): tilde_hom(cat, a, b)
+                for a in range(bound + 1) for b in range(bound + 1)}
+
+        def is_identity(h):
+            return h.a == h.b and h.normal == cat.normal(cat.identity(h.a),
+                                                         h.a)
+
+        def moved(g, f):
+            for x, y in ((f, g), (g, f)):
+                if is_identity(x):
+                    hs = homs[(y.a, y.b)]
+                    return hs[(hs.index(y) + 1) % len(hs)]
+            return true_compose(g, f)
+
+        monkeypatch.setattr(cattilde, "tilde_compose", moved)
+        report = cattilde.verify_axioms(cat, bound)
+        assert any(m.startswith("left unit fails") for m in report.failures)
+        assert any(m.startswith("right unit fails") for m in report.failures)
+
+    @pytest.mark.parametrize("cat, bound", [(THETA, 2), (SIGMA, 3)])
     def test_sum_that_keeps_the_extras_in_place_fails(self, monkeypatch, cat,
                                                       bound):
         # a sum that leaves the extras of f between the b and d blocks
@@ -344,7 +368,7 @@ class TestAxioms:
             h = cat.sum(f.rep_map, (f.a, f.b + f.rep_t),
                         g.rep_map, (g.a, g.b + g.rep_t))
             return cattilde.TildeHom(cat, a, b, f.rep_t + g.rep_t, h,
-                                     cattilde._normal_form(cat, a, b, h))
+                                     cat.normal(h, b))
 
         monkeypatch.setattr(cattilde, "_tilde_sum", unordered)
         report = cattilde.verify_axioms(cat, bound)
@@ -358,6 +382,43 @@ class TestAxioms:
         assert category("sigma") is SIGMA
         with pytest.raises(CatError):
             category("gamma")
+
+
+class TestCategoryData:
+    """A category is its hom-set enumerator and its class invariant; its
+    name only labels it."""
+
+    @pytest.mark.parametrize("cat", [THETA, SIGMA], ids=["theta", "sigma"])
+    def test_copy_under_another_name_answers_alike(self, cat):
+        copy = cattilde.ConcreteSMC("FI-copy", cat._maps, cat.normal)
+        assert copy.has_step == cat.has_step
+        for a in range(5):
+            for b in range(5):
+                ours, theirs = [], []
+                got = tilde_hom(copy, a, b, members=ours)
+                want = tilde_hom(cat, a, b, members=theirs)
+                assert [(h.rep_t, h.rep_map, h.normal) for h in got] == [
+                    (h.rep_t, h.rep_map, h.normal) for h in want], (a, b)
+                assert ours == theirs, (a, b)
+                assert [h.listing() for h in got] == [
+                    h.listing() for h in want], (a, b)
+                assert [h.as_partial() for h in got] == [
+                    h.as_partial() for h in want], (a, b)
+        for bound in (2, 3):
+            ours, theirs = verify_axioms(copy, bound), verify_axioms(cat, bound)
+            assert ours.ok and theirs.ok
+            assert ours.checks == theirs.checks
+            assert str(ours).replace("FI-copy", cat.name) == str(theirs)
+
+    def test_classes_of_different_categories_differ(self):
+        # a category is compared by identity, not by its name
+        copy = cattilde.ConcreteSMC("theta", THETA._maps, THETA.normal)
+        f, g = tilde_hom(copy, 1, 1)[0], tilde_hom(THETA, 1, 1)[0]
+        assert (f.rep_t, f.rep_map, f.normal) == (g.rep_t, g.rep_map,
+                                                   g.normal)
+        assert f != g
+        with pytest.raises(CatError):
+            tilde_compose(f, g)
 
 
 class TestSerialization:

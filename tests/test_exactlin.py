@@ -566,6 +566,13 @@ class TestExactness:
         ]
         assert not check_exact(seq)
 
+    def test_nonzero_composite_detected(self):
+        # Z --1--> Z --1--> Z: the kernel 0 lies in the image, but the
+        # composite is not zero
+        z1 = PresentedModule.free(Z, 1)
+        one = ModuleMap.identity(z1)
+        assert not check_exact([one, one])
+
     def test_kernel_generator_outside_the_image_detected(self):
         # Z --2--> Z --0--> Z: the composite is zero, but the kernel Z is
         # not the image 2Z

@@ -53,6 +53,18 @@ class TestStructure:
         assert F.structurally_equal(G)
         assert all(a.mat == b.mat for a, b in zip(F.proj, G.proj))
 
+    def test_structural_equality_compares_the_projections(self):
+        F = build_sharp("free_sharp(1)", "Z", 3)
+        proj = list(F.proj)
+        proj[0] = ModuleMap.zero_map(F.levels[1], F.levels[0])
+        G = FISharpModule(F.coeff, F.levels, F.incl, F.sym, proj)
+        assert "level 0: proj o incl is not the identity" in G.verify()
+        assert not G.structurally_equal(F)
+        assert not F.structurally_equal(G)
+        assert F.structurally_equal(
+            FISharpModule(F.coeff, F.levels, F.incl, F.sym, F.proj))
+        assert not F.structurally_equal(eta_restrict(F))
+
     def test_eta_restrict_drops_proj(self, sharps):
         E = eta_restrict(sharps["free1"])
         assert not hasattr(E, "proj")
